@@ -7,9 +7,9 @@
 /// \file
 /// Micro-benchmarks for the AIG subsystem: construction throughput with
 /// structural hashing, CNF size of the carry-lookahead/carry-save encodings
-/// against the ripple-carry BitBlaster (the `vars`/`clauses` counters make
-/// the comparison directly readable next to micro_sat's), and the
-/// incremental guarded-query loop the BlastBV+AIG backend runs.
+/// against the ripple-carry/shift-and-add ones (the `vars`/`clauses`
+/// counters make the comparison directly readable next to micro_sat's), and
+/// the incremental guarded-query loop the BlastBV+AIG backend runs.
 ///
 //===----------------------------------------------------------------------===//
 

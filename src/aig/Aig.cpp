@@ -8,6 +8,8 @@
 
 #include "support/Telemetry.h"
 
+#include <algorithm>
+
 using namespace mba;
 using namespace mba::aig;
 
@@ -30,7 +32,21 @@ telemetry::Counter &ctrConstFolds() {
 }
 } // namespace
 
+AigLit Aig::newAnd(AigLit A, AigLit B) {
+  uint32_t N = (uint32_t)Nodes.size();
+  Nodes.push_back(Node{A.code(), B.code()});
+  ++St.AndNodes;
+  ctrNodes().add();
+  return AigLit(N, false);
+}
+
 AigLit Aig::mkAnd(AigLit A, AigLit B) {
+  if (Level == AigLevel::Plain) {
+    if (B < A)
+      std::swap(A, B);
+    return newAnd(A, B);
+  }
+
   // Level 1: constants and trivial sharing.
   if (A == falseLit() || B == falseLit() || A == ~B) {
     ++St.ConstFolds;
@@ -44,7 +60,27 @@ AigLit Aig::mkAnd(AigLit A, AigLit B) {
   if (A == B)
     return A;
 
-  // Level 2: one level of fanin lookahead (Brummayer & Biere's rules).
+  if (Level == AigLevel::Full)
+    if (std::optional<AigLit> R = twoLevelRewrite(A, B))
+      return *R;
+
+  // Canonical operand order, then the structural hash.
+  if (B < A)
+    std::swap(A, B);
+  uint64_t Key = (uint64_t)A.code() << 32 | B.code();
+  auto [It, Inserted] = Strash.try_emplace(Key, 0);
+  if (!Inserted) {
+    ++St.StrashHits;
+    ctrStrashHits().add();
+    return AigLit(It->second, false);
+  }
+  AigLit N = newAnd(A, B);
+  It->second = N.node();
+  return N;
+}
+
+std::optional<AigLit> Aig::twoLevelRewrite(AigLit A, AigLit B) {
+  // One level of fanin lookahead (Brummayer & Biere's rules).
   // and(and(x,y), b): contradiction and idempotence/absorption.
   for (int Side = 0; Side != 2; ++Side) {
     AigLit P = Side ? B : A, Other = Side ? A : B;
@@ -115,23 +151,22 @@ AigLit Aig::mkAnd(AigLit A, AigLit B) {
       return ~Y;
     }
   }
+  return std::nullopt;
+}
 
-  // Canonical operand order, then the structural hash.
-  if (B < A)
-    std::swap(A, B);
-  uint64_t Key = (uint64_t)A.code() << 32 | B.code();
-  auto [It, Inserted] = Strash.try_emplace(Key, 0);
-  if (!Inserted) {
-    ++St.StrashHits;
-    ctrStrashHits().add();
-    return AigLit(It->second, false);
+AigLit Aig::mkXor(AigLit A, AigLit B) {
+  bool Flip = false;
+  if (Level == AigLevel::Strash) {
+    // xor(~a, b) == ~xor(a, b): build over positive operands in canonical
+    // order so every polarity of one operand pair shares a single gate.
+    Flip = A.complemented() != B.complemented();
+    A = AigLit(A.node(), false);
+    B = AigLit(B.node(), false);
+    if (B < A)
+      std::swap(A, B);
   }
-  uint32_t N = (uint32_t)Nodes.size();
-  Nodes.push_back(Node{A.code(), B.code()});
-  It->second = N;
-  ++St.AndNodes;
-  ctrNodes().add();
-  return AigLit(N, false);
+  AigLit X = ~mkAnd(~mkAnd(A, ~B), ~mkAnd(~A, B));
+  return Flip ? ~X : X;
 }
 
 XorMux Aig::matchXorMux(uint32_t N) const {
@@ -179,14 +214,77 @@ void Aig::simulate(std::span<const uint64_t> InputPatterns,
   }
 }
 
-sat::Lit CnfEmitter::emit(AigLit L) {
+namespace {
+/// The literals AND node \p N is encoded over: the leaves of its XOR/MUX
+/// shape \p M, else its two fanins. Returns how many were written.
+unsigned cnfFanins(const Aig &G, uint32_t N, const XorMux &M, AigLit Out[3]) {
+  switch (M.K) {
+  case XorMux::Xor:
+    Out[0] = M.A;
+    Out[1] = M.B;
+    return 2;
+  case XorMux::Mux:
+    Out[0] = M.A;
+    Out[1] = M.B;
+    Out[2] = M.C;
+    return 3;
+  case XorMux::None:
+    break;
+  }
+  Out[0] = G.fanin0(N);
+  Out[1] = G.fanin1(N);
+  return 2;
+}
+} // namespace
+
+void CnfEmitter::encode(uint32_t N) {
   static telemetry::Counter &CtrXor = telemetry::counter("aig.xor_detected");
   static telemetry::Counter &CtrMux = telemetry::counter("aig.mux_detected");
 
+  sat::Lit NL(S.newVar(), false);
+  NodeLit[N] = NL;
+  if (G.isConst(N)) {
+    S.addClause({~NL}); // constrained false
+    return;
+  }
+  if (G.isInput(N))
+    return;
+
+  XorMux M = G.matchXorMux(N);
+  if (M.K == XorMux::Xor) {
+    CtrXor.add();
+    sat::Lit A = litOf(M.A), B = litOf(M.B);
+    // NL <-> A ^ B in four clauses (vs 9 for the 3-AND cone).
+    S.addClause({~A, ~B, ~NL});
+    S.addClause({A, B, ~NL});
+    S.addClause({A, ~B, NL});
+    S.addClause({~A, B, NL});
+  } else if (M.K == XorMux::Mux) {
+    CtrMux.add();
+    sat::Lit Sel = litOf(M.A), T = litOf(M.B), E = litOf(M.C);
+    // NL <-> ~(Sel ? T : E).
+    S.addClause({~Sel, ~T, ~NL});
+    S.addClause({~Sel, T, NL});
+    S.addClause({Sel, ~E, ~NL});
+    S.addClause({Sel, E, NL});
+  } else {
+    sat::Lit A = litOf(G.fanin0(N)), B = litOf(G.fanin1(N));
+    // NL <-> A & B.
+    S.addClause({~NL, A});
+    S.addClause({~NL, B});
+    S.addClause({NL, ~A, ~B});
+  }
+}
+
+sat::Lit CnfEmitter::emit(AigLit L) {
   if (NodeLit.size() < G.numNodes())
     NodeLit.resize(G.numNodes(), sat::Lit());
   if (NodeLit[L.node()].valid()) {
     ++Hits;
+    return litOf(L);
+  }
+  if (Order == CnfOrder::NodeOrder) {
+    emitInNodeOrder(L.node());
     return litOf(L);
   }
 
@@ -198,69 +296,49 @@ sat::Lit CnfEmitter::emit(AigLit L) {
       Stack.pop_back();
       continue;
     }
-    if (G.isConst(N)) {
-      sat::Var V = S.newVar();
-      S.addClause({sat::Lit(V, true)});
-      NodeLit[N] = sat::Lit(V, false); // constrained false
-      Stack.pop_back();
-      continue;
-    }
-    if (G.isInput(N)) {
-      NodeLit[N] = sat::Lit(S.newVar(), false);
-      Stack.pop_back();
-      continue;
-    }
-
-    XorMux M = G.matchXorMux(N);
-    bool Pending = false;
-    auto Need = [&](AigLit X) {
-      if (!NodeLit[X.node()].valid()) {
-        Stack.push_back(X.node());
-        Pending = true;
+    if (G.isAnd(N)) {
+      AigLit F[3];
+      bool Pending = false;
+      for (unsigned I = 0, K = cnfFanins(G, N, G.matchXorMux(N), F); I != K;
+           ++I) {
+        if (!NodeLit[F[I].node()].valid()) {
+          Stack.push_back(F[I].node());
+          Pending = true;
+        }
       }
-    };
-    if (M.K == XorMux::Xor) {
-      Need(M.A);
-      Need(M.B);
-    } else if (M.K == XorMux::Mux) {
-      Need(M.A);
-      Need(M.B);
-      Need(M.C);
-    } else {
-      Need(G.fanin0(N));
-      Need(G.fanin1(N));
+      if (Pending)
+        continue;
     }
-    if (Pending)
-      continue;
-
-    sat::Lit NL(S.newVar(), false);
-    if (M.K == XorMux::Xor) {
-      CtrXor.add();
-      sat::Lit A = litOf(M.A), B = litOf(M.B);
-      // NL <-> A ^ B in four clauses (vs 9 for the 3-AND cone).
-      S.addClause({~A, ~B, ~NL});
-      S.addClause({A, B, ~NL});
-      S.addClause({A, ~B, NL});
-      S.addClause({~A, B, NL});
-    } else if (M.K == XorMux::Mux) {
-      CtrMux.add();
-      sat::Lit Sel = litOf(M.A), T = litOf(M.B), E = litOf(M.C);
-      // NL <-> ~(Sel ? T : E).
-      S.addClause({~Sel, ~T, ~NL});
-      S.addClause({~Sel, T, NL});
-      S.addClause({Sel, ~E, ~NL});
-      S.addClause({Sel, E, NL});
-    } else {
-      sat::Lit A = litOf(G.fanin0(N)), B = litOf(G.fanin1(N));
-      // NL <-> A & B.
-      S.addClause({~NL, A});
-      S.addClause({~NL, B});
-      S.addClause({NL, ~A, ~B});
-    }
-    NodeLit[N] = NL;
+    encode(N);
     Stack.pop_back();
   }
   return litOf(L);
+}
+
+void CnfEmitter::emitInNodeOrder(uint32_t Root) {
+  // Mark the not-yet-encoded cone, then encode it by ascending node index:
+  // fanins precede their nodes, so every node's leaves are ready in time.
+  SeenEpoch.resize(G.numNodes(), 0);
+  ++Epoch;
+  uint32_t Lowest = Root;
+  Stack.clear();
+  Stack.push_back(Root);
+  while (!Stack.empty()) {
+    uint32_t N = Stack.back();
+    Stack.pop_back();
+    if (SeenEpoch[N] == Epoch || NodeLit[N].valid())
+      continue;
+    SeenEpoch[N] = Epoch;
+    Lowest = std::min(Lowest, N);
+    if (!G.isAnd(N))
+      continue;
+    AigLit F[3];
+    for (unsigned I = 0, K = cnfFanins(G, N, G.matchXorMux(N), F); I != K; ++I)
+      Stack.push_back(F[I].node());
+  }
+  for (uint32_t N = Lowest; N <= Root; ++N)
+    if (SeenEpoch[N] == Epoch)
+      encode(N);
 }
 
 void CnfEmitter::appendConeVars(AigLit Root, std::vector<sat::Var> &Out) {
@@ -282,19 +360,10 @@ void CnfEmitter::appendConeVars(AigLit Root, std::vector<sat::Var> &Out) {
     Out.push_back(NodeLit[N].var());
     if (!G.isAnd(N))
       continue;
-    // Mirror emit()'s shape detection (a pure function of the node): the
+    // Follow emit()'s shape detection (a pure function of the node): the
     // inner ANDs of an XOR/MUX encoding never received variables.
-    XorMux M = G.matchXorMux(N);
-    if (M.K == XorMux::Xor) {
-      Stack.push_back(M.A.node());
-      Stack.push_back(M.B.node());
-    } else if (M.K == XorMux::Mux) {
-      Stack.push_back(M.A.node());
-      Stack.push_back(M.B.node());
-      Stack.push_back(M.C.node());
-    } else {
-      Stack.push_back(G.fanin0(N).node());
-      Stack.push_back(G.fanin1(N).node());
-    }
+    AigLit F[3];
+    for (unsigned I = 0, K = cnfFanins(G, N, G.matchXorMux(N), F); I != K; ++I)
+      Stack.push_back(F[I].node());
   }
 }

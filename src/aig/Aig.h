@@ -23,6 +23,10 @@
 ///    shapes structurally, and encodes only the not-yet-encoded cone of
 ///    each new root.
 ///
+/// An AigLevel turns the construction-time rules down: Plain builds every
+/// gate, Strash only folds and hashes. Those two levels stand in for the
+/// naive and the rewriting bit-blasters of the paper's solver matrix.
+///
 /// Node 0 is the constant-false node; an AigLit packs (node << 1 |
 /// complement), so literal 0 is false and literal 1 is true. Fanins always
 /// point to lower node indices, so node order is a topological order —
@@ -37,6 +41,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -84,12 +89,25 @@ struct XorMux {
   AigLit A, B, C; ///< Xor: node == A ^ B. Mux: node == ~(A ? B : C).
 };
 
+/// How much work mkAnd does before it builds a node. The three in-tree
+/// bit-blasting backends are profiles of one graph that differ in this
+/// level (see solvers/AigChecker.cpp).
+enum class AigLevel : uint8_t {
+  /// Every mkAnd builds a fresh node: no folding, no sharing.
+  Plain,
+  /// Constant folding, x&x, x&~x and the structural hash; mkXor also
+  /// normalises operand polarity, so xor(~a, b) shares xor(a, b)'s gate.
+  Strash,
+  /// Strash's AND rules plus bounded two-level rewriting.
+  Full,
+};
+
 /// The graph. Append-only: nodes are never removed, rewriting happens at
 /// construction time by returning an existing literal instead of building
 /// a new node.
 class Aig {
 public:
-  Aig() {
+  explicit Aig(AigLevel Level = AigLevel::Full) : Level(Level) {
     Nodes.push_back(Node()); // node 0: constant false
   }
 
@@ -103,14 +121,12 @@ public:
     return AigLit(N, false);
   }
 
-  /// AND with structural hashing, constant propagation, and bounded
-  /// two-level rewriting.
+  /// AND, simplified as far as the level allows.
   AigLit mkAnd(AigLit A, AigLit B);
 
   AigLit mkOr(AigLit A, AigLit B) { return ~mkAnd(~A, ~B); }
-  AigLit mkXor(AigLit A, AigLit B) {
-    return ~mkAnd(~mkAnd(A, ~B), ~mkAnd(~A, B));
-  }
+  /// A ^ B as three ANDs (CnfEmitter encodes the shape as one XOR gate).
+  AigLit mkXor(AigLit A, AigLit B);
   /// S ? T : E.
   AigLit mkMux(AigLit S, AigLit T, AigLit E) {
     return ~mkAnd(~mkAnd(S, T), ~mkAnd(~S, E));
@@ -173,10 +189,22 @@ private:
   bool isPosAnd(AigLit L) const { return !L.complemented() && isAnd(L.node()); }
   bool isNegAnd(AigLit L) const { return L.complemented() && isAnd(L.node()); }
 
+  /// Full level's two-level rules; nullopt when none applies.
+  std::optional<AigLit> twoLevelRewrite(AigLit A, AigLit B);
+  /// Appends an AND node over (canonically ordered) fanins \p A, \p B.
+  AigLit newAnd(AigLit A, AigLit B);
+
+  AigLevel Level;
   std::vector<Node> Nodes;
   std::unordered_map<uint64_t, uint32_t> Strash;
   uint32_t NumInputs = 0;
   AigStats St;
+};
+
+/// The order in which CnfEmitter::emit numbers a new cone's variables.
+enum class CnfOrder : uint8_t {
+  Dfs,       ///< depth-first from the root
+  NodeOrder, ///< ascending node index, i.e. construction order
 };
 
 /// Incremental Tseitin encoder over a persistent solver: the node-to-lit
@@ -185,7 +213,8 @@ private:
 /// sharing), only the genuinely new cone gets fresh variables and clauses.
 class CnfEmitter {
 public:
-  CnfEmitter(const Aig &G, sat::SatSolver &S) : G(G), S(S) {}
+  CnfEmitter(const Aig &G, sat::SatSolver &S, CnfOrder Order = CnfOrder::Dfs)
+      : G(G), S(S), Order(Order) {}
 
   /// Returns a SAT literal constrained equivalent to \p L, emitting the
   /// not-yet-encoded part of its cone.
@@ -210,11 +239,18 @@ private:
     return L.complemented() ? ~Base : Base;
   }
 
+  /// Gives node \p N a variable and its defining clauses; the nodes it is
+  /// encoded over (XOR/MUX leaves or fanins) must already have one.
+  void encode(uint32_t N);
+  /// emit() under CnfOrder::NodeOrder.
+  void emitInNodeOrder(uint32_t Root);
+
   const Aig &G;
   sat::SatSolver &S;
+  CnfOrder Order;
   std::vector<sat::Lit> NodeLit; // per node; invalid = not yet encoded
   std::vector<uint32_t> Stack;   // DFS scratch
-  std::vector<uint32_t> SeenEpoch; // appendConeVars visit marks
+  std::vector<uint32_t> SeenEpoch; // cone walk visit marks
   uint32_t Epoch = 0;
   uint64_t Hits = 0;
 };

@@ -81,9 +81,24 @@ void AigBlaster::prefixScan(std::vector<AigLit> &Gen,
   }
 }
 
+AigBlaster::Word AigBlaster::rippleAdd(const Word &A, const Word &B,
+                                       AigLit CarryIn) {
+  Word Sum(Width);
+  AigLit Carry = CarryIn;
+  for (unsigned I = 0; I != Width; ++I) {
+    AigLit AxB = G.mkXor(A[I], B[I]);
+    Sum[I] = G.mkXor(AxB, Carry);
+    if (I + 1 != Width) // the carry out of the top bit drops mod 2^Width
+      Carry = G.mkOr(G.mkAnd(A[I], B[I]), G.mkAnd(Carry, AxB));
+  }
+  return Sum;
+}
+
 AigBlaster::Word AigBlaster::addWithCarry(const Word &A, const Word &B,
                                           AigLit CarryIn) {
   assert(A.size() == Width && B.size() == Width);
+  if (Enc == Encoding::Ripple)
+    return rippleAdd(A, B, CarryIn);
   std::vector<AigLit> Gen(Width), Prop(Width);
   for (unsigned I = 0; I != Width; ++I) {
     Gen[I] = G.mkAnd(A[I], B[I]);
@@ -105,8 +120,22 @@ AigBlaster::Word AigBlaster::addWithCarry(const Word &A, const Word &B,
   return Sum;
 }
 
+AigBlaster::Word AigBlaster::shiftAddMul(const Word &A, const Word &B) {
+  // Sum over i of (A << i) masked by B[i], truncated to the width.
+  Word Acc = constWord(0);
+  for (unsigned I = 0; I != Width; ++I) {
+    Word Partial(Width, Aig::falseLit());
+    for (unsigned J = I; J != Width; ++J)
+      Partial[J] = G.mkAnd(A[J - I], B[I]);
+    Acc = bvAdd(Acc, Partial);
+  }
+  return Acc;
+}
+
 AigBlaster::Word AigBlaster::bvMul(const Word &A, const Word &B) {
   assert(A.size() == Width && B.size() == Width);
+  if (Enc == Encoding::Ripple)
+    return shiftAddMul(A, B);
   // Partial products, already truncated mod 2^Width.
   std::vector<Word> Rows;
   Rows.reserve(Width);
@@ -146,6 +175,13 @@ AigBlaster::Word AigBlaster::bvMul(const Word &A, const Word &B) {
 
 AigLit AigBlaster::equalLit(const Word &A, const Word &B) {
   assert(A.size() == B.size());
+  if (Enc == Encoding::Ripple) {
+    // A chain like the ripple carries: OR in each bit's difference in turn.
+    AigLit Differ = Aig::falseLit();
+    for (size_t I = 0; I != A.size(); ++I)
+      Differ = G.mkOr(Differ, G.mkXor(A[I], B[I]));
+    return ~Differ;
+  }
   // Balanced AND-tree over the per-bit XNORs keeps the depth logarithmic.
   std::vector<AigLit> Eq(A.size());
   for (size_t I = 0; I != A.size(); ++I)

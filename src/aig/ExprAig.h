@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Translates MBA expressions into AIG words, mirroring
-/// bitblast/ExprBlaster: each variable gets one input word shared across
-/// every expression translated through the same ExprAig, so both sides of
-/// an equivalence query see identical inputs — and, because the memo and
-/// the graph persist, queries translated later reuse the words (and hence
-/// the CNF) of every subterm seen before.
+/// Translates MBA expressions into AIG words: each variable gets one input
+/// word shared across every expression translated through the same
+/// ExprAig, so both sides of an equivalence query see identical inputs —
+/// and, because the memo and the graph persist, queries translated later
+/// reuse the words (and hence the CNF) of every subterm seen before.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -546,7 +546,10 @@ SatResult SatSolver::solve(std::span<const Lit> Assumptions,
           backtrack(0);
           return SatResult::Unknown;
         }
-        if ((ConflictsThisRestart & 0xff) == 0 &&
+        // The clock is read every 64th conflict of this call: counting
+        // per restart would skip every Luby restart shorter than the
+        // stride, and those are most of them.
+        if (((Stats.Conflicts - ConflictBudgetStart) & 63) == 0 &&
             Timer.seconds() > Limits.MaxSeconds) {
           backtrack(0);
           return SatResult::Unknown;

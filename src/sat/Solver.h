@@ -10,10 +10,10 @@
 /// self-subsumption minimization, exponential VSIDS branching with phase
 /// saving, Luby restarts, and activity-based learnt-clause deletion.
 ///
-/// This is the engine under the in-tree bit-vector solver (bitblast/),
-/// which stands in for STP and Boolector in the paper's experiments (both
-/// are bit-blasting solvers over CDCL cores; see DESIGN.md on the
-/// substitution). Budgets (conflicts / propagations / wall clock) provide
+/// This is the engine under the in-tree bit-blasting backends (aig/ feeding
+/// solvers/AigChecker), which stand in for STP and Boolector in the paper's
+/// experiments (both are bit-blasting solvers over CDCL cores; see
+/// DESIGN.md on the substitution). Budgets (conflicts / propagations / wall clock) provide
 /// the timeout mechanism the study's tables rely on.
 ///
 //===----------------------------------------------------------------------===//

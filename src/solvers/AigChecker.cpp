@@ -1,19 +1,28 @@
-//===- solvers/AigChecker.cpp - AIG + incremental-SAT backend -------------===//
+//===- solvers/AigChecker.cpp - The in-tree bit-blasting backends ---------===//
 //
 // Part of the MBA-Solver reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fourth in-tree backend, "BlastBV+AIG": word-level encodings built on
-/// the And-Inverter Graph (carry-lookahead adders, carry-save-array
-/// multiplier, structural hashing with two-level rewriting) feeding one
-/// *persistent* incremental CDCL solver.
+/// One bit-blasting stack — expression → AIG words → CNF → in-tree CDCL —
+/// served as three fixed profiles that reproduce the paper's solver matrix:
+///
+///   profile      AIG level  adder/multiplier     AIG        SAT solver
+///   BlastBV      Plain      ripple/shift-add     per query  per query
+///   BlastBV+RW   Strash     ripple/shift-add     per query  per query
+///   BlastBV+AIG  Full       prefix/carry-save    immortal   every 8 queries
+///
+/// BlastBV and BlastBV+RW stand in for STP and Boolector, bit-blasters that
+/// differ in their word-level and AIG preprocessing; BlastBV+AIG is the
+/// modern configuration (makeAigChecker(false) rebuilds its solver per
+/// query instead).
 ///
 /// Per query, the protocol is:
 ///
-///   1. translate both sides onto the shared AIG (strashing dedups every
-///      subterm ever seen by this checker, across queries);
+///   1. translate both sides onto the profile's AIG (at the Full level the
+///      strash dedups every subterm ever seen by this checker, across
+///      queries);
 ///   2. build the miter literal `lhs != rhs`; if rewriting collapsed it to
 ///      a constant, answer without touching SAT at all;
 ///   3. otherwise encode only the not-yet-encoded cone (the CnfEmitter's
@@ -24,16 +33,19 @@
 ///   4. retire the query with the unit clause ~g, permanently satisfying
 ///      its guard clause and every learnt clause that depended on it.
 ///
+/// A per-query profile's solver never sees a second query, so it skips the
+/// guard: step 3 asserts the root as a unit and solves, and step 4 is void.
+///
 /// UNSAT under the assumption means the miter is unsatisfiable, i.e. the
 /// sides are equivalent; it does NOT mark the shared instance proven-unsat
 /// (Solver::solve(assumptions) guarantees that), so the solver survives
 /// arbitrarily many queries.
 ///
-/// The solver and emitter are recycled every kResetWindow queries: retired
-/// cones stay attached to the shared input variables and propagation costs
-/// grow linearly with their number, so unbounded persistence loses more to
-/// dead-cone traffic than cross-query learning wins (measured; see the
-/// comment at the reset site). The AIG itself is never reset.
+/// The incremental solver and emitter are recycled every kResetWindow
+/// queries: retired cones stay attached to the shared input variables and
+/// propagation costs grow linearly with their number, so unbounded
+/// persistence loses more to dead-cone traffic than cross-query learning
+/// wins (measured; see the comment at the reset site).
 ///
 /// Ownership/threading: a checker instance is stateful and single-owner,
 /// exactly like the Context it serves — the harness builds one checker set
@@ -56,15 +68,61 @@ using namespace mba;
 
 namespace {
 
+/// One fixed configuration of the bit-blasting stack.
+struct Profile {
+  const char *Name;
+  const char *SpanName;
+  aig::AigLevel Level;
+  aig::Encoding Enc;
+  /// Build the AIG and the solver afresh for every query instead of
+  /// keeping the AIG for the checker's lifetime.
+  bool FreshGraph;
+  /// Queries one SAT solver serves before it is rebuilt.
+  unsigned ResetWindow;
+};
+
+/// Incremental-mode recycling period, in queries. Within a window,
+/// queries share encoded cones and guard-free learnt clauses; across
+/// windows the accumulated dead structure is dropped. Eight is the
+/// measured knee: larger windows only add propagation work into retired
+/// cones without reducing conflicts.
+constexpr unsigned kResetWindow = 8;
+
+constexpr Profile BlastBV{.Name = "BlastBV",
+                          .SpanName = "solve.backend.BlastBV",
+                          .Level = aig::AigLevel::Plain,
+                          .Enc = aig::Encoding::Ripple,
+                          .FreshGraph = true,
+                          .ResetWindow = 1};
+constexpr Profile BlastBVRW{.Name = "BlastBV+RW",
+                            .SpanName = "solve.backend.BlastBV+RW",
+                            .Level = aig::AigLevel::Strash,
+                            .Enc = aig::Encoding::Ripple,
+                            .FreshGraph = true,
+                            .ResetWindow = 1};
+constexpr Profile BlastBVAig{.Name = "BlastBV+AIG",
+                             .SpanName = "solve.backend.BlastBV+AIG",
+                             .Level = aig::AigLevel::Full,
+                             .Enc = aig::Encoding::Prefix,
+                             .FreshGraph = false,
+                             .ResetWindow = kResetWindow};
+/// BlastBV+AIG with its solver rebuilt per query (makeAigChecker(false)).
+constexpr Profile BlastBVAigFresh{.Name = "BlastBV+AIG",
+                                  .SpanName = "solve.backend.BlastBV+AIG",
+                                  .Level = aig::AigLevel::Full,
+                                  .Enc = aig::Encoding::Prefix,
+                                  .FreshGraph = false,
+                                  .ResetWindow = 1};
+
 class AigChecker : public EquivalenceChecker {
 public:
-  explicit AigChecker(bool Incremental) : Incremental(Incremental) {}
+  explicit AigChecker(const Profile &P) : P(P) {}
 
-  std::string name() const override { return "BlastBV+AIG"; }
+  std::string name() const override { return P.Name; }
 
   CheckResult check(const Context &Ctx, const Expr *A, const Expr *B,
                     double TimeoutSeconds) override {
-    MBA_TRACE_SPAN("solve.backend.BlastBV+AIG");
+    MBA_TRACE_SPAN(P.SpanName);
     // Query accounting: every query is either decided structurally by the
     // AIG rewriting layer (`sat.aig.short_circuit` — SAT never runs) or
     // reaches exactly one solve call, counted under the mode that actually
@@ -97,32 +155,37 @@ public:
     if (querylog::Record *QR = querylog::active()) {
       QR->str("backend", name());
       QR->num("width", Ctx.width());
-      QR->str("solve_mode", Incremental ? "incremental" : "fresh");
+      QR->str("solve_mode", incremental() ? "incremental" : "fresh");
     }
 
     Stopwatch Timer;
-    if (!State || State->Width != Ctx.width())
-      State = std::make_unique<SolverState>(Ctx.width());
-    assert((!State->Bound || State->Bound == &Ctx) &&
+    // A per-query graph and solver die with their query, so the next
+    // query's clock never pays for freeing this one's clause database.
+    std::unique_ptr<SolverState> PerQuery;
+    if (P.FreshGraph)
+      PerQuery = std::make_unique<SolverState>(Ctx.width(), P);
+    else if (!State || State->Width != Ctx.width())
+      State = std::make_unique<SolverState>(Ctx.width(), P);
+    SolverState &St = P.FreshGraph ? *PerQuery : *State;
+    assert((!St.Bound || St.Bound == &Ctx) &&
            "one incremental checker serves one Context");
-    State->Bound = &Ctx;
+    St.Bound = &Ctx;
 
-    // The AIG above is immortal — strash hits and rewrite short-circuits
-    // only get better with age. SAT state is not: every retired query
-    // leaves its encoded cone hanging off the shared input variables, and
-    // unit propagation cascades into those dead cones on every restart.
-    // Measured on a 200-query corpus, solve time grows linearly with the
-    // number of retained queries while cross-query learning holds conflict
-    // counts flat, so the solver and emitter are recycled every
-    // kResetWindow queries (every query in fresh mode).
-    if (!State->SolverLive() ||
-        State->QueriesSinceReset >= (Incremental ? kResetWindow : 1u))
-      State->resetSolver();
-    ++State->QueriesSinceReset;
+    // The modern profile's AIG is immortal — strash hits and rewrite
+    // short-circuits only get better with age. SAT state is not: every
+    // retired query leaves its encoded cone hanging off the shared input
+    // variables, and unit propagation cascades into those dead cones on
+    // every restart. Measured on a 200-query corpus, solve time grows
+    // linearly with the number of retained queries while cross-query
+    // learning holds conflict counts flat, so the solver and emitter are
+    // recycled every kResetWindow queries (every query in fresh mode).
+    if (!St.SolverLive() || St.QueriesSinceReset >= P.ResetWindow)
+      St.resetSolver();
+    ++St.QueriesSinceReset;
 
-    auto WA = State->Translator.blast(A);
-    auto WB = State->Translator.blast(B);
-    aig::AigLit Root = State->Blaster.disequalLit(WA, WB);
+    auto WA = St.Translator.blast(A);
+    auto WB = St.Translator.blast(B);
+    aig::AigLit Root = St.Blaster.disequalLit(WA, WB);
 
     CheckResult Result;
     if (Root == aig::Aig::falseLit() || Root == aig::Aig::trueLit()) {
@@ -133,39 +196,48 @@ public:
       Result.Seconds = Timer.seconds();
       if (querylog::Record *QR = querylog::active()) {
         QR->flag("aig_short_circuit", true);
-        QR->num("aig_nodes", State->Graph.numNodes());
+        QR->num("aig_nodes", St.Graph.numNodes());
         QR->str("verdict", verdictName(Result.Outcome));
       }
       return Result;
     }
 
-    sat::SatSolver &Solver = *State->Solver;
+    sat::SatSolver &Solver = *St.Solver;
     uint64_t VarsBefore = Solver.numVars();
     uint64_t ClausesBefore = Solver.stats().ClausesAdded;
     uint64_t ConflictsBefore = Solver.stats().Conflicts;
     uint64_t DecisionsBefore = Solver.stats().Decisions;
     uint64_t PropagationsBefore = Solver.stats().Propagations;
-    sat::Lit RootLit = State->Emitter->emit(Root);
+    sat::Lit RootLit = St.Emitter->emit(Root);
 
-    // Guard the root behind a per-query assumption literal.
-    sat::Lit Guard(Solver.newVar(), false);
-    Solver.addClause({~Guard, RootLit});
+    // A solver that outlives the query sees the root only behind a
+    // per-query assumption literal it can retire afterwards. A per-query
+    // solver takes the root as a unit: its implications then sit at level
+    // 0, where they stay out of every learnt clause.
+    bool Guarded = !P.FreshGraph;
+    sat::Lit Guard;
+    if (Guarded) {
+      Guard = sat::Lit(Solver.newVar(), false);
+      Solver.addClause({~Guard, RootLit});
+      // Pull this query's cone to the front of the branching order; stale
+      // activity from retired queries otherwise wins every early decision.
+      St.ConeVars.clear();
+      St.Emitter->appendConeVars(Root, St.ConeVars);
+      St.ConeVars.push_back(Guard.var());
+      Solver.seedActivity(St.ConeVars);
+    } else {
+      Solver.addClause({RootLit});
+    }
     CtrEncodeVars.add(Solver.numVars() - VarsBefore);
     CtrEncodeClauses.add(Solver.stats().ClausesAdded - ClausesBefore);
-
-    // Pull this query's cone to the front of the branching order; stale
-    // activity from retired queries otherwise wins every early decision.
-    State->ConeVars.clear();
-    State->Emitter->appendConeVars(Root, State->ConeVars);
-    State->ConeVars.push_back(Guard.var());
-    Solver.seedActivity(State->ConeVars);
 
     sat::Budget Limits;
     Limits.MaxSeconds = std::max(0.0, TimeoutSeconds - Timer.seconds());
     uint64_t ReusedBefore = Solver.stats().ReusedLearnts;
     sat::Lit Assumptions[1] = {Guard};
-    sat::SatResult R = Solver.solve(Assumptions, Limits);
-    if (Incremental) {
+    sat::SatResult R = Guarded ? Solver.solve(Assumptions, Limits)
+                               : Solver.solve(Limits);
+    if (incremental()) {
       CtrAssumptionSolves.add();
       CtrClausesReused.add(Solver.stats().ReusedLearnts - ReusedBefore);
     } else {
@@ -181,9 +253,11 @@ public:
     // guard) out of the watch lists so dead queries cost nothing later.
     // (In fresh mode the whole solver is discarded before the next query,
     // so there is no retirement to report.)
-    Solver.addClause({~Guard});
-    Solver.simplify();
-    if (Incremental)
+    if (Guarded) {
+      Solver.addClause({~Guard});
+      Solver.simplify();
+    }
+    if (incremental())
       CtrRetired.add();
 
     Result.Seconds = Timer.seconds();
@@ -200,7 +274,7 @@ public:
     }
     if (querylog::Record *QR = querylog::active()) {
       QR->flag("aig_short_circuit", false);
-      QR->num("aig_nodes", State->Graph.numNodes());
+      QR->num("aig_nodes", St.Graph.numNodes());
       QR->num("cnf_vars", Solver.numVars() - VarsBefore);
       QR->num("cnf_clauses", Solver.stats().ClausesAdded - ClausesBefore);
       QR->num("sat_conflicts", Solver.stats().Conflicts - ConflictsBefore);
@@ -220,40 +294,47 @@ private:
     aig::Aig Graph;
     aig::AigBlaster Blaster;
     aig::ExprAig Translator;
+    aig::CnfOrder Order;
     std::unique_ptr<sat::SatSolver> Solver;
     std::unique_ptr<aig::CnfEmitter> Emitter;
     unsigned QueriesSinceReset = 0;
     std::vector<sat::Var> ConeVars; // per-query scratch for seedActivity
     const Context *Bound = nullptr;
 
-    explicit SolverState(unsigned W)
-        : Width(W), Blaster(Graph, W), Translator(Blaster) {}
+    // A per-query graph numbers its cone in construction order, the order
+    // a one-pass Tseitin bit-blaster allocates in; the immortal graph keeps
+    // the depth-first order its pinned searches were measured with.
+    SolverState(unsigned W, const Profile &P)
+        : Width(W), Graph(P.Level), Blaster(Graph, W, P.Enc),
+          Translator(Blaster), Order(P.FreshGraph ? aig::CnfOrder::NodeOrder
+                                                  : aig::CnfOrder::Dfs) {}
 
     bool SolverLive() const { return Solver != nullptr; }
 
-    /// Fresh SAT state under the same (immortal) AIG: the emitter's
-    /// node-to-variable map restarts empty, so the next query re-encodes
-    /// its cone against the new solver.
+    /// Fresh SAT state under the same AIG: the emitter's node-to-variable
+    /// map restarts empty, so the next query re-encodes its cone against
+    /// the new solver.
     void resetSolver() {
       Solver = std::make_unique<sat::SatSolver>();
-      Emitter = std::make_unique<aig::CnfEmitter>(Graph, *Solver);
+      Emitter = std::make_unique<aig::CnfEmitter>(Graph, *Solver, Order);
       QueriesSinceReset = 0;
     }
   };
 
-  /// Incremental-mode recycling period, in queries. Within a window,
-  /// queries share encoded cones and guard-free learnt clauses; across
-  /// windows the accumulated dead structure is dropped. Eight is the
-  /// measured knee: larger windows only add propagation work into retired
-  /// cones without reducing conflicts.
-  static constexpr unsigned kResetWindow = 8;
+  bool incremental() const { return P.ResetWindow > 1; }
 
-  bool Incremental;
+  const Profile &P;
+  /// The graph and solver of a profile that keeps them across queries.
   std::unique_ptr<SolverState> State;
 };
 
 } // namespace
 
+std::unique_ptr<EquivalenceChecker> mba::makeBlastChecker(bool EnableRewriting) {
+  return std::make_unique<AigChecker>(EnableRewriting ? BlastBVRW : BlastBV);
+}
+
 std::unique_ptr<EquivalenceChecker> mba::makeAigChecker(bool Incremental) {
-  return std::make_unique<AigChecker>(Incremental);
+  return std::make_unique<AigChecker>(Incremental ? BlastBVAig
+                                                  : BlastBVAigFresh);
 }

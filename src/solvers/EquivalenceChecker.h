@@ -12,12 +12,16 @@
 ///
 ///  * **Z3** — the real solver via its C++ API (enabled when libz3 is
 ///    present).
-///  * **BlastBV** — the in-tree bit-blasting CDCL solver, plain encoding.
-///  * **BlastBV+RW** — the same with structural rewriting.
+///  * **BlastBV** — the in-tree bit-blaster over the CDCL solver: every
+///    gate built, ripple-carry adders, shift-and-add multipliers.
+///  * **BlastBV+RW** — the same with constant folding and structural
+///    hashing.
 ///
 /// The last two substitute for STP and Boolector (unavailable offline; see
-/// DESIGN.md). All backends answer the same query the paper poses to
-/// solvers: `solve(lhs != rhs)` — UNSAT means the identity holds.
+/// DESIGN.md). They and the modern "BlastBV+AIG" backend are fixed profiles
+/// of one AIG bit-blasting stack (solvers/AigChecker.cpp). All backends
+/// answer the same query the paper poses to solvers: `solve(lhs != rhs)` —
+/// UNSAT means the identity holds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,8 +69,8 @@ public:
                             double TimeoutSeconds) = 0;
 };
 
-/// The in-tree bit-blasting backend. \p EnableRewriting selects the +RW
-/// configuration.
+/// The in-tree bit-blasting backend ("BlastBV"): a fresh AIG and solver
+/// per query. \p EnableRewriting selects the +RW profile.
 std::unique_ptr<EquivalenceChecker> makeBlastChecker(bool EnableRewriting);
 
 /// The AIG-based backend ("BlastBV+AIG"): carry-lookahead/carry-save

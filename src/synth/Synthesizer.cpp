@@ -53,6 +53,47 @@ uint64_t queryKey(unsigned Width, unsigned NumVars,
   return H;
 }
 
+/// Input spaces of at most 2^this assignments are small enough to settle
+/// by enumeration: 2^24 points (three variables at width 8) take about a
+/// second through the SIMD wide engine.
+constexpr unsigned MaxEnumerationBits = 24;
+
+/// Decides A == B by evaluating both on every assignment of \p Vars, which
+/// must cover the variables of both sides and span at most
+/// MaxEnumerationBits input bits. Agreement everywhere is a proof.
+bool agreeEverywhere(const Context &Ctx, const Expr *A, const Expr *B,
+                     std::span<const Expr *const> Vars) {
+  const unsigned W = Ctx.width();
+  const unsigned NumVars = (unsigned)Vars.size();
+  assert(W * NumVars <= MaxEnumerationBits);
+  const BitslicedExpr &EA = Ctx.getBitsliced(A);
+  const BitslicedExpr &EB = Ctx.getBitsliced(B);
+  const unsigned Lanes = BitslicedExpr::wideLanes();
+
+  unsigned MaxIndex = 0;
+  for (const Expr *V : Vars)
+    MaxIndex = std::max(MaxIndex, V->varIndex());
+  std::vector<uint64_t> Inputs((size_t)NumVars * Lanes);
+  std::vector<const uint64_t *> LanePtrs(MaxIndex + 1, nullptr);
+  for (unsigned I = 0; I != NumVars; ++I)
+    LanePtrs[Vars[I]->varIndex()] = Inputs.data() + (size_t)I * Lanes;
+  std::vector<uint64_t> OutA(Lanes), OutB(Lanes);
+
+  // Point P assigns variable I the I-th width-sized digit of P.
+  const uint64_t Total = uint64_t(1) << (W * NumVars);
+  for (uint64_t Base = 0; Base < Total; Base += Lanes) {
+    const unsigned N = (unsigned)std::min<uint64_t>(Lanes, Total - Base);
+    for (unsigned I = 0; I != NumVars; ++I)
+      for (unsigned J = 0; J != N; ++J)
+        Inputs[(size_t)I * Lanes + J] = ((Base + J) >> (I * W)) & Ctx.mask();
+    EA.evaluateBlock(LanePtrs, N, OutA.data());
+    EB.evaluateBlock(LanePtrs, N, OutB.data());
+    if (!std::equal(OutA.begin(), OutA.begin() + N, OutB.begin()))
+      return false;
+  }
+  return true;
+}
+
 } // namespace
 
 Synthesizer::Synthesizer(Context &Ctx, SynthOptions Opts)
@@ -121,9 +162,22 @@ bool Synthesizer::verify(const Expr *E, const Expr *Candidate) {
     Checker = makeStagedChecker(Ctx, makeAigChecker(/*Incremental=*/true));
   Stopwatch Timer;
   CheckResult R = Checker->check(Ctx, E, Candidate, Opts.VerifyTimeoutSeconds);
+  bool Proved = R.Outcome == Verdict::Equivalent;
+  // A miter can exhaust the SAT budget even at width 8; when the input
+  // space is small, enumerating it settles the query instead.
+  if (R.Outcome == Verdict::Timeout) {
+    std::vector<const Expr *> Vars = collectVariables(E);
+    for (const Expr *V : collectVariables(Candidate))
+      if (std::find(Vars.begin(), Vars.end(), V) == Vars.end())
+        Vars.push_back(V);
+    if (Ctx.width() * Vars.size() <= MaxEnumerationBits) {
+      ++Stats.Enumerated;
+      Proved = agreeEverywhere(Ctx, E, Candidate, Vars);
+    }
+  }
   Stats.VerifySeconds += Timer.seconds();
-  // Timeout is rejection: only a proof installs a candidate.
-  return R.Outcome == Verdict::Equivalent;
+  // Any other timeout is rejection: only a proof installs a candidate.
+  return Proved;
 }
 
 const Expr *Synthesizer::synthesize(const Expr *E) {

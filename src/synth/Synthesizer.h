@@ -21,8 +21,9 @@
 /// corners + samples act as a filter with early-exit on first mismatch.
 /// Agreement on samples is necessary but not sufficient, so a candidate is
 /// only ever *installed* after the staged equivalence checker (static
-/// prover + AIG/incremental SAT) proves it — Timeout is rejection, never
-/// trust. The result is sound by construction: the synthesizer can fail to
+/// prover + AIG/incremental SAT) proves it, or, when the checker times out
+/// on an input space of at most 2^24 assignments, exhaustive evaluation
+/// does. Any other Timeout is rejection, never trust. The result is sound by construction: the synthesizer can fail to
 /// improve, but cannot miscompile.
 ///
 /// Query results (including "no match") are memoized process-wide in a
@@ -67,7 +68,8 @@ struct SynthOptions {
   /// column) — never for installation into the simplifier.
   bool Verify = true;
 
-  /// Budget for one verification query.
+  /// Budget for one verification query. A timeout over at most 2^24 input
+  /// assignments is not final: exhaustive evaluation then decides.
   double VerifyTimeoutSeconds = 5.0;
 };
 
@@ -78,6 +80,7 @@ struct SynthStats {
   uint64_t CacheHits = 0;      ///< semantic-memo hits (either polarity)
   uint64_t Matched = 0;        ///< candidate agreed on corners + samples
   uint64_t VerifyRejected = 0; ///< matched but not proved (incl. Timeout)
+  uint64_t Enumerated = 0;     ///< checker timeouts decided by enumeration
   uint64_t Installed = 0;      ///< proved and returned
   double VerifySeconds = 0;    ///< wall-clock inside the staged checker
 };

@@ -33,6 +33,10 @@ struct ClassifyCase {
   MBAKind Expected;
 };
 
+// gtest names each case by this print, so it must not be the default byte
+// dump (which shows the address of Text).
+void PrintTo(const ClassifyCase &C, std::ostream *OS) { *OS << C.Text; }
+
 class ClassifyTest : public ::testing::TestWithParam<ClassifyCase> {};
 
 TEST_P(ClassifyTest, Classifies) {

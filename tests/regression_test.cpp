@@ -26,6 +26,10 @@ struct Golden {
   const char *Out;
 };
 
+// gtest names each case by this print, so it must not be the default byte
+// dump (which shows the addresses of In and Out).
+void PrintTo(const Golden &G, std::ostream *OS) { *OS << G.In; }
+
 class GoldenTest : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenTest, CanonicalOutputIsStable) {

@@ -136,10 +136,8 @@ TEST(SatSolverTest, PigeonHole6Into5IsUnsatWithLearning) {
   EXPECT_GT(S.stats().Conflicts, 10u);
 }
 
-TEST(SatSolverTest, BudgetReturnsUnknown) {
-  // PHP(8,7) cannot be refuted in 10 conflicts.
-  const int Pigeons = 8, Holes = 7;
-  SatSolver S;
+/// Adds PHP(Pigeons, Holes): var p*Holes+h = pigeon p in hole h.
+void addPigeonHole(SatSolver &S, int Pigeons, int Holes) {
   for (int I = 0; I < Pigeons * Holes; ++I)
     S.newVar();
   auto P = [&](int Pigeon, int Hole) {
@@ -155,12 +153,36 @@ TEST(SatSolverTest, BudgetReturnsUnknown) {
     for (int A = 0; A < Pigeons; ++A)
       for (int B = A + 1; B < Pigeons; ++B)
         S.addClause({~P(A, Hole), ~P(B, Hole)});
+}
+
+TEST(SatSolverTest, BudgetReturnsUnknown) {
+  // PHP(8,7) cannot be refuted in 10 conflicts.
+  SatSolver S;
+  addPigeonHole(S, 8, 7);
   Budget Limits;
   Limits.MaxConflicts = 10;
   EXPECT_EQ(S.solve(Limits), SatResult::Unknown);
   EXPECT_FALSE(S.isProvenUnsat());
   // With a real budget it is refutable.
   EXPECT_EQ(S.solve(), SatResult::Unsat);
+}
+
+TEST(SatSolverTest, ExpiredClockStopsWithin64Conflicts) {
+  // The wall clock is read every 64th conflict of a solve() call, whatever
+  // the restart schedule, so an exhausted time budget binds within 64.
+  SatSolver S;
+  addPigeonHole(S, 8, 7);
+  Budget Ten;
+  Ten.MaxConflicts = 10; // so later calls start off a multiple of 64
+  EXPECT_EQ(S.solve(Ten), SatResult::Unknown);
+  Budget Limits;
+  Limits.MaxSeconds = 0;
+  for (int Call = 0; Call != 3; ++Call) {
+    uint64_t Before = S.stats().Conflicts;
+    EXPECT_EQ(S.solve(Limits), SatResult::Unknown);
+    EXPECT_LE(S.stats().Conflicts - Before, 64u) << "call " << Call;
+  }
+  EXPECT_FALSE(S.isProvenUnsat());
 }
 
 TEST(SatSolverTest, RandomInstancesAgreeWithBruteForce) {

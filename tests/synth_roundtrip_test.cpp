@@ -32,9 +32,10 @@ using namespace mba::synth;
 namespace {
 
 TEST(SynthRoundTrip, FiveHundredObfuscatedTargets) {
-  // Width 8: the AIG stage proves each obfuscated-vs-candidate miter in
-  // milliseconds, so all 500 installs are gated by a real proof. At wider
-  // widths the raw obfuscated miters (random w-bit coefficients buried
+  // Width 8: the AIG stage proves nearly every obfuscated-vs-candidate
+  // miter in milliseconds, and the few that outlast its budget span only
+  // 2^24 inputs, which the synthesizer then enumerates; so all 500
+  // installs are gated by a real proof. At wider widths the raw obfuscated miters (random w-bit coefficients buried
   // under bitwise-over-arithmetic rewrites) routinely exhaust a SAT
   // timeout — exactly the hardness the paper is about — and the
   // synthesizer would soundly decline instead of installing.

@@ -231,6 +231,37 @@ TEST(Synthesizer, RecognizesConstantsSinglesAndPairs) {
   EXPECT_EQ(St.VerifyRejected, 0u);
 }
 
+TEST(Synthesizer, EnumeratesSmallInputSpacesOnTimeout) {
+  // With no SAT budget every proof the static prover cannot give times
+  // out. Over two variables at width 8 (2^16 inputs) the synthesizer then
+  // decides by enumeration; at width 32 the space is too large and it
+  // declines.
+  for (unsigned W : {8u, 32u}) {
+    Context Ctx(W);
+    SynthOptions SO;
+    SO.VerifyTimeoutSeconds = 0;
+    Synthesizer Synth(Ctx, SO);
+    Obfuscator Obf(Ctx, /*Seed=*/4); // a form the static prover misses
+    const Expr *Vars[2] = {Ctx.getVar("x"), Ctx.getVar("y")};
+    const Expr *Ground = buildLinearCombination(
+        Ctx, {{3, Ctx.getXor(Vars[0], Vars[1])}}, 5);
+    const Expr *Obfuscated = Obf.obfuscateNonPoly(Ground, Vars, 3);
+
+    const Expr *R = Synth.synthesize(Obfuscated);
+    const SynthStats &St = Synth.stats();
+    if (W == 8) {
+      ASSERT_NE(R, nullptr) << printExpr(Ctx, Obfuscated);
+      expectEquivalent(Ctx, Obfuscated, R);
+      EXPECT_EQ(St.Enumerated, 1u);
+      EXPECT_EQ(St.Installed, 1u);
+    } else {
+      EXPECT_EQ(R, nullptr) << printExpr(Ctx, Obfuscated);
+      EXPECT_EQ(St.Enumerated, 0u);
+      EXPECT_EQ(St.VerifyRejected, 1u);
+    }
+  }
+}
+
 TEST(Synthesizer, DeclinesWhatItCannotExpress) {
   Context Ctx(64);
   Synthesizer Synth(Ctx);
