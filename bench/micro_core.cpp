@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Micro-benchmarks of the core primitives: parsing, signature computation,
-/// basis solving, full simplification per category, and obfuscation. These
-/// are throughput tests for the library itself (the paper-facing numbers
-/// live in the table*/fig* binaries).
+/// basis solving, abstract folding, full simplification per category, and
+/// obfuscation. These are throughput tests for the library itself (the
+/// paper-facing numbers live in the table*/fig* binaries).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AbstractInterp.h"
 #include "ast/Context.h"
 #include "ast/Parser.h"
 #include "ast/Printer.h"
@@ -104,6 +105,21 @@ void BM_SimplifyColdCache(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SimplifyColdCache);
+
+void BM_FoldAbstractChain(benchmark::State &State) {
+  // The abstract-fold pre-pass over a left-deep ((x+1)+1)... chain: one
+  // walk over one memo, so the time per node stays flat as the chain grows
+  // (re-walking every sub-DAG made it grow with the depth).
+  Context Ctx(64);
+  const Expr *E = Ctx.getVar("x");
+  for (int64_t I = 0; I != State.range(0); ++I)
+    E = Ctx.getAdd(E, Ctx.getOne());
+  for (auto _ : State)
+    benchmark::DoNotOptimize(foldAbstract(Ctx, E));
+  State.SetItemsProcessed(State.iterations() * State.range(0));
+  State.SetComplexityN(State.range(0));
+}
+BENCHMARK(BM_FoldAbstractChain)->Arg(1000)->Arg(4000)->Complexity();
 
 /// A bitwise expression over \p T variables for the truth-table benches
 /// (deep enough that the column is not a single pattern fill).

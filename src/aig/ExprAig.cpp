@@ -20,10 +20,9 @@ const AigBlaster::Word &ExprAig::inputWord(const Expr *V) {
 }
 
 AigBlaster::Word ExprAig::blast(const Expr *E) {
-  // Iterative post-order so deep expressions cannot overflow the stack.
-  forEachNodePostOrder(E, [&](const Expr *N) {
-    if (Memo.find(N) != Memo.end())
-      return;
+  // Iterative post-order so deep expressions cannot overflow the stack;
+  // nodes blasted by earlier calls are neither rebuilt nor walked again.
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     AigBlaster::Word W;
     switch (N->kind()) {
     case ExprKind::Var:

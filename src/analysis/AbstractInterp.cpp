@@ -368,23 +368,59 @@ Interval mba::computeInterval(const Context &Ctx, const Expr *E) {
   return computeAbstract(D, E, Memo);
 }
 
+namespace {
+
+/// The three domains side by side: one walk and one memo compute all of
+/// them. asConstant asks known bits, then parity, then intervals.
+class ProductDomain {
+public:
+  struct Value {
+    KnownBits KB;
+    Parity P;
+    Interval I;
+  };
+
+  explicit ProductDomain(const Context &Ctx)
+      : KBD(Ctx.mask()), PD(Ctx.width()), ID(Ctx.mask()) {}
+
+  Value top() const { return {KBD.top(), PD.top(), ID.top()}; }
+  Value constant(uint64_t C) const {
+    return {KBD.constant(C), PD.constant(C), ID.constant(C)};
+  }
+  Value unary(ExprKind K, const Value &A) const {
+    return {KBD.unary(K, A.KB), PD.unary(K, A.P), ID.unary(K, A.I)};
+  }
+  Value binary(ExprKind K, const Value &A, const Value &B,
+               bool SameOperand) const {
+    return {KBD.binary(K, A.KB, B.KB, SameOperand),
+            PD.binary(K, A.P, B.P, SameOperand),
+            ID.binary(K, A.I, B.I, SameOperand)};
+  }
+  std::optional<uint64_t> asConstant(const Value &V) const {
+    if (auto C = KBD.asConstant(V.KB))
+      return C;
+    if (auto C = PD.asConstant(V.P))
+      return C;
+    return ID.asConstant(V.I);
+  }
+
+private:
+  KnownBitsDomain KBD;
+  ParityDomain PD;
+  IntervalDomain ID;
+};
+
+} // namespace
+
 const Expr *mba::foldAbstract(Context &Ctx, const Expr *E) {
-  KnownBitsDomain KBD(Ctx.mask());
-  ParityDomain PD(Ctx.width());
-  IntervalDomain ID(Ctx.mask());
-  std::unordered_map<const Expr *, KnownBits> KBMemo;
-  std::unordered_map<const Expr *, Parity> PMemo;
-  std::unordered_map<const Expr *, Interval> IMemo;
+  ProductDomain D(Ctx);
+  std::unordered_map<const Expr *, ProductDomain::Value> Memo;
   return rewriteBottomUp(Ctx, E, [&](const Expr *N) -> const Expr * {
     if (N->isLeaf())
       return N;
-    // Rebuilt nodes may be absent from the memos (their operands were
-    // folded); computeAbstract fills gaps on demand.
-    if (auto C = KBD.asConstant(computeAbstract(KBD, N, KBMemo)))
-      return Ctx.getConst(*C);
-    if (auto C = PD.asConstant(computeAbstract(PD, N, PMemo)))
-      return Ctx.getConst(*C);
-    if (auto C = ID.asConstant(computeAbstract(ID, N, IMemo)))
+    // A rebuilt node is absent from the memo (an operand was folded), but
+    // its operands are in it: computeAbstract evaluates just the new node.
+    if (auto C = D.asConstant(computeAbstract(D, N, Memo)))
       return Ctx.getConst(*C);
     return N;
   });

@@ -183,18 +183,16 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Computes the abstract value of \p E in domain \p D, memoizing every
-/// sub-node into \p Memo. Nodes already present are trusted; repeated calls
-/// with a shared memo are incremental.
+/// sub-node into \p Memo. Nodes already present are trusted and never
+/// walked again, so a sequence of calls over one memo — e.g. one per node
+/// of a bottom-up rewrite — applies a transfer function once per distinct
+/// node in total, not once per node per call.
 template <class Domain>
 typename Domain::Value
 computeAbstract(const Domain &D, const Expr *E,
                 std::unordered_map<const Expr *, typename Domain::Value>
                     &Memo) {
-  if (auto It = Memo.find(E); It != Memo.end())
-    return It->second;
-  forEachNodePostOrder(E, [&](const Expr *N) {
-    if (Memo.find(N) != Memo.end())
-      return;
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     typename Domain::Value V;
     switch (N->kind()) {
     case ExprKind::Var:
@@ -222,7 +220,9 @@ Parity computeParity(const Context &Ctx, const Expr *E);
 Interval computeInterval(const Context &Ctx, const Expr *E);
 
 /// Multi-domain constant folding: folds every sub-expression that any of
-/// the three domains proves constant. Strictly subsumes foldKnownBits().
+/// the three domains proves constant (asked in the order known bits,
+/// parity, interval). Strictly subsumes foldKnownBits(). One bottom-up walk
+/// over one memo of all three values: linear in the DAG size.
 const Expr *foldAbstract(Context &Ctx, const Expr *E);
 
 /// A static disproof of `A == B`, produced without solving.

@@ -15,10 +15,9 @@ using namespace mba;
 
 std::vector<const Expr *> mba::collectVariables(const Expr *E) {
   std::vector<const Expr *> Vars;
-  std::unordered_set<const Expr *> Seen;
   forEachNodePostOrder(E, [&](const Expr *N) {
-    if (N->isVar() && Seen.insert(N).second)
-      Vars.push_back(N);
+    if (N->isVar())
+      Vars.push_back(N); // the walk visits each distinct node once
   });
   std::sort(Vars.begin(), Vars.end(), [](const Expr *A, const Expr *B) {
     return std::strcmp(A->varName(), B->varName()) < 0;
@@ -43,87 +42,66 @@ size_t mba::countDagNodes(const Expr *E) {
 
 size_t mba::countTreeNodes(const Expr *E) {
   std::unordered_map<const Expr *, size_t> Memo;
-  std::function<size_t(const Expr *)> Go = [&](const Expr *N) -> size_t {
-    auto It = Memo.find(N);
-    if (It != Memo.end())
-      return It->second;
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     size_t Count = 1;
     for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I)
-      Count += Go(N->getOperand(I));
-    if (Count > SIZE_MAX / 2)
-      Count = SIZE_MAX / 2;
-    Memo.emplace(N, Count);
-    return Count;
-  };
-  return Go(E);
+      Count += Memo.at(N->getOperand(I));
+    Memo.emplace(N, std::min(Count, SIZE_MAX / 2));
+  });
+  return Memo.at(E);
 }
 
 void mba::forEachNodePostOrder(const Expr *E,
                                const std::function<void(const Expr *)> &Fn) {
-  // Iterative post-order with an explicit stack; expressions can be deep.
   std::unordered_set<const Expr *> Visited;
-  std::vector<std::pair<const Expr *, bool>> Stack;
-  Stack.push_back({E, false});
-  while (!Stack.empty()) {
-    auto [N, Expanded] = Stack.back();
-    Stack.pop_back();
-    if (Expanded) {
-      Fn(N);
-      continue;
-    }
-    if (!Visited.insert(N).second)
-      continue;
-    Stack.push_back({N, true});
-    for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I)
-      Stack.push_back({N->getOperand(I), false});
-  }
+  forEachUnseenPostOrder(E, Visited, [&](const Expr *N) {
+    Visited.insert(N);
+    Fn(N);
+  });
 }
 
 const Expr *mba::substitute(
     Context &Ctx, const Expr *E,
     const std::unordered_map<const Expr *, const Expr *> &Map) {
+  // Keys of Map are final: the walk treats them as seen and never descends
+  // below them.
   std::unordered_map<const Expr *, const Expr *> Memo;
-  std::function<const Expr *(const Expr *)> Go =
-      [&](const Expr *N) -> const Expr * {
-    auto MapIt = Map.find(N);
-    if (MapIt != Map.end())
-      return MapIt->second;
-    if (N->isLeaf())
-      return N;
-    auto It = Memo.find(N);
-    if (It != Memo.end())
-      return It->second;
-    const Expr *Result;
-    if (N->isUnary())
-      Result = Ctx.rebuild(N, Go(N->operand()), nullptr);
-    else
-      Result = Ctx.rebuild(N, Go(N->lhs()), Go(N->rhs()));
-    Memo.emplace(N, Result);
-    return Result;
+  struct {
+    const std::unordered_map<const Expr *, const Expr *> &Keys, &Done;
+    bool contains(const Expr *N) const {
+      return Keys.contains(N) || Done.contains(N);
+    }
+  } Seen{Map, Memo};
+  auto Result = [&](const Expr *N) {
+    auto It = Map.find(N);
+    return It != Map.end() ? It->second : Memo.at(N);
   };
-  return Go(E);
+  forEachUnseenPostOrder(E, Seen, [&](const Expr *N) {
+    const Expr *R = N;
+    if (N->isUnary())
+      R = Ctx.rebuild(N, Result(N->operand()), nullptr);
+    else if (N->isBinary())
+      R = Ctx.rebuild(N, Result(N->lhs()), Result(N->rhs()));
+    Memo.emplace(N, R);
+  });
+  return Result(E);
 }
 
 const Expr *mba::rewriteBottomUp(
     Context &Ctx, const Expr *E,
     const std::function<const Expr *(const Expr *)> &Fn) {
   std::unordered_map<const Expr *, const Expr *> Memo;
-  std::function<const Expr *(const Expr *)> Go =
-      [&](const Expr *N) -> const Expr * {
-    auto It = Memo.find(N);
-    if (It != Memo.end())
-      return It->second;
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     const Expr *Rebuilt = N;
     if (N->isUnary())
-      Rebuilt = Ctx.rebuild(N, Go(N->operand()), nullptr);
+      Rebuilt = Ctx.rebuild(N, Memo.at(N->operand()), nullptr);
     else if (N->isBinary())
-      Rebuilt = Ctx.rebuild(N, Go(N->lhs()), Go(N->rhs()));
+      Rebuilt = Ctx.rebuild(N, Memo.at(N->lhs()), Memo.at(N->rhs()));
     const Expr *Result = Fn(Rebuilt);
     assert(Result && "rewrite callback must return a node");
     Memo.emplace(N, Result);
-    return Result;
-  };
-  return Go(E);
+  });
+  return Memo.at(E);
 }
 
 uint64_t mba::exprFingerprint(const Expr *E) {

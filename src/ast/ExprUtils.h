@@ -17,9 +17,12 @@
 #include "ast/Context.h"
 #include "ast/Expr.h"
 
+#include <cassert>
+#include <cstdint>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace mba {
@@ -41,18 +44,55 @@ size_t countTreeNodes(const Expr *E);
 
 /// Replaces every occurrence of the keys of \p Map in \p E by the mapped
 /// values, rebuilding the spine bottom-up. Replacement is non-recursive: the
-/// substituted values are not themselves rewritten again.
+/// substituted values are not themselves rewritten again. Iterative.
 const Expr *substitute(Context &Ctx, const Expr *E,
                        const std::unordered_map<const Expr *, const Expr *> &Map);
 
+/// Applies \p Visit, in post-order, to every node of \p E absent from
+/// \p Seen, without descending below nodes \p Seen already holds. \p Seen is
+/// a memo the caller owns (anything with `contains(const Expr *)`), and
+/// \p Visit must add its node to it: that is what makes a node shared by
+/// several parents visited once, and what makes repeated walks over one
+/// memo cost only the nodes that are new to it. The memo must be closed
+/// downwards (a node's operands are in it whenever the node is), which
+/// filling it only from \p Visit guarantees.
+///
+/// Iterative, so deep expressions cannot overflow the stack. Within one
+/// node the rhs operand's sub-DAG is visited before the lhs operand's.
+template <class SeenSet, class VisitFn>
+void forEachUnseenPostOrder(const Expr *E, const SeenSet &Seen,
+                            VisitFn &&Visit) {
+  if (Seen.contains(E))
+    return;
+  // Each entry is a node and whether its operands were already pushed.
+  std::vector<std::pair<const Expr *, bool>> Stack;
+  Stack.push_back({E, false});
+  while (!Stack.empty()) {
+    auto [N, Expanded] = Stack.back();
+    Stack.pop_back();
+    if (Expanded) {
+      Visit(N);
+      assert(Seen.contains(N) && "the visitor must memoize its node");
+      continue;
+    }
+    if (Seen.contains(N))
+      continue; // memoized before, or reached again through sharing
+    Stack.push_back({N, true});
+    for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I)
+      Stack.push_back({N->getOperand(I), false});
+  }
+}
+
 /// Applies \p Fn to every distinct node of \p E in post-order (operands
-/// before operators).
+/// before operators): forEachUnseenPostOrder over a fresh memo. Iterative.
 void forEachNodePostOrder(const Expr *E,
                           const std::function<void(const Expr *)> &Fn);
 
 /// Rewrites \p E bottom-up: children are rewritten first, the node is rebuilt
 /// with the new children, and then \p Fn may replace the rebuilt node. \p Fn
-/// returns the (possibly unchanged) replacement.
+/// returns the (possibly unchanged) replacement. \p Fn sees each distinct
+/// node once, after its operands, in forEachUnseenPostOrder's order (the rhs
+/// sub-DAG before the lhs one). Iterative, so deep inputs are safe.
 const Expr *
 rewriteBottomUp(Context &Ctx, const Expr *E,
                 const std::function<const Expr *(const Expr *)> &Fn);

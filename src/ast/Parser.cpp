@@ -11,10 +11,17 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 using namespace mba;
 
 namespace {
+
+/// Deepest nesting of parentheses and prefix operators parseExpr accepts.
+/// The descent recurses once per level (seven frames per parenthesis), so
+/// without a cap a deeply nested input overflows the stack. Generated and
+/// published MBA expressions nest a few dozen levels.
+constexpr unsigned MaxNestingDepth = 2048;
 
 class ParserImpl {
 public:
@@ -145,7 +152,23 @@ private:
   }
 
   // unary := ('-' | '~')* primary
+  //
+  // Every level of nesting — a prefix operator or a parenthesis, which
+  // re-enters here through parsePrimary — passes through this function, so
+  // the depth check lives here.
   const Expr *parseUnary() {
+    if (Depth == MaxNestingDepth) {
+      fail("nesting deeper than " + std::to_string(MaxNestingDepth) +
+           " levels");
+      return nullptr;
+    }
+    ++Depth;
+    const Expr *E = parseUnaryBody();
+    --Depth;
+    return E;
+  }
+
+  const Expr *parseUnaryBody() {
     if (consume('-')) {
       const Expr *A = parseUnary();
       if (!A)
@@ -243,6 +266,7 @@ private:
   Context &Ctx;
   std::string_view Text;
   size_t Pos = 0;
+  unsigned Depth = 0; ///< parseUnary frames currently active
   std::string ErrorMsg;
   size_t ErrorPos = 0;
 };

@@ -44,7 +44,9 @@ struct ParseResult {
 };
 
 /// Parses \p Text into an expression over \p Ctx. Variables are created in
-/// the context on first mention.
+/// the context on first mention. Input nested more than 2048 levels deep
+/// (parentheses and prefix operators together) is rejected with a
+/// diagnostic instead of exhausting the stack.
 ParseResult parseExpr(Context &Ctx, std::string_view Text);
 
 /// Parses \p Text and aborts with a diagnostic on failure. For tests and

@@ -9,8 +9,6 @@
 #include "ast/ExprUtils.h"
 #include "support/Telemetry.h"
 
-#include <unordered_map>
-
 using namespace mba;
 
 const char *mba::mbaKindName(MBAKind K) {
@@ -27,22 +25,12 @@ const char *mba::mbaKindName(MBAKind K) {
 
 namespace {
 
-/// Per-node classification facts, computed in one post-order pass.
-struct Facts {
-  bool PureBitwise;     ///< vars, 0/-1 constants, and &,|,^,~ only
-  bool Linear;          ///< Definition 1 shape
-  bool Poly;            ///< Definition 2 shape
-  bool IsConstant;      ///< no variables below: evaluates to Value
-  uint64_t Value;       ///< the constant's value (when IsConstant)
-};
-
-Facts computeFacts(const Context &Ctx, const Expr *E) {
-  std::unordered_map<const Expr *, Facts> Memo;
+MBAFacts computeFacts(const Context &Ctx, const Expr *E, MBAFactsMemo &Memo) {
   // Post-order guarantees children are classified before their parents, and
   // the iterative walk keeps recursion depth independent of the expression.
   uint64_t Mask = Ctx.mask();
-  forEachNodePostOrder(E, [&](const Expr *N) {
-    Facts F{false, false, false, false, 0};
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
+    MBAFacts F{false, false, false, false, 0};
     switch (N->kind()) {
     case ExprKind::Var:
       F = {true, true, true, false, 0};
@@ -52,7 +40,7 @@ Facts computeFacts(const Context &Ctx, const Expr *E) {
       F.Value = N->constValue();
       break;
     case ExprKind::Not: {
-      const Facts &A = Memo.at(N->operand());
+      const MBAFacts &A = Memo.at(N->operand());
       F.PureBitwise = A.PureBitwise;
       F.Linear = F.Poly = A.PureBitwise;
       if (A.IsConstant) {
@@ -64,8 +52,8 @@ Facts computeFacts(const Context &Ctx, const Expr *E) {
     case ExprKind::And:
     case ExprKind::Or:
     case ExprKind::Xor: {
-      const Facts &A = Memo.at(N->lhs());
-      const Facts &B = Memo.at(N->rhs());
+      const MBAFacts &A = Memo.at(N->lhs());
+      const MBAFacts &B = Memo.at(N->rhs());
       F.PureBitwise = A.PureBitwise && B.PureBitwise;
       F.Linear = F.Poly = F.PureBitwise;
       if (A.IsConstant && B.IsConstant) {
@@ -77,7 +65,7 @@ Facts computeFacts(const Context &Ctx, const Expr *E) {
       break;
     }
     case ExprKind::Neg: {
-      const Facts &A = Memo.at(N->operand());
+      const MBAFacts &A = Memo.at(N->operand());
       F.Linear = A.Linear;
       F.Poly = A.Poly;
       if (A.IsConstant) {
@@ -88,8 +76,8 @@ Facts computeFacts(const Context &Ctx, const Expr *E) {
     }
     case ExprKind::Add:
     case ExprKind::Sub: {
-      const Facts &A = Memo.at(N->lhs());
-      const Facts &B = Memo.at(N->rhs());
+      const MBAFacts &A = Memo.at(N->lhs());
+      const MBAFacts &B = Memo.at(N->rhs());
       F.Linear = A.Linear && B.Linear;
       F.Poly = A.Poly && B.Poly;
       if (A.IsConstant && B.IsConstant) {
@@ -101,8 +89,8 @@ Facts computeFacts(const Context &Ctx, const Expr *E) {
       break;
     }
     case ExprKind::Mul: {
-      const Facts &A = Memo.at(N->lhs());
-      const Facts &B = Memo.at(N->rhs());
+      const MBAFacts &A = Memo.at(N->lhs());
+      const MBAFacts &B = Memo.at(N->rhs());
       // Multiplying by a constant-valued side keeps linearity; any
       // product of polynomial shapes is polynomial (it expands to
       // Definition 2 form).
@@ -131,16 +119,28 @@ Facts computeFacts(const Context &Ctx, const Expr *E) {
 
 } // namespace
 
-bool mba::isPureBitwise(const Context &Ctx, const Expr *E) {
-  return computeFacts(Ctx, E).PureBitwise;
+bool mba::isPureBitwise(const Context &Ctx, const Expr *E,
+                        MBAFactsMemo &Memo) {
+  return computeFacts(Ctx, E, Memo).PureBitwise;
 }
 
-MBAKind mba::classifyMBA(const Context &Ctx, const Expr *E) {
+bool mba::isPureBitwise(const Context &Ctx, const Expr *E) {
+  MBAFactsMemo Memo;
+  return isPureBitwise(Ctx, E, Memo);
+}
+
+MBAKind mba::classifyMBA(const Context &Ctx, const Expr *E,
+                         MBAFactsMemo &Memo) {
   MBA_TRACE_SPAN("mba.classify");
-  Facts F = computeFacts(Ctx, E);
+  MBAFacts F = computeFacts(Ctx, E, Memo);
   if (F.Linear)
     return MBAKind::Linear;
   if (F.Poly)
     return MBAKind::Polynomial;
   return MBAKind::NonPolynomial;
+}
+
+MBAKind mba::classifyMBA(const Context &Ctx, const Expr *E) {
+  MBAFactsMemo Memo;
+  return classifyMBA(Ctx, E, Memo);
 }

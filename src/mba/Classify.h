@@ -24,6 +24,9 @@
 #include "ast/Context.h"
 #include "ast/Expr.h"
 
+#include <cstdint>
+#include <unordered_map>
+
 namespace mba {
 
 /// The paper's MBA complexity categories. Linear implies Polynomial; the
@@ -37,12 +40,28 @@ enum class MBAKind : uint8_t {
 /// Printable name of a category.
 const char *mbaKindName(MBAKind K);
 
+/// Per-node classification facts, computed bottom-up.
+struct MBAFacts {
+  bool PureBitwise; ///< vars, 0/-1 constants, and &,|,^,~ only
+  bool Linear;      ///< Definition 1 shape
+  bool Poly;        ///< Definition 2 shape
+  bool IsConstant;  ///< no variables below: evaluates to Value
+  uint64_t Value;   ///< the constant's value (when IsConstant)
+};
+
+/// Facts of every node classified so far. A memo serves one context (the
+/// facts depend on its width); the overloads taking one walk only the
+/// nodes it does not hold yet.
+using MBAFactsMemo = std::unordered_map<const Expr *, MBAFacts>;
+
 /// True if \p E is a pure bitwise expression: variables and the constants
 /// 0 / -1 (whose truth columns are uniform) combined with &, |, ^, ~ only.
 bool isPureBitwise(const Context &Ctx, const Expr *E);
+bool isPureBitwise(const Context &Ctx, const Expr *E, MBAFactsMemo &Memo);
 
 /// Classifies \p E into the most specific of the three categories.
 MBAKind classifyMBA(const Context &Ctx, const Expr *E);
+MBAKind classifyMBA(const Context &Ctx, const Expr *E, MBAFactsMemo &Memo);
 
 } // namespace mba
 

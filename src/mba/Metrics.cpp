@@ -30,11 +30,10 @@ uint64_t saturatingAdd(uint64_t A, uint64_t B) {
 
 } // namespace
 
-uint64_t mba::mbaAlternation(const Expr *E) {
+uint64_t mba::mbaAlternation(const Expr *E, AlternationMemo &Memo) {
   // Tree-semantics count via DAG memoization: each node's count is the sum
   // over its children of (child count + 1 if the operator classes differ).
-  std::unordered_map<const Expr *, uint64_t> Memo;
-  forEachNodePostOrder(E, [&](const Expr *N) {
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     uint64_t Count = 0;
     OpClass MyClass = opClassOf(N);
     for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I) {
@@ -47,6 +46,11 @@ uint64_t mba::mbaAlternation(const Expr *E) {
     Memo.emplace(N, Count);
   });
   return Memo.at(E);
+}
+
+uint64_t mba::mbaAlternation(const Expr *E) {
+  AlternationMemo Memo;
+  return mbaAlternation(E, Memo);
 }
 
 uint64_t mba::countTerms(const Expr *E) {

@@ -27,6 +27,7 @@
 #include "mba/Classify.h"
 
 #include <cstdint>
+#include <unordered_map>
 
 namespace mba {
 
@@ -48,6 +49,13 @@ struct ComplexityMetrics {
 /// Example: in (x&y) + 2*z the '+' has a bitwise left child, so the
 /// alternation is 1 — exactly the paper's Section 3.1 example.
 uint64_t mbaAlternation(const Expr *E);
+
+/// Alternation counts of every node measured so far.
+using AlternationMemo = std::unordered_map<const Expr *, uint64_t>;
+
+/// mbaAlternation() over a caller-owned memo: walks only the nodes \p Memo
+/// does not hold yet, and records them in it.
+uint64_t mbaAlternation(const Expr *E, AlternationMemo &Memo);
 
 /// Number of top-level addends: the leaves of the +/- (and unary -) spine.
 /// A single non-sum expression counts as one term.

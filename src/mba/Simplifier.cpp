@@ -136,7 +136,6 @@ const Expr *MBASolver::simplify(const Expr *E) {
   ReservedNames.clear();
   for (const Expr *V : collectVariables(E))
     ReservedNames.insert(V->varName());
-  ResultMemo.clear();
 
   // Structural result layer of the shared cache: keyed on the input's
   // fingerprint (not its semantics — the alternation guard below makes the
@@ -161,6 +160,9 @@ const Expr *MBASolver::simplify(const Expr *E) {
       return Hit;
     }
   }
+  ResultMemo.clear();
+  FactsMemo.clear();
+  AltMemo.clear();
 
   bool Noting = noting();
   const Expr *R = E;
@@ -201,7 +203,7 @@ const Expr *MBASolver::simplify(const Expr *E) {
   // Never return a form with more bitwise/arithmetic mixing than the
   // input. (Length may grow: the normalized expansion of a factored
   // polynomial is longer but canonical, which is what solvers need.)
-  if (mbaAlternation(R) > mbaAlternation(E))
+  if (mbaAlternation(R, AltMemo) > mbaAlternation(E, AltMemo))
     R = E;
 
   if (SC)
@@ -226,7 +228,7 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
   const Expr *R = E;
   const char *Rule = "";
   uint64_t NoteStart = noting() ? telemetry::nowNs() : 0;
-  switch (classifyMBA(Ctx, E)) {
+  switch (classifyMBA(Ctx, E, FactsMemo)) {
   case MBAKind::Linear: {
     std::vector<const Expr *> Vars = collectVariables(E);
     if (Vars.size() <= Opts.MaxSignatureVars) {
@@ -259,7 +261,7 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
     // side of the same function would meet the equivalence checker as two
     // structurally different (and SAT-hard to relate) canonical forms
     // instead of strash-collapsing.
-    if (Opts.SynthFallback && mbaAlternation(R) > 0) {
+    if (Opts.SynthFallback && mbaAlternation(R, AltMemo) > 0) {
       if (const Expr *S = Opts.SynthFallback(Ctx, R)) {
         if (Depth < Opts.MaxDepth)
           S = simplifyRec(S, Depth + 1);
@@ -278,7 +280,7 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
     break;
   }
 
-  if (mbaAlternation(R) > mbaAlternation(E))
+  if (mbaAlternation(R, AltMemo) > mbaAlternation(E, AltMemo))
     R = E;
   note(Rule, E, R, NoteStart ? telemetry::nowNs() - NoteStart : 0);
   ResultMemo.emplace(E, R);
@@ -410,7 +412,7 @@ const Expr *MBASolver::simplifyPoly(const Expr *E, unsigned Depth) {
       return Polynomial::atom(Atoms.getOrCreate(N), Mask);
     if (!isBitwiseKind(N->kind()))
       return std::nullopt; // arithmetic and constants: converter recurses
-    if (!isPureBitwise(Ctx, N))
+    if (!isPureBitwise(Ctx, N, FactsMemo))
       // Impure bitwise (only reachable from the non-poly path): opaque.
       return Polynomial::atom(Atoms.getOrCreate(N), Mask);
     std::vector<const Expr *> Vars = collectVariables(N);
@@ -467,7 +469,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
       R = N;
     } else if (isBitwiseKind(N->kind())) {
       auto DoOperand = [&](const Expr *O) -> const Expr * {
-        if (isPureBitwise(Ctx, O))
+        if (isPureBitwise(Ctx, O, FactsMemo))
           return O;
         if (isBitwiseKind(O->kind()))
           return Abstract(O); // impure bitwise: abstract deeper inside
@@ -477,7 +479,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
         // constant. Generality is lost (no constant-specific reasoning)
         // but soundness is not.
         const Expr *S = simplifyRec(O, Depth);
-        if (isPureBitwise(Ctx, S))
+        if (isPureBitwise(Ctx, S, FactsMemo))
           return S; // simplification removed the arithmetic
         // A linear operand whose signature is 0/1-valued *is* a bitwise
         // function (Theorem 1 makes the corner agreement total): rewrite
@@ -496,7 +498,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
           // an unrelated temporary — the relation survives into the
           // signature solve. Theorem 1 decides the equality exactly for
           // (semantically) linear operands.
-          if (classifyMBA(Ctx, S) == MBAKind::Linear &&
+          if (classifyMBA(Ctx, S, FactsMemo) == MBAKind::Linear &&
               collectVariables(S).size() <= Opts.MaxSignatureVars) {
             // Walk candidates in creation order, not map order: when S is
             // the complement of several previous operands the first one
@@ -504,7 +506,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
             // run to run.
             for (const Expr *Prev : TempOrder) {
               const Expr *Temp = TempFor.at(Prev);
-              if (classifyMBA(Ctx, Prev) != MBAKind::Linear)
+              if (classifyMBA(Ctx, Prev, FactsMemo) != MBAKind::Linear)
                 continue;
               if (collectVariables(Prev).size() > Opts.MaxSignatureVars)
                 continue;
@@ -544,7 +546,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
   // The abstraction is linear or polynomial unless constants appear as
   // direct bitwise operands (x & 3 style), which stay non-poly.
   const Expr *RAbs = EAbs;
-  switch (classifyMBA(Ctx, EAbs)) {
+  switch (classifyMBA(Ctx, EAbs, FactsMemo)) {
   case MBAKind::Linear: {
     std::vector<const Expr *> Vars = collectVariables(EAbs);
     RAbs = Vars.size() <= Opts.MaxSignatureVars ? simplifyLinear(EAbs, Vars)
@@ -573,7 +575,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
 }
 
 const Expr *MBASolver::recognizeBitwise(const Expr *E) {
-  if (classifyMBA(Ctx, E) != MBAKind::Linear)
+  if (classifyMBA(Ctx, E, FactsMemo) != MBAKind::Linear)
     return nullptr;
   std::vector<const Expr *> Vars = collectVariables(E);
   if (Vars.empty() || Vars.size() > Opts.MaxSignatureVars)
@@ -638,7 +640,7 @@ const Expr *MBASolver::finalOptimize(const Expr *E) {
   if (E->isConst())
     return E;
   MBA_TRACE_SPAN("simplify.finalopt");
-  if (classifyMBA(Ctx, E) != MBAKind::Linear)
+  if (classifyMBA(Ctx, E, FactsMemo) != MBAKind::Linear)
     return E;
   std::vector<const Expr *> Vars = collectVariables(E);
   if (Vars.empty())
@@ -695,10 +697,11 @@ const Expr *MBASolver::finalOptimize(const Expr *E) {
   return Best;
 }
 
-const Expr *MBASolver::pickBetter(const Expr *A, const Expr *B) const {
+const Expr *MBASolver::pickBetter(const Expr *A, const Expr *B) {
   if (A == B)
     return A;
-  uint64_t AltA = mbaAlternation(A), AltB = mbaAlternation(B);
+  uint64_t AltA = mbaAlternation(A, AltMemo);
+  uint64_t AltB = mbaAlternation(B, AltMemo);
   if (AltA != AltB)
     return AltA < AltB ? A : B;
   size_t LenA = printExpr(Ctx, A).size(), LenB = printExpr(Ctx, B).size();

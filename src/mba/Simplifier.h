@@ -39,6 +39,7 @@
 #include "ast/Context.h"
 #include "ast/Expr.h"
 #include "mba/Basis.h"
+#include "mba/Metrics.h"
 
 #include <cstdint>
 #include <functional>
@@ -197,7 +198,7 @@ private:
 
   /// Returns the preferred of two equivalent forms (lower alternation,
   /// then shorter, then fewer DAG nodes).
-  const Expr *pickBetter(const Expr *A, const Expr *B) const;
+  const Expr *pickBetter(const Expr *A, const Expr *B);
 
   /// A fresh variable not used anywhere in the context yet.
   const Expr *freshTempVar();
@@ -245,6 +246,14 @@ private:
 
   /// Memo of completed top-level rewrites, keyed on input node.
   std::unordered_map<const Expr *, const Expr *> ResultMemo;
+
+  /// Classification facts and alternation counts of the nodes analysed so
+  /// far in this call. simplifyRec and its helpers ask for them at every
+  /// node they visit; through these memos each distinct node is walked
+  /// once per call instead of once per question. Cleared with ResultMemo
+  /// on the next result-cache miss, so they hold at most one call's nodes.
+  MBAFactsMemo FactsMemo;
+  AlternationMemo AltMemo;
 
   /// Temp-name state, reset at each public simplify() entry so temporary
   /// numbering depends only on the input expression — never on what else

@@ -82,9 +82,8 @@ private:
   translate(z3::context &Z3Ctx, const Context &Ctx, const Expr *E,
             std::unordered_map<const Expr *, z3::expr> &Cache) {
     unsigned W = Ctx.width();
-    forEachNodePostOrder(E, [&](const Expr *N) {
-      if (Cache.find(N) != Cache.end())
-        return;
+    // Cache is shared by both sides of a query: walk only what is new.
+    forEachUnseenPostOrder(E, Cache, [&](const Expr *N) {
       auto Operand = [&](const Expr *C) -> z3::expr & {
         return Cache.at(C);
       };

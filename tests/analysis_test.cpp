@@ -317,6 +317,106 @@ TEST(AbstractInterpTest, WorksAtWidthOne) {
   EXPECT_LE(P.KnownLow, 1u);
 }
 
+/// A domain that forwards to \p Inner and counts transfer-function calls
+/// (top, constant, unary and binary alike).
+template <class Inner> class CountingDomain {
+public:
+  using Value = typename Inner::Value;
+
+  explicit CountingDomain(Inner D) : D(D) {}
+
+  Value top() const { return ++Calls, D.top(); }
+  Value constant(uint64_t C) const { return ++Calls, D.constant(C); }
+  Value unary(ExprKind K, const Value &A) const {
+    return ++Calls, D.unary(K, A);
+  }
+  Value binary(ExprKind K, const Value &A, const Value &B,
+               bool SameOperand) const {
+    return ++Calls, D.binary(K, A, B, SameOperand);
+  }
+
+  mutable size_t Calls = 0;
+
+private:
+  Inner D;
+};
+
+/// Drives computeAbstract over one memo at every node of \p E, operands
+/// first — the access pattern of foldAbstract's bottom-up rewrite — and
+/// returns the number of transfer-function calls.
+size_t transferCallsBottomUp(const Context &Ctx, const Expr *E) {
+  CountingDomain<KnownBitsDomain> D(KnownBitsDomain(Ctx.mask()));
+  std::unordered_map<const Expr *, KnownBits> Memo;
+  forEachNodePostOrder(E, [&](const Expr *N) { computeAbstract(D, N, Memo); });
+  computeAbstract(D, E, Memo); // asking again costs nothing
+  return D.Calls;
+}
+
+TEST(AbstractInterpTest, TransferOncePerNodeOnDeepChain) {
+  Context Ctx(64);
+  const Expr *Y = Ctx.getVar("y");
+  const Expr *E = Ctx.getVar("x");
+  for (int I = 0; I < 5000; ++I)
+    E = I % 2 ? Ctx.getAdd(E, Ctx.getOne()) : Ctx.getAnd(Ctx.getMul(E, Y), Y);
+  EXPECT_EQ(transferCallsBottomUp(Ctx, E), countDagNodes(E));
+}
+
+TEST(AbstractInterpTest, TransferOncePerNodeOnSharedDag) {
+  // Each level uses the previous one three times: ~3^40 tree nodes in a
+  // DAG of about a hundred.
+  Context Ctx(64);
+  const Expr *Y = Ctx.getVar("y");
+  const Expr *E = Ctx.getVar("x");
+  for (int I = 0; I < 40; ++I)
+    E = Ctx.getXor(Ctx.getAdd(E, E), Ctx.getAnd(E, Y));
+  EXPECT_EQ(transferCallsBottomUp(Ctx, E), countDagNodes(E));
+}
+
+TEST(AbstractInterpTest, FoldAbstractMatchesPerDomainFolding) {
+  // foldAbstract runs the three domains over one memo. It must fold exactly
+  // as one memo per domain would, asking known bits, then parity, then
+  // intervals at every rebuilt node.
+  for (unsigned Width : {3u, 8u, 64u}) {
+    Context Ctx(Width);
+    RNG Rng(4242 + Width);
+    const Expr *Vars[] = {Ctx.getVar("x"), Ctx.getVar("y"), Ctx.getVar("z")};
+    KnownBitsDomain KBD(Ctx.mask());
+    ParityDomain PD(Ctx.width());
+    IntervalDomain ID(Ctx.mask());
+    for (int Trial = 0; Trial < 200; ++Trial) {
+      const Expr *E = randomExpr(Ctx, Rng, Vars, 5);
+      std::unordered_map<const Expr *, KnownBits> KBMemo;
+      std::unordered_map<const Expr *, Parity> PMemo;
+      std::unordered_map<const Expr *, Interval> IMemo;
+      const Expr *Reference =
+          rewriteBottomUp(Ctx, E, [&](const Expr *N) -> const Expr * {
+            if (N->isLeaf())
+              return N;
+            if (auto C = KBD.asConstant(computeAbstract(KBD, N, KBMemo)))
+              return Ctx.getConst(*C);
+            if (auto C = PD.asConstant(computeAbstract(PD, N, PMemo)))
+              return Ctx.getConst(*C);
+            if (auto C = ID.asConstant(computeAbstract(ID, N, IMemo)))
+              return Ctx.getConst(*C);
+            return N;
+          });
+      ASSERT_EQ(foldAbstract(Ctx, E), Reference) << printExpr(Ctx, E);
+    }
+  }
+}
+
+TEST(AbstractInterpTest, FoldAbstractCompletesOnDeepChain) {
+  // A left-deep ((x+1)+1)... chain of 200k nodes, built directly (the
+  // parser caps nesting). C + C is even, so parity folds (C + C) & 1 to 0.
+  Context Ctx(64);
+  const Expr *C = Ctx.getVar("x");
+  for (int I = 0; I < 200000; ++I)
+    C = Ctx.getAdd(C, Ctx.getOne());
+  EXPECT_EQ(foldAbstract(Ctx, C), C); // nothing in the chain is constant
+  const Expr *E = Ctx.getAnd(Ctx.getAdd(C, C), Ctx.getOne());
+  EXPECT_EQ(foldAbstract(Ctx, E), Ctx.getZero());
+}
+
 TEST(IntervalDomainTest, MulByEvenConstantShiftsTheBound) {
   // Constant multiplier c = m·2^t keeps the product a multiple of 2^t even
   // after wraparound, so the interval top drops by the trailing-zero bits

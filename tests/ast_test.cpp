@@ -13,6 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 using namespace mba;
 
 namespace {
@@ -207,6 +212,33 @@ TEST(Parser, ErrorsAreReported) {
   EXPECT_EQ(R.ErrorPos, 4u);
 }
 
+TEST(Parser, NestingBeyondTheCapIsADiagnostic) {
+  Context Ctx(64);
+  // 100k levels used to overflow the recursive descent's stack.
+  std::string Deep = std::string(100000, '(') + "x" + std::string(100000, ')');
+  ParseResult R = parseExpr(Ctx, Deep);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("nesting"), std::string::npos) << R.Error;
+  // Prefix operators recurse too and share the cap.
+  R = parseExpr(Ctx, std::string(100000, '~') + "x");
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("nesting"), std::string::npos) << R.Error;
+}
+
+TEST(Parser, ThousandLevelsStillParse) {
+  Context Ctx(64);
+  std::string Parens;
+  for (int I = 0; I < 1000; ++I)
+    Parens += "(x+";
+  Parens += "1" + std::string(1000, ')');
+  ParseResult R = parseExpr(Ctx, Parens);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(countDagNodes(R.E), 1002u); // 1000 sums over a shared x and 1
+  R = parseExpr(Ctx, std::string(1000, '~') + "x");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(countDagNodes(R.E), 1001u);
+}
+
 TEST(Printer, ConstantsPrintSigned) {
   Context Ctx(64);
   EXPECT_EQ(printExpr(Ctx, Ctx.getAllOnes()), "-1");
@@ -309,6 +341,62 @@ TEST(ExprUtils, RewriteBottomUpFoldsConstants) {
     return N;
   });
   EXPECT_EQ(R, parseOrDie(Ctx, "5*x"));
+}
+
+TEST(ExprUtils, RewriteBottomUpCallbackOrder) {
+  // Each node after its operands, the rhs sub-DAG before the lhs one — the
+  // order the recursive implementation had under GCC, which the
+  // order-sensitive callers (encodeArithmetic draws random numbers per
+  // node) rely on for reproducible output.
+  Context Ctx(64);
+  std::vector<std::string> Seen;
+  rewriteBottomUp(Ctx, parseOrDie(Ctx, "(a+b)*(c&d)"),
+                  [&](const Expr *N) -> const Expr * {
+                    Seen.push_back(printExpr(Ctx, N));
+                    return N;
+                  });
+  std::vector<std::string> Expected = {"d", "c",   "c&d",       "b",
+                                       "a", "a+b", "(a+b)*(c&d)"};
+  EXPECT_EQ(Seen, Expected);
+}
+
+TEST(ExprUtils, SubstituteCompletesOnDeepChain) {
+  Context Ctx(64);
+  const Expr *X = Ctx.getVar("x"), *Y = Ctx.getVar("y");
+  const Expr *OverX = X, *OverY = Y;
+  for (int I = 0; I < 200000; ++I) {
+    OverX = Ctx.getAdd(OverX, Ctx.getOne());
+    OverY = Ctx.getAdd(OverY, Ctx.getOne());
+  }
+  std::unordered_map<const Expr *, const Expr *> Map = {{X, Y}};
+  EXPECT_EQ(substitute(Ctx, OverX, Map), OverY); // hash-consed: same node
+}
+
+TEST(ExprUtils, UnseenWalkIsLinearWhenDrivenBottomUp) {
+  // One walk per node of a 5000-deep chain over one memo — the pattern of
+  // a bottom-up rewrite that analyses every node it rebuilds. Each walk
+  // must stop at the memo: the total work is linear, where re-walking
+  // every sub-DAG would cost ~12.5M membership tests.
+  Context Ctx(64);
+  std::vector<const Expr *> Chain = {Ctx.getVar("x")};
+  for (int I = 0; I < 5000; ++I)
+    Chain.push_back(Ctx.getAdd(Chain.back(), Ctx.getOne()));
+  struct CountingSeen {
+    std::unordered_set<const Expr *> Set;
+    mutable size_t Lookups = 0;
+    bool contains(const Expr *N) const {
+      ++Lookups;
+      return Set.contains(N);
+    }
+  } Seen;
+  size_t Visits = 0;
+  for (const Expr *N : Chain)
+    forEachUnseenPostOrder(N, Seen, [&](const Expr *V) {
+      Seen.Set.insert(V);
+      ++Visits;
+    });
+  EXPECT_EQ(Visits, countDagNodes(Chain.back()));
+  EXPECT_LE(Seen.Lookups, 6 * Visits);
 }
 
 TEST(ExprUtils, DeepExpressionDoesNotOverflowStack) {

@@ -10,6 +10,7 @@
 #include "ast/ExprUtils.h"
 #include "ast/Parser.h"
 #include "ast/Printer.h"
+#include "gen/Corpus.h"
 #include "mba/Classify.h"
 #include "mba/Metrics.h"
 #include "mba/SimplifyCache.h"
@@ -474,6 +475,40 @@ TEST(SharedCacheTest, DisabledCacheOptionBypassesSharedCaches) {
   Solver.simplify(parseOrDie(Ctx, "x + y - 2*(x&y)"));
   EXPECT_EQ(Shared.resultStats().Hits + Shared.resultStats().Misses, 0u);
   EXPECT_EQ(Basis.stats().Hits + Basis.stats().Misses, 0u);
+}
+
+TEST(AnalysisMemoTest, MemoOverloadsAgreeWithSingleShotForms) {
+  // The simplifier answers classifyMBA / isPureBitwise / mbaAlternation from
+  // memos that live for one simplify() call. Answers from a memo must equal
+  // a fresh computation on every sub-node, whatever the memo already held:
+  // one memo pair runs bottom-up over the whole corpus, another asks for
+  // each root before its sub-nodes.
+  Context Ctx(64);
+  CorpusOptions Opts;
+  Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 100;
+  Opts.IncludeSeedIdentities = false;
+  std::vector<CorpusEntry> Corpus = generateCorpus(Ctx, Opts);
+  ASSERT_EQ(Corpus.size(), 300u);
+  MBAFactsMemo UpFacts, DownFacts;
+  AlternationMemo UpAlt, DownAlt;
+  size_t Checked = 0;
+  auto Check = [&](const Expr *N, MBAFactsMemo &Facts, AlternationMemo &Alt) {
+    ASSERT_EQ(classifyMBA(Ctx, N, Facts), classifyMBA(Ctx, N))
+        << printExpr(Ctx, N);
+    ASSERT_EQ(isPureBitwise(Ctx, N, Facts), isPureBitwise(Ctx, N))
+        << printExpr(Ctx, N);
+    ASSERT_EQ(mbaAlternation(N, Alt), mbaAlternation(N)) << printExpr(Ctx, N);
+    ++Checked;
+  };
+  for (const CorpusEntry &Entry : Corpus)
+    for (const Expr *Root : {Entry.Obfuscated, Entry.Ground}) {
+      forEachNodePostOrder(
+          Root, [&](const Expr *N) { Check(N, UpFacts, UpAlt); });
+      Check(Root, DownFacts, DownAlt);
+      forEachNodePostOrder(
+          Root, [&](const Expr *N) { Check(N, DownFacts, DownAlt); });
+    }
+  EXPECT_GT(Checked, 3 * 600u);
 }
 
 } // namespace
