@@ -6,7 +6,8 @@
 ///
 /// Measures the stage-0 static equivalence prover on the corpus path:
 /// latency and hit-rate on raw and simplified query pairs (the same
-/// queries Tables 2 and 6 pose to solvers), the solver wall-clock the
+/// queries Tables 2 and 6 pose to solvers, and the width-3 raw queries of
+/// perfbench's raw_bitblast workload), the solver wall-clock the
 /// discharged queries save, the saturate-and-extract pre-pass, and the
 /// one-time cost of certifying the shipped rule table. Hit-rates are
 /// reported as benchmark counters: `proved`, `refuted`, `unknown` are the
@@ -18,6 +19,8 @@
 #include "analysis/Prover.h"
 #include "analysis/Rules.h"
 #include "ast/Context.h"
+#include "ast/Parser.h"
+#include "ast/Printer.h"
 #include "gen/Corpus.h"
 #include "mba/Simplifier.h"
 #include "solvers/EquivalenceChecker.h"
@@ -25,6 +28,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <vector>
 
 using namespace mba;
@@ -110,6 +114,33 @@ void BM_ProveRawPairs(benchmark::State &State) {
   reportSplit(State, Ctx, Pairs);
 }
 BENCHMARK(BM_ProveRawPairs)->Arg(10);
+
+void BM_ProveRawWidth3(benchmark::State &State) {
+  // The stage-0 queries of perfbench's raw_bitblast workload: the width-3
+  // corpus (100 entries per category, seed 1), the first 10 entries of each
+  // (category, variable count) bucket, printed in a private context and
+  // parsed into the prover's. BM_ProveRawPairs poses the same kind of
+  // query at width 64; here most pairs saturate to the e-node budget, so
+  // this tracks the cost of the e-graph engine itself, and solver_s_saved
+  // is what the discharged queries would have cost the solver.
+  Context Gen(3), Ctx(3);
+  CorpusOptions Opts;
+  Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 100;
+  Opts.Seed = 1;
+  std::map<std::pair<MBAKind, unsigned>, unsigned> Taken;
+  std::vector<std::pair<const Expr *, const Expr *>> Pairs;
+  for (const CorpusEntry &E : generateCorpus(Gen, Opts))
+    if (Taken[{E.Category, E.NumVars}]++ < 10)
+      Pairs.push_back({parseExpr(Ctx, printExpr(Gen, E.Obfuscated)).E,
+                       parseExpr(Ctx, printExpr(Gen, E.Ground)).E});
+  for (auto _ : State) {
+    Split S = proveAll(Ctx, Pairs);
+    benchmark::DoNotOptimize(S.Proved);
+  }
+  State.SetItemsProcessed(State.iterations() * Pairs.size());
+  reportSplit(State, Ctx, Pairs);
+}
+BENCHMARK(BM_ProveRawWidth3)->Unit(benchmark::kMillisecond);
 
 void BM_ProveSimplifiedPairs(benchmark::State &State) {
   // Post-simplification queries (the Table 6 configuration): the fraction

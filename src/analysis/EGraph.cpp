@@ -9,11 +9,20 @@
 #include "ast/ExprUtils.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <tuple>
 
 using namespace mba;
+
+namespace {
+
+/// The order of a class's node list: (kind, lhs, rhs, aux).
+bool nodeLess(const ENode &X, const ENode &Y) {
+  return std::tie(X.Kind, X.Lhs, X.Rhs, X.Aux) <
+         std::tie(Y.Kind, Y.Lhs, Y.Rhs, Y.Aux);
+}
+
+} // namespace
 
 EGraph::EGraph(Context &Ctx) : Ctx(Ctx) {}
 
@@ -103,7 +112,7 @@ EClassId EGraph::addNode(ExprKind K, EClassId A, EClassId B) {
 
 EClassId EGraph::addExpr(const Expr *E) {
   std::unordered_map<const Expr *, EClassId> Memo;
-  forEachNodePostOrder(E, [&](const Expr *N) {
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     EClassId Id;
     switch (N->kind()) {
     case ExprKind::Var:
@@ -130,13 +139,19 @@ bool EGraph::merge(EClassId A, EClassId B) {
   B = find(B);
   if (A == B)
     return false;
-  // Union by parent-list size: the smaller class is absorbed, so congruence
-  // repair re-canonicalizes the shorter parent list.
-  if (Classes[A].Parents.size() < Classes[B].Parents.size())
+  // The older class (lower id) stays the representative, so a class's
+  // canonical id is its oldest member's whatever order the merges came in,
+  // and match loops, which visit classes in id order, see the input's
+  // classes first. Only the shorter lists are copied.
+  if (A > B)
     std::swap(A, B);
   Parent[B] = A;
   ++Merges;
   EClass &Into = Classes[A], &From = Classes[B];
+  if (Into.Parents.size() < From.Parents.size()) {
+    std::swap(Into.Nodes, From.Nodes);
+    std::swap(Into.Parents, From.Parents);
+  }
   Into.Nodes.insert(Into.Nodes.end(), From.Nodes.begin(), From.Nodes.end());
   Into.Parents.insert(Into.Parents.end(), From.Parents.begin(),
                       From.Parents.end());
@@ -155,43 +170,74 @@ bool EGraph::merge(EClassId A, EClassId B) {
 }
 
 void EGraph::rebuild() {
+  std::vector<EClassId> Sweep;
   while (!Dirty.empty()) {
-    EClassId Id = find(Dirty.back());
-    Dirty.pop_back();
-    // Steal the parent list; re-canonicalized survivors are put back.
-    std::vector<std::pair<ENode, EClassId>> Parents;
-    Parents.swap(Classes[Id].Parents);
-    for (auto &[Node, NodeClass] : Parents) {
-      Hashcons.erase(Node); // stale key (pre-merge operand ids)
-      ENode Canon = canonicalize(Node);
-      EClassId Cls = find(NodeClass);
-      auto [It, Inserted] = Hashcons.emplace(Canon, Cls);
-      if (!Inserted)
-        merge(It->second, Cls); // congruence: same canonical node twice
-      Cls = find(Cls);
-      // Fold operators whose operands became constant through merging.
-      if (!Classes[Cls].Const && isBinaryKind(Canon.Kind)) {
-        std::optional<uint64_t> CA = Classes[find(Canon.Lhs)].Const;
-        std::optional<uint64_t> CB = Classes[find(Canon.Rhs)].Const;
-        if (CA && CB)
-          merge(Cls, addConst(evalOp(Canon.Kind, *CA, *CB)));
-      } else if (!Classes[Cls].Const && isUnaryKind(Canon.Kind)) {
-        if (std::optional<uint64_t> CA = Classes[find(Canon.Lhs)].Const)
-          merge(Cls, addConst(evalOp(Canon.Kind, *CA, 0)));
-      }
-      Classes[find(Id)].Parents.push_back({Canon, find(NodeClass)});
-    }
-    // Deduplicate the class's own nodes under the new canonicalization.
-    EClassId Canonical = find(Id);
-    std::vector<ENode> &Nodes = Classes[Canonical].Nodes;
-    for (ENode &N : Nodes)
-      N = canonicalize(N);
-    std::sort(Nodes.begin(), Nodes.end(), [](const ENode &X, const ENode &Y) {
-      return std::tie(X.Kind, X.Lhs, X.Rhs, X.Aux) <
-             std::tie(Y.Kind, Y.Lhs, Y.Rhs, Y.Aux);
-    });
-    Nodes.erase(std::unique(Nodes.begin(), Nodes.end()), Nodes.end());
+    // One sweep repairs each merged class once, however many merges it
+    // absorbed; repairs that merge again queue the next sweep.
+    Sweep.swap(Dirty);
+    for (EClassId &Id : Sweep)
+      Id = find(Id);
+    std::sort(Sweep.begin(), Sweep.end());
+    Sweep.erase(std::unique(Sweep.begin(), Sweep.end()), Sweep.end());
+    for (EClassId Id : Sweep)
+      if (find(Id) == Id) // else absorbed this sweep; its root is queued
+        repair(Id);
+    Sweep.clear();
   }
+  assert(nodeListsSorted());
+}
+
+void EGraph::repair(EClassId Id) {
+  // Steal the parent list; re-canonicalized survivors are put back.
+  std::vector<std::pair<ENode, EClassId>> Parents;
+  Parents.swap(Classes[Id].Parents);
+  for (auto &[Node, NodeClass] : Parents) {
+    Hashcons.erase(Node); // stale key (pre-merge operand ids)
+    Node = canonicalize(Node);
+    EClassId Cls = find(NodeClass);
+    auto [It, Inserted] = Hashcons.emplace(Node, Cls);
+    if (!Inserted)
+      merge(It->second, Cls); // congruence: same canonical node twice
+    Cls = find(Cls);
+    // Fold operators whose operands became constant through merging.
+    if (!Classes[Cls].Const && isBinaryKind(Node.Kind)) {
+      std::optional<uint64_t> CA = Classes[find(Node.Lhs)].Const;
+      std::optional<uint64_t> CB = Classes[find(Node.Rhs)].Const;
+      if (CA && CB)
+        merge(Cls, addConst(evalOp(Node.Kind, *CA, *CB)));
+    } else if (!Classes[Cls].Const && isUnaryKind(Node.Kind)) {
+      if (std::optional<uint64_t> CA = Classes[find(Node.Lhs)].Const)
+        merge(Cls, addConst(evalOp(Node.Kind, *CA, 0)));
+    }
+  }
+  // Keep each (e-node, class) pair once. The nodes stay as interned above:
+  // they are the hashcons keys the next repair erases.
+  for (auto &Entry : Parents)
+    Entry.second = find(Entry.second);
+  std::sort(Parents.begin(), Parents.end(), [](const auto &X, const auto &Y) {
+    return nodeLess(X.first, Y.first) ||
+           (X.first == Y.first && X.second < Y.second);
+  });
+  Parents.erase(std::unique(Parents.begin(), Parents.end()), Parents.end());
+  EClass &Root = Classes[find(Id)];
+  Root.Parents.insert(Root.Parents.end(), Parents.begin(), Parents.end());
+  // Deduplicate the class's own nodes under the new canonicalization.
+  for (ENode &N : Root.Nodes)
+    N = canonicalize(N);
+  std::sort(Root.Nodes.begin(), Root.Nodes.end(), nodeLess);
+  Root.Nodes.erase(std::unique(Root.Nodes.begin(), Root.Nodes.end()),
+                   Root.Nodes.end());
+}
+
+bool EGraph::nodeListsSorted() const {
+  for (EClassId Id = 0; Id != (EClassId)Parent.size(); ++Id)
+    if (find(Id) == Id &&
+        std::adjacent_find(Classes[Id].Nodes.begin(), Classes[Id].Nodes.end(),
+                           [](const ENode &X, const ENode &Y) {
+                             return !nodeLess(X, Y);
+                           }) != Classes[Id].Nodes.end())
+      return false;
+  return true;
 }
 
 std::optional<uint64_t> EGraph::constantOf(EClassId Id) const {
@@ -200,6 +246,16 @@ std::optional<uint64_t> EGraph::constantOf(EClassId Id) const {
 
 const std::vector<ENode> &EGraph::nodesOf(EClassId Id) const {
   return Classes[find(Id)].Nodes;
+}
+
+std::span<const ENode> EGraph::nodesOfKind(EClassId Id, ExprKind K) const {
+  assert(Dirty.empty() && "node order is only defined after rebuild()");
+  const std::vector<ENode> &Nodes = Classes[find(Id)].Nodes;
+  auto First = std::partition_point(Nodes.begin(), Nodes.end(),
+                                    [K](const ENode &N) { return N.Kind < K; });
+  auto Last = std::partition_point(First, Nodes.end(),
+                                   [K](const ENode &N) { return N.Kind == K; });
+  return {First, Last};
 }
 
 std::vector<EClassId> EGraph::canonicalClasses() const {
@@ -256,14 +312,28 @@ const Expr *EGraph::extract(EClassId Root) const {
   }
   if (Best.find(Root) == Best.end())
     return nullptr;
-  // Build the chosen representative recursively (memoized per class).
+  // Build the chosen representatives bottom-up (memoized per class), the
+  // rhs operand's class before the lhs one's, as forEachUnseenPostOrder
+  // orders operands. The chosen nodes form a DAG: each operand's cost is
+  // below its user's.
   std::unordered_map<EClassId, const Expr *> Built;
-  std::function<const Expr *(EClassId)> Build =
-      [&](EClassId Id) -> const Expr * {
-    Id = find(Id);
-    if (auto It = Built.find(Id); It != Built.end())
-      return It->second;
+  auto BuiltOf = [&](EClassId Id) { return Built.at(find(Id)); };
+  // Each entry is a class and whether its operands were already pushed.
+  std::vector<std::pair<EClassId, bool>> Stack{{Root, false}};
+  while (!Stack.empty()) {
+    auto [Id, Expanded] = Stack.back();
+    Stack.pop_back();
+    if (Built.contains(Id))
+      continue;
     const ENode &N = Best.at(Id).second;
+    if (!Expanded) {
+      Stack.push_back({Id, true});
+      if (isUnaryKind(N.Kind) || isBinaryKind(N.Kind))
+        Stack.push_back({find(N.Lhs), false});
+      if (isBinaryKind(N.Kind))
+        Stack.push_back({find(N.Rhs), false});
+      continue;
+    }
     const Expr *E;
     switch (N.Kind) {
     case ExprKind::Var:
@@ -274,14 +344,13 @@ const Expr *EGraph::extract(EClassId Root) const {
       break;
     case ExprKind::Not:
     case ExprKind::Neg:
-      E = Ctx.getUnary(N.Kind, Build(N.Lhs));
+      E = Ctx.getUnary(N.Kind, BuiltOf(N.Lhs));
       break;
     default:
-      E = Ctx.getBinary(N.Kind, Build(N.Lhs), Build(N.Rhs));
+      E = Ctx.getBinary(N.Kind, BuiltOf(N.Lhs), BuiltOf(N.Rhs));
       break;
     }
     Built.emplace(Id, E);
-    return E;
-  };
-  return Build(Root);
+  }
+  return Built.at(Root);
 }

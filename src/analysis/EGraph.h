@@ -18,7 +18,16 @@
 /// hashcons map from canonical e-nodes to e-classes, per-class parent lists,
 /// deferred congruence repair through a dirty-class worklist, and constant
 /// e-nodes folded eagerly so arithmetic identities (`2*3 ≡ 6`) come out of
-/// the closure for free.
+/// the closure for free. Repair is egg's "rebuilding": each sweep of
+/// rebuild() repairs every class merged since the last sweep once, however
+/// many merges it absorbed, and leaves its parent list free of duplicates.
+///
+/// Invariant, after rebuild(): every live class's node list is sorted by
+/// (kind, lhs, rhs, aux) as of the class's last repair and holds no entry
+/// twice, so the nodes of one kind form one contiguous range
+/// (nodesOfKind()). merge() concatenates node lists and marks the class
+/// dirty, and rebuild() re-sorts it, so the order holds whenever no merge is
+/// pending. Debug builds assert it at the end of every rebuild().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +39,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -96,10 +106,15 @@ public:
   /// last rebuild). Invalidated by addNode/merge/rebuild.
   const std::vector<ENode> &nodesOf(EClassId Id) const;
 
+  /// The contiguous run of nodesOf(Id) whose kind is \p K, in stored
+  /// order. Valid only after rebuild() (see the sorted-node invariant).
+  std::span<const ENode> nodesOfKind(EClassId Id, ExprKind K) const;
+
   /// Extracts a minimal-size expression of \p Id's class into the context
   /// (cost = tree node count, ties broken by first discovery). Returns
   /// nullptr only for classes poisoned by extraction cycles, which cannot
-  /// happen for classes reachable from addExpr() roots.
+  /// happen for classes reachable from addExpr() roots. Iterative, so deep
+  /// expressions cannot overflow the stack.
   const Expr *extract(EClassId Id) const;
 
   /// All canonical class ids (live classes), for match loops.
@@ -135,6 +150,14 @@ private:
   /// Interns canonical \p N, creating a class when unseen.
   EClassId intern(const ENode &N);
 
+  /// Re-canonicalizes the parents of canonical class \p Id, merging
+  /// congruent ones and folding newly constant ones, then deduplicates its
+  /// parent list and re-sorts its node list.
+  void repair(EClassId Id);
+
+  /// The sorted-node invariant, over every live class (debug checks).
+  bool nodeListsSorted() const;
+
   /// Evaluates \p K over constant operands, modulo the context mask.
   uint64_t evalOp(ExprKind K, uint64_t A, uint64_t B) const;
 
@@ -142,7 +165,7 @@ private:
   mutable std::vector<EClassId> Parent; ///< union-find (path-halving in find)
   std::vector<EClass> Classes;          ///< indexed by canonical id
   std::unordered_map<ENode, EClassId, ENodeHash> Hashcons;
-  std::vector<EClassId> Dirty; ///< classes whose parents need repair
+  std::vector<EClassId> Dirty; ///< merged classes awaiting repair
   size_t Merges = 0;
 };
 

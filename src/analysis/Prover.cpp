@@ -11,6 +11,8 @@
 #include "support/QueryLog.h"
 #include "support/Telemetry.h"
 
+#include <array>
+#include <optional>
 #include <vector>
 
 using namespace mba;
@@ -28,56 +30,75 @@ namespace {
 
 /// An e-matching environment: pattern-variable dense index -> e-class.
 constexpr EClassId Unbound = ~(EClassId)0;
+constexpr size_t NumKinds = (size_t)ExprKind::Xor + 1;
 using Env = std::vector<EClassId>;
 
-/// Matches pattern \p P against class \p Cls, extending \p Base. Appends
-/// every consistent completed environment to \p Out (bounded by \p Cap).
-/// Patterns live in the rule set's pattern context; constants match the
-/// pattern value truncated to the e-graph's width.
-void matchPattern(const EGraph &G, const Expr *P, EClassId Cls,
-                  const Env &Base, std::vector<Env> &Out, size_t Cap) {
-  if (Out.size() >= Cap)
-    return;
-  Cls = G.find(Cls);
-  switch (P->kind()) {
-  case ExprKind::Var: {
-    unsigned Idx = P->varIndex();
-    if (Base[Idx] == Unbound) {
-      Env E = Base;
-      E[Idx] = Cls;
-      Out.push_back(std::move(E));
-    } else if (G.find(Base[Idx]) == Cls) {
-      Out.push_back(Base);
-    }
-    return;
-  }
-  case ExprKind::Const: {
-    std::optional<uint64_t> C = G.constantOf(Cls);
-    if (C && *C == G.context().truncate(P->constValue()))
-      Out.push_back(Base);
-    return;
-  }
-  default:
-    break;
-  }
-  for (const ENode &N : G.nodesOf(Cls)) {
-    if (N.Kind != P->kind())
-      continue;
-    if (isUnaryKind(N.Kind)) {
-      matchPattern(G, P->operand(), N.Lhs, Base, Out, Cap);
-    } else {
-      std::vector<Env> Partial;
-      matchPattern(G, P->lhs(), N.Lhs, Base, Partial, Cap);
-      for (const Env &E : Partial)
-        matchPattern(G, P->rhs(), N.Rhs, E, Out, Cap);
-    }
-    if (Out.size() >= Cap)
-      return;
-  }
-}
+/// A non-owning reference to a `bool()` continuation: what to do with each
+/// completed match of a sub-pattern. Returning false stops the enumeration.
+class Continuation {
+public:
+  template <class Fn>
+  Continuation(const Fn &F)
+      : Obj(&F), Call([](const void *O) {
+          return (*static_cast<const Fn *>(O))();
+        }) {}
+  bool operator()() const { return Call(Obj); }
 
-/// Instantiates pattern \p P under \p E into the e-graph.
-EClassId instantiate(EGraph &G, const Expr *P, const Env &E) {
+private:
+  const void *Obj;
+  bool (*Call)(const void *);
+};
+
+/// A continuation-passing e-matcher over one environment: it binds pattern
+/// variables in place, hands each completed environment to the
+/// continuation, and unbinds on the way out, so matching allocates nothing.
+/// Matches come in the order classes list their nodes, a binary node's lhs
+/// operand before its rhs. Patterns live in the rule set's pattern context;
+/// constants match the pattern value truncated to the e-graph's width.
+class Matcher {
+public:
+  Matcher(const EGraph &G, Env &E) : G(G), E(E) {}
+
+  /// Matches operator pattern \p P against e-node \p N.
+  bool matchNode(const Expr *P, const ENode &N, Continuation Then) {
+    if (isUnaryKind(N.Kind))
+      return match(P->operand(), N.Lhs, Then);
+    auto MatchRhs = [&] { return match(P->rhs(), N.Rhs, Then); };
+    return match(P->lhs(), N.Lhs, MatchRhs);
+  }
+
+  /// Matches pattern \p P against class \p Cls.
+  bool match(const Expr *P, EClassId Cls, Continuation Then) {
+    Cls = G.find(Cls);
+    switch (P->kind()) {
+    case ExprKind::Var: {
+      EClassId &Slot = E[P->varIndex()];
+      if (Slot != Unbound)
+        return G.find(Slot) != Cls || Then();
+      Slot = Cls;
+      bool Continue = Then();
+      Slot = Unbound;
+      return Continue;
+    }
+    case ExprKind::Const: {
+      std::optional<uint64_t> C = G.constantOf(Cls);
+      return !C || *C != G.context().truncate(P->constValue()) || Then();
+    }
+    default:
+      for (const ENode &N : G.nodesOfKind(Cls, P->kind()))
+        if (!matchNode(P, N, Then))
+          return false;
+      return true;
+    }
+  }
+
+private:
+  const EGraph &G;
+  Env &E;
+};
+
+/// Instantiates pattern \p P under the bindings \p E into the e-graph.
+EClassId instantiate(EGraph &G, const Expr *P, const EClassId *E) {
   switch (P->kind()) {
   case ExprKind::Var:
     assert(E[P->varIndex()] != Unbound && "rhs variable unbound by lhs");
@@ -93,11 +114,12 @@ EClassId instantiate(EGraph &G, const Expr *P, const Env &E) {
   }
 }
 
-/// One pending rewrite: class \p Where equals \p Rhs instantiated under Env.
+/// One pending rewrite: class \p Where equals \p Rhs instantiated under
+/// the bindings stored at \p Binding in the round's binding pool.
 struct PendingMerge {
   EClassId Where;
   const Expr *Rhs;
-  Env Binding;
+  size_t Binding;
 };
 
 /// Runs one saturation round: e-matches every certified rule (both
@@ -109,23 +131,31 @@ bool saturateRound(EGraph &G, const RuleSet &Rules, const ProveBudget &Budget,
   // across worker threads, and the pattern context's accessors are pinned
   // to the thread that first built certifiedRules().
   unsigned NumPatVars = Rules.numPatternVars();
+  // The round's e-nodes by operator kind, in class-id then node order: a
+  // rule's root is matched only against e-nodes of its kind.
+  std::array<std::vector<std::pair<EClassId, ENode>>, NumKinds> ByKind;
+  for (EClassId Cls : G.canonicalClasses())
+    for (const ENode &N : G.nodesOf(Cls))
+      ByKind[(size_t)N.Kind].push_back({Cls, N});
   std::vector<PendingMerge> Pending;
-  std::vector<EClassId> Classes = G.canonicalClasses();
-  Env Fresh(NumPatVars, Unbound);
+  std::vector<EClassId> Bindings; // NumPatVars entries per pending merge
+  Env E(NumPatVars, Unbound);
+  Matcher M(G, E);
   auto MatchRule = [&](const Expr *Lhs, const Expr *Rhs) {
     // Leaf-pattern LHS would merge every class into one; the table has no
     // such rule, but guard custom sets.
-    if (Lhs->isLeaf())
+    if (Lhs->isLeaf() || Budget.MaxMatchesPerRule == 0)
       return;
-    size_t Budgeted = 0;
-    for (EClassId Cls : Classes) {
-      std::vector<Env> Matches;
-      matchPattern(G, Lhs, Cls, Fresh, Matches,
-                   Budget.MaxMatchesPerRule - Budgeted);
-      for (Env &E : Matches)
-        Pending.push_back({Cls, Rhs, std::move(E)});
-      Budgeted += Matches.size();
-      if (Budgeted >= Budget.MaxMatchesPerRule)
+    size_t Found = 0;
+    EClassId Where = 0;
+    auto Record = [&] {
+      Pending.push_back({Where, Rhs, Bindings.size()});
+      Bindings.insert(Bindings.end(), E.begin(), E.end());
+      return ++Found < Budget.MaxMatchesPerRule;
+    };
+    for (const auto &[Cls, N] : ByKind[(size_t)Lhs->kind()]) {
+      Where = Cls;
+      if (!M.matchNode(Lhs, N, Record))
         break;
     }
   };
@@ -154,7 +184,7 @@ bool saturateRound(EGraph &G, const RuleSet &Rules, const ProveBudget &Budget,
   for (const PendingMerge &P : Pending) {
     if (G.numNodes() >= Budget.MaxENodes)
       break;
-    EClassId RhsCls = instantiate(G, P.Rhs, P.Binding);
+    EClassId RhsCls = instantiate(G, P.Rhs, Bindings.data() + P.Binding);
     Changed |= G.merge(P.Where, RhsCls);
     ++Stats.Matches;
   }

@@ -6,7 +6,7 @@
 
 #include "ast/Printer.h"
 
-#include <functional>
+#include <vector>
 
 using namespace mba;
 
@@ -71,55 +71,64 @@ const char *binaryOpText(ExprKind K) {
 
 std::string mba::printExpr(const Context &Ctx, const Expr *E) {
   std::string Out;
-  // Child is printed parenthesized when its precedence is lower than the
+  // A child is printed parenthesized when its precedence is lower than the
   // parent's, or equal on the right of the non-commutative '-' (and of '-'
   // only: all bitwise operators and +,* are associative so equal precedence
   // on either side needs no parens except the Sub/Add mix on the right).
-  std::function<void(const Expr *, int, bool)> Print =
-      [&](const Expr *N, int ParentPrec, bool RightOfNonAssoc) {
-        int Prec = precedenceOf(N->kind());
-        bool NeedParens =
-            Prec < ParentPrec || (Prec == ParentPrec && RightOfNonAssoc);
-        if (NeedParens)
-          Out += '(';
-        switch (N->kind()) {
-        case ExprKind::Var:
-          Out += N->varName();
-          break;
-        case ExprKind::Const: {
-          int64_t S = Ctx.toSigned(N->constValue());
-          Out += std::to_string(S);
-          break;
-        }
-        case ExprKind::Not:
-          Out += '~';
-          Print(N->operand(), PrecUnary, false);
-          break;
-        case ExprKind::Neg:
-          Out += '-';
-          Print(N->operand(), PrecUnary, false);
-          break;
-        default: {
-          const char *Op = binaryOpText(N->kind());
-          Print(N->lhs(), Prec, false);
-          Out += Op;
-          // '+' and '-' share a precedence level and '-' is left-
-          // associative; the right child of '-' must parenthesize equal-
-          // precedence children. '-' or '+' under the *right* of '-'
-          // both change meaning without parens.
-          bool RightNonAssoc = N->kind() == ExprKind::Sub;
-          Print(N->rhs(), Prec, RightNonAssoc);
-          break;
-        }
-        }
-        if (NeedParens)
-          Out += ')';
-      };
+  //
+  // An explicit stack instead of recursion, so deep expressions cannot
+  // overflow the call stack. Each entry is either a node to print, with its
+  // parent's precedence and whether it is the right operand of '-', or
+  // (Node == nullptr) text to emit once the entries above it are done.
+  struct Item {
+    const Expr *Node;
+    const char *Text;
+    int ParentPrec;
+    bool RightOfNonAssoc;
+  };
+  std::vector<Item> Stack{{E, nullptr, 0, false}};
+  while (!Stack.empty()) {
+    Item I = Stack.back();
+    Stack.pop_back();
+    if (!I.Node) {
+      Out += I.Text;
+      continue;
+    }
+    const Expr *N = I.Node;
+    int Prec = precedenceOf(N->kind());
+    bool NeedParens =
+        Prec < I.ParentPrec || (Prec == I.ParentPrec && I.RightOfNonAssoc);
+    if (NeedParens) {
+      Out += '(';
+      Stack.push_back({nullptr, ")", 0, false});
+    }
+    switch (N->kind()) {
+    case ExprKind::Var:
+      Out += N->varName();
+      break;
+    case ExprKind::Const:
+      Out += std::to_string(Ctx.toSigned(N->constValue()));
+      break;
+    case ExprKind::Not:
+    case ExprKind::Neg:
+      Out += N->kind() == ExprKind::Not ? '~' : '-';
+      Stack.push_back({N->operand(), nullptr, PrecUnary, false});
+      break;
+    default:
+      // '+' and '-' share a precedence level and '-' is left-associative;
+      // the right child of '-' must parenthesize equal-precedence children.
+      // '-' or '+' under the *right* of '-' both change meaning without
+      // parens. Pushed in reverse: lhs, operator, rhs.
+      Stack.push_back({N->rhs(), nullptr, Prec, N->kind() == ExprKind::Sub});
+      Stack.push_back({nullptr, binaryOpText(N->kind()), 0, false});
+      Stack.push_back({N->lhs(), nullptr, Prec, false});
+      break;
+    }
+  }
   // A negative constant printed as right operand of '-' or '*'/'~' etc. is
   // handled by NeedParens only for precedence; "a - -1" would print as
   // "a--1" which re-parses as a - (-1) correctly (two '-' tokens), but is
   // ugly; precedence of Const is PrecAtom so no parens are added. The
   // parser handles consecutive '-' signs, so round-tripping is safe.
-  Print(E, 0, false);
   return Out;
 }

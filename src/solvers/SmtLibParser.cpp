@@ -14,6 +14,12 @@ using namespace mba;
 
 namespace {
 
+/// Deepest list nesting the s-expression reader accepts. parseOne, the
+/// SExpr destructor and TermReader::read each recurse once per level, so
+/// without a cap a deeply nested script overflows the stack. Exported MBA
+/// queries nest a few dozen levels.
+constexpr unsigned MaxNestingDepth = 2048;
+
 /// Minimal s-expression representation.
 struct SExpr {
   std::string Atom;          // nonempty for atoms
@@ -33,7 +39,7 @@ public:
       skipTrivia();
       if (Pos >= Text.size())
         return Result;
-      auto S = parseOne(Error);
+      auto S = parseOne(Error, 0);
       if (!S)
         return std::nullopt;
       Result.push_back(std::move(*S));
@@ -54,13 +60,19 @@ private:
     }
   }
 
-  std::optional<SExpr> parseOne(std::string &Error) {
+  /// Parses one s-expression nested \p Depth lists deep.
+  std::optional<SExpr> parseOne(std::string &Error, unsigned Depth) {
     skipTrivia();
     if (Pos >= Text.size()) {
       Error = "unexpected end of input";
       return std::nullopt;
     }
     if (Text[Pos] == '(') {
+      if (Depth == MaxNestingDepth) {
+        Error = "nesting deeper than " + std::to_string(MaxNestingDepth) +
+                " levels at offset " + std::to_string(Pos);
+        return std::nullopt;
+      }
       ++Pos;
       SExpr List;
       for (;;) {
@@ -73,7 +85,7 @@ private:
           ++Pos;
           return List;
         }
-        auto Child = parseOne(Error);
+        auto Child = parseOne(Error, Depth + 1);
         if (!Child)
           return std::nullopt;
         List.Items.push_back(std::move(*Child));

@@ -26,11 +26,18 @@
 #include "ast/ExprUtils.h"
 #include "ast/Parser.h"
 #include "ast/Printer.h"
+#include "gen/Corpus.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <span>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace mba;
 
@@ -516,6 +523,204 @@ TEST(EGraphTest, ExtractsTheSmallestKnownForm) {
   EXPECT_EQ(G.extract(Big), Small);
 }
 
+TEST(EGraphTest, ExtractCompletesOnDeepChain) {
+  // addExpr and extract walk the e-graph iteratively: a 100k-deep chain
+  // used to overflow extract's recursive builder.
+  Context Ctx(64);
+  const Expr *E = Ctx.getVar("x");
+  for (int I = 0; I < 100000; ++I)
+    E = Ctx.getAdd(E, Ctx.getConst(1));
+  EGraph G(Ctx);
+  EClassId Root = G.addExpr(E);
+  G.rebuild();
+  EXPECT_EQ(G.extract(Root), E);
+}
+
+/// \p K applied to constant operands, modulo \p Ctx's width.
+uint64_t foldConstants(const Context &Ctx, ExprKind K, uint64_t A,
+                       uint64_t B) {
+  switch (K) {
+  case ExprKind::Not: return Ctx.truncate(~A);
+  case ExprKind::Neg: return Ctx.truncate(0 - A);
+  case ExprKind::Add: return Ctx.truncate(A + B);
+  case ExprKind::Sub: return Ctx.truncate(A - B);
+  case ExprKind::Mul: return Ctx.truncate(A * B);
+  case ExprKind::And: return A & B;
+  case ExprKind::Or: return A | B;
+  default: return A ^ B;
+  }
+}
+
+/// A brute-force congruence closure over \p Terms (distinct, each after its
+/// operands): the explicit \p Merges, plus congruence and constant folding,
+/// applied over all term pairs until nothing changes. Returns each term's
+/// representative index.
+std::vector<size_t>
+naiveClosure(const Context &Ctx, const std::vector<const Expr *> &Terms,
+             const std::vector<std::pair<size_t, size_t>> &Merges) {
+  std::unordered_map<const Expr *, size_t> Index;
+  for (size_t I = 0; I != Terms.size(); ++I)
+    Index.emplace(Terms[I], I);
+  std::vector<size_t> Rep(Terms.size());
+  for (size_t I = 0; I != Rep.size(); ++I)
+    Rep[I] = I;
+  auto Find = [&](size_t I) {
+    while (Rep[I] != I)
+      I = Rep[I];
+    return I;
+  };
+  bool Changed = false;
+  auto Union = [&](size_t A, size_t B) {
+    A = Find(A);
+    B = Find(B);
+    if (A != B) {
+      Rep[std::max(A, B)] = std::min(A, B);
+      Changed = true;
+    }
+  };
+  for (auto [A, B] : Merges)
+    Union(A, B);
+  do {
+    Changed = false;
+    // The constant value of each class, to a fixpoint: a Const member, or an
+    // operator member whose operand classes have values.
+    std::unordered_map<size_t, uint64_t> ClassValue;
+    for (bool Grew = true; Grew;) {
+      Grew = false;
+      for (size_t I = 0; I != Terms.size(); ++I) {
+        const Expr *T = Terms[I];
+        std::optional<uint64_t> V;
+        auto ValueOf = [&](const Expr *Op) -> std::optional<uint64_t> {
+          auto It = ClassValue.find(Find(Index.at(Op)));
+          if (It == ClassValue.end())
+            return std::nullopt;
+          return It->second;
+        };
+        if (T->kind() == ExprKind::Const) {
+          V = T->constValue();
+        } else if (isUnaryKind(T->kind())) {
+          if (auto A = ValueOf(T->operand()))
+            V = foldConstants(Ctx, T->kind(), *A, 0);
+        } else if (isBinaryKind(T->kind())) {
+          auto A = ValueOf(T->lhs()), B = ValueOf(T->rhs());
+          if (A && B)
+            V = foldConstants(Ctx, T->kind(), *A, *B);
+        }
+        if (V && ClassValue.emplace(Find(I), *V).second)
+          Grew = true;
+      }
+    }
+    std::unordered_map<uint64_t, size_t> ClassOfValue;
+    for (auto [Cls, V] : ClassValue)
+      if (auto [It, New] = ClassOfValue.emplace(V, Cls); !New)
+        Union(It->second, Cls);
+    // Congruence: same operator over operands in the same classes.
+    for (size_t I = 0; I != Terms.size(); ++I)
+      for (size_t J = I + 1; J != Terms.size(); ++J) {
+        const Expr *A = Terms[I], *B = Terms[J];
+        if (A->kind() != B->kind() || A->isLeaf())
+          continue;
+        bool Same = true;
+        for (unsigned Op = 0; Op != A->numOperands(); ++Op)
+          Same &= Find(Index.at(A->getOperand(Op))) ==
+                  Find(Index.at(B->getOperand(Op)));
+        if (Same)
+          Union(I, J);
+      }
+  } while (Changed);
+  for (size_t I = 0; I != Rep.size(); ++I)
+    Rep[I] = Find(I);
+  return Rep;
+}
+
+TEST(EGraphTest, RebuildMatchesNaiveCongruenceClosure) {
+  // Property, over 200 seeds: random addExpr calls interleaved with random
+  // merges (and occasional rebuilds), then one final rebuild(). Odd seeds
+  // merge random non-constant classes; even seeds give variables constant
+  // values, which never contradict each other. Afterwards every canonical
+  // e-node lives in exactly one class, every class's node list is strictly
+  // sorted by (kind, lhs, rhs, aux) — sorted by kind and without a repeated
+  // entry — and the class partition of the added terms is the brute-force
+  // closure's. Width 4 keeps constants colliding, so folding merges classes
+  // too.
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    Context Ctx(4);
+    RNG Rng(Seed);
+    const Expr *Vars[] = {Ctx.getVar("a"), Ctx.getVar("b"), Ctx.getVar("c")};
+    EGraph G(Ctx);
+    std::vector<const Expr *> Terms;
+    std::unordered_map<const Expr *, EClassId> ClassOf;
+    std::vector<std::pair<size_t, size_t>> Merges;
+    std::unordered_set<const Expr *> Assigned;
+    auto IndexOf = [&](const Expr *T) {
+      return (size_t)(std::find(Terms.begin(), Terms.end(), T) - Terms.begin());
+    };
+    for (int Step = 0; Step != 10; ++Step) {
+      const Expr *E = randomExpr(Ctx, Rng, Vars, 3);
+      G.addExpr(E);
+      forEachNodePostOrder(E, [&](const Expr *N) {
+        if (ClassOf.emplace(N, G.addExpr(N)).second)
+          Terms.push_back(N);
+      });
+      if (Seed % 2 == 0) {
+        // Assign a variable a constant, at most once each, so that rebuild()
+        // must fold operators whose operands became constant by merging.
+        const Expr *Var = Vars[Rng.below(std::size(Vars))];
+        const Expr *C = Ctx.getConst(Rng.below(16));
+        if (ClassOf.contains(Var) && Assigned.insert(Var).second) {
+          if (ClassOf.emplace(C, G.addExpr(C)).second)
+            Terms.push_back(C);
+          G.merge(ClassOf[Var], ClassOf[C]);
+          Merges.push_back({IndexOf(Var), IndexOf(C)});
+        }
+      } else {
+        for (uint64_t M = Rng.below(3); M != 0; --M) {
+          const Expr *A = Terms[Rng.below(Terms.size())];
+          const Expr *B = Terms[Rng.below(Terms.size())];
+          if (G.constantOf(ClassOf[A]) || G.constantOf(ClassOf[B]))
+            continue;
+          G.merge(ClassOf[A], ClassOf[B]);
+          Merges.push_back({IndexOf(A), IndexOf(B)});
+        }
+      }
+      if (Rng.chance(1, 3))
+        G.rebuild();
+    }
+    G.rebuild();
+
+    std::map<std::tuple<ExprKind, EClassId, EClassId, uint64_t>, EClassId>
+        Home;
+    for (EClassId Cls : G.canonicalClasses()) {
+      const std::vector<ENode> &Nodes = G.nodesOf(Cls);
+      for (size_t I = 0; I != Nodes.size(); ++I) {
+        const ENode &N = Nodes[I];
+        if (I) {
+          ASSERT_LT(std::tie(Nodes[I - 1].Kind, Nodes[I - 1].Lhs,
+                             Nodes[I - 1].Rhs, Nodes[I - 1].Aux),
+                    std::tie(N.Kind, N.Lhs, N.Rhs, N.Aux))
+              << "seed " << Seed << ": class " << Cls << " out of order";
+        }
+        EClassId L = N.Kind == ExprKind::Var || N.Kind == ExprKind::Const
+                         ? 0
+                         : G.find(N.Lhs);
+        EClassId R = isBinaryKind(N.Kind) ? G.find(N.Rhs) : 0;
+        auto [It, New] = Home.emplace(std::tuple{N.Kind, L, R, N.Aux}, Cls);
+        ASSERT_TRUE(New || It->second == Cls)
+            << "seed " << Seed << ": one e-node in classes " << It->second
+            << " and " << Cls;
+      }
+    }
+
+    std::vector<size_t> Rep = naiveClosure(Ctx, Terms, Merges);
+    for (size_t I = 0; I != Terms.size(); ++I)
+      for (size_t J = I + 1; J != Terms.size(); ++J)
+        ASSERT_EQ(Rep[I] == Rep[J],
+                  G.sameClass(ClassOf[Terms[I]], ClassOf[Terms[J]]))
+            << "seed " << Seed << ": " << printExpr(Ctx, Terms[I]) << " vs "
+            << printExpr(Ctx, Terms[J]);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Rule certification: every shipped rule, all widths, unsound rejection
 //===----------------------------------------------------------------------===//
@@ -698,6 +903,49 @@ TEST(ProverTest, BudgetBoundsTheSearch) {
                                    parseOrDie(Ctx, "x+y"), Tiny);
   EXPECT_EQ(R.Outcome, ProveOutcome::Unknown);
   EXPECT_EQ(R.Stats.Iterations, 0u);
+}
+
+TEST(ProverTest, RawWidth3SliceOutcomes) {
+  // The queries raw_bitblast poses at stage 0: the first 10 entries of each
+  // (category, variable count) bucket of the width-3 corpus, printed in a
+  // private context and parsed into the prover's. The floors are the
+  // counts proved before the deduplicating rebuild and the continuation
+  // matcher, and every proof must hold on all inputs.
+  for (auto [Seed, MinProved] : {std::pair{1u, 23u}, {2u, 19u}}) {
+    Context Gen(3), Ctx(3);
+    CorpusOptions Opts;
+    Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 100;
+    Opts.Seed = Seed;
+    std::map<std::pair<MBAKind, unsigned>, unsigned> Taken;
+    std::vector<std::pair<const Expr *, const Expr *>> Pairs;
+    for (const CorpusEntry &E : generateCorpus(Gen, Opts))
+      if (Taken[{E.Category, E.NumVars}]++ < 10)
+        Pairs.push_back({parseOrDie(Ctx, printExpr(Gen, E.Obfuscated)),
+                         parseOrDie(Ctx, printExpr(Gen, E.Ground))});
+    ASSERT_EQ(Pairs.size(), 110u);
+    Prover P(Ctx);
+    unsigned Proved = 0;
+    for (auto [A, B] : Pairs) {
+      if (P.prove(A, B).Outcome != ProveOutcome::Proved)
+        continue;
+      ++Proved;
+      // Every assignment of the pair's variables; the context's others
+      // stay 0.
+      std::vector<const Expr *> Used = collectVariables(A);
+      for (const Expr *V : collectVariables(B))
+        if (std::find(Used.begin(), Used.end(), V) == Used.end())
+          Used.push_back(V);
+      std::vector<uint64_t> Vals(Ctx.numVars());
+      for (uint64_t Point = 0; Point != 1ull << (3 * Used.size()); ++Point) {
+        for (size_t V = 0; V != Used.size(); ++V)
+          Vals[Used[V]->varIndex()] = (Point >> (3 * V)) & 7;
+        ASSERT_EQ(evaluate(Ctx, A, Vals), evaluate(Ctx, B, Vals))
+            << "seed " << Seed << ": " << printExpr(Ctx, A)
+            << " == " << printExpr(Ctx, B);
+      }
+    }
+    EXPECT_GE(Proved, MinProved) << "seed " << Seed;
+  }
 }
 
 TEST(ProverTest, SaturateAndExtractShrinksKnownIdentities) {

@@ -258,6 +258,27 @@ TEST(Printer, MinimalParentheses) {
   EXPECT_EQ(printExpr(Ctx, Ctx.getSub(Ctx.getSub(X, Y), Z)), "x-y-z");
 }
 
+TEST(Printer, DeepChainsPrintWithoutRecursion) {
+  // 100k levels used to overflow the recursive printer's stack.
+  Context Ctx(64);
+  const Expr *X = Ctx.getVar("x");
+  const Expr *One = Ctx.getConst(1);
+  const Expr *Left = X, *Right = One, *Nots = X;
+  std::string LeftText = "x", RightText;
+  for (int I = 0; I < 100000; ++I) {
+    Left = Ctx.getAdd(Left, One); // ((x+1)+1)...: no parentheses
+    Right = Ctx.getSub(X, Right); // x-(x-(...)): one pair per inner level
+    Nots = Ctx.getNot(Nots);
+    LeftText += "+1";
+  }
+  for (int I = 0; I < 99999; ++I)
+    RightText += "x-(";
+  RightText += "x-1" + std::string(99999, ')');
+  EXPECT_EQ(printExpr(Ctx, Left), LeftText);
+  EXPECT_EQ(printExpr(Ctx, Right), RightText);
+  EXPECT_EQ(printExpr(Ctx, Nots), std::string(100000, '~') + "x");
+}
+
 TEST(Printer, RoundTripPreservesSemantics) {
   Context Ctx(64);
   RNG Rng(99);

@@ -9,6 +9,7 @@
 
 #include "ast/DotPrinter.h"
 #include "ast/Evaluator.h"
+#include "ast/ExprUtils.h"
 #include "ast/Parser.h"
 #include "support/RNG.h"
 
@@ -127,6 +128,37 @@ TEST(SmtLibParser, RejectsUnsupportedInput) {
   EXPECT_NE(Error.find("width"), std::string::npos);
   // No assertion at all.
   EXPECT_FALSE(parseSmtLibQuery(Ctx, "(set-logic QF_BV)", &Error).has_value());
+}
+
+/// A distinct query whose lhs nests \p Levels bvadd applications:
+/// (bvadd (bvadd ... (bvadd x 1) ... 1) 1).
+std::string nestedQuery(unsigned Levels) {
+  std::string Lhs;
+  for (unsigned I = 0; I != Levels; ++I)
+    Lhs += "(bvadd ";
+  Lhs += "x";
+  for (unsigned I = 0; I != Levels; ++I)
+    Lhs += " 1)";
+  return "(declare-const x (_ BitVec 64))\n(assert (distinct " + Lhs +
+         " x))\n(check-sat)\n";
+}
+
+TEST(SmtLibParser, NestingBeyondTheCapIsADiagnostic) {
+  // 100k levels used to overflow the recursive s-expression reader.
+  Context Ctx(64);
+  std::string Error;
+  EXPECT_FALSE(parseSmtLibQuery(Ctx, nestedQuery(100000), &Error).has_value());
+  EXPECT_NE(Error.find("nesting"), std::string::npos) << Error;
+}
+
+TEST(SmtLibParser, ThousandLevelsStillParse) {
+  Context Ctx(64);
+  std::string Error;
+  auto Q = parseSmtLibQuery(Ctx, nestedQuery(1000), &Error);
+  ASSERT_TRUE(Q.has_value()) << Error;
+  EXPECT_EQ(countDagNodes(Q->Lhs), 1002u); // 1000 sums over x and 1
+  uint64_t Vals[] = {5};
+  EXPECT_EQ(evaluate(Ctx, Q->Lhs, Vals), 1005u);
 }
 
 TEST(DotPrinter, RendersDagStructure) {
