@@ -4,15 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Micro-benchmarks of the core primitives: parsing, signature computation,
-/// basis solving, abstract folding, full simplification per category, and
-/// obfuscation. These are throughput tests for the library itself (the
+/// Micro-benchmarks of the core primitives: interning, cloning, parsing,
+/// signature computation, basis solving, abstract folding, full
+/// simplification per category, and obfuscation. These are throughput tests for the library itself (the
 /// paper-facing numbers live in the table*/fig* binaries).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AbstractInterp.h"
 #include "ast/Context.h"
+#include "ast/ExprUtils.h"
 #include "ast/Parser.h"
 #include "ast/Printer.h"
 #include "gen/Corpus.h"
@@ -120,6 +121,54 @@ void BM_FoldAbstractChain(benchmark::State &State) {
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_FoldAbstractChain)->Arg(1000)->Arg(4000)->Complexity();
+
+// Hash-consing cost: a lookup of a node the context already holds, and
+// the creation of fresh nodes, which includes the interning table's
+// growth (each iteration starts from an empty context).
+void BM_InternHit(benchmark::State &State) {
+  Context Ctx(64);
+  const Expr *X = Ctx.getVar("x"), *Y = Ctx.getVar("y");
+  std::vector<const Expr *> Nodes;
+  for (uint64_t I = 0; I != 4096; ++I)
+    Nodes.push_back(Ctx.getAdd(I % 2 ? X : Y, Ctx.getConst(I)));
+  for (auto _ : State)
+    for (const Expr *N : Nodes)
+      benchmark::DoNotOptimize(Ctx.getAdd(N->lhs(), N->rhs()));
+  State.SetItemsProcessed(State.iterations() * (int64_t)Nodes.size());
+}
+BENCHMARK(BM_InternHit);
+
+void BM_InternMiss(benchmark::State &State) {
+  for (auto _ : State) {
+    Context Ctx(64);
+    const Expr *E = Ctx.getVar("x");
+    for (int64_t I = 0; I != State.range(0); ++I)
+      E = Ctx.getXor(E, Ctx.getConst((uint64_t)I));
+    benchmark::DoNotOptimize(E);
+  }
+  // Two fresh nodes (a constant and an xor) per step.
+  State.SetItemsProcessed(State.iterations() * 2 * State.range(0));
+}
+BENCHMARK(BM_InternMiss)->Arg(1 << 12)->Arg(1 << 16);
+
+// Copying corpus expressions into a fresh context, as the parallel
+// harness does for every query it hands to a worker.
+void BM_CloneExpr(benchmark::State &State) {
+  Context Src(64);
+  CorpusOptions Opts;
+  Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 20;
+  std::vector<CorpusEntry> Corpus = generateCorpus(Src, Opts);
+  int64_t Nodes = 0;
+  for (const CorpusEntry &Entry : Corpus)
+    Nodes += (int64_t)countDagNodes(Entry.Obfuscated);
+  for (auto _ : State) {
+    Context Dst(64);
+    for (const CorpusEntry &Entry : Corpus)
+      benchmark::DoNotOptimize(cloneExpr(Dst, Entry.Obfuscated));
+  }
+  State.SetItemsProcessed(State.iterations() * Nodes);
+}
+BENCHMARK(BM_CloneExpr);
 
 /// A bitwise expression over \p T variables for the truth-table benches
 /// (deep enough that the column is not a single pattern fill).

@@ -358,13 +358,13 @@ Interval IntervalDomain::binary(ExprKind K, const Interval &A,
 
 Parity mba::computeParity(const Context &Ctx, const Expr *E) {
   ParityDomain D(Ctx.width());
-  std::unordered_map<const Expr *, Parity> Memo;
+  NodeMap<Parity> Memo;
   return computeAbstract(D, E, Memo);
 }
 
 Interval mba::computeInterval(const Context &Ctx, const Expr *E) {
   IntervalDomain D(Ctx.mask());
-  std::unordered_map<const Expr *, Interval> Memo;
+  NodeMap<Interval> Memo;
   return computeAbstract(D, E, Memo);
 }
 
@@ -414,7 +414,7 @@ private:
 
 const Expr *mba::foldAbstract(Context &Ctx, const Expr *E) {
   ProductDomain D(Ctx);
-  std::unordered_map<const Expr *, ProductDomain::Value> Memo;
+  NodeMap<ProductDomain::Value> Memo;
   return rewriteBottomUp(Ctx, E, [&](const Expr *N) -> const Expr * {
     if (N->isLeaf())
       return N;
@@ -430,7 +430,7 @@ std::optional<Refutation>
 mba::refuteEquivalence(const Context &Ctx, const Expr *A, const Expr *B) {
   {
     KnownBitsDomain D(Ctx.mask());
-    std::unordered_map<const Expr *, KnownBits> Memo;
+    NodeMap<KnownBits> Memo;
     KnownBits VA = computeAbstract(D, A, Memo);
     KnownBits VB = computeAbstract(D, B, Memo);
     if (D.disjoint(VA, VB)) {
@@ -443,7 +443,7 @@ mba::refuteEquivalence(const Context &Ctx, const Expr *A, const Expr *B) {
   }
   {
     ParityDomain D(Ctx.width());
-    std::unordered_map<const Expr *, Parity> Memo;
+    NodeMap<Parity> Memo;
     Parity VA = computeAbstract(D, A, Memo);
     Parity VB = computeAbstract(D, B, Memo);
     if (D.disjoint(VA, VB)) {
@@ -457,7 +457,7 @@ mba::refuteEquivalence(const Context &Ctx, const Expr *A, const Expr *B) {
   }
   {
     IntervalDomain D(Ctx.mask());
-    std::unordered_map<const Expr *, Interval> Memo;
+    NodeMap<Interval> Memo;
     Interval VA = computeAbstract(D, A, Memo);
     Interval VB = computeAbstract(D, B, Memo);
     if (D.disjoint(VA, VB))

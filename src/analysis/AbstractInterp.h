@@ -39,11 +39,11 @@
 #include "ast/Context.h"
 #include "ast/Expr.h"
 #include "ast/ExprUtils.h"
+#include "ast/NodeMap.h"
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 namespace mba {
 
@@ -190,8 +190,7 @@ private:
 template <class Domain>
 typename Domain::Value
 computeAbstract(const Domain &D, const Expr *E,
-                std::unordered_map<const Expr *, typename Domain::Value>
-                    &Memo) {
+                NodeMap<typename Domain::Value> &Memo) {
   forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     typename Domain::Value V;
     switch (N->kind()) {

@@ -13,18 +13,18 @@ using namespace mba;
 
 KnownBits
 mba::computeKnownBits(const Context &Ctx, const Expr *E,
-                      std::unordered_map<const Expr *, KnownBits> &Memo) {
+                      NodeMap<KnownBits> &Memo) {
   KnownBitsDomain D(Ctx.mask());
   return computeAbstract(D, E, Memo);
 }
 
 KnownBits mba::computeKnownBits(const Context &Ctx, const Expr *E) {
-  std::unordered_map<const Expr *, KnownBits> Memo;
+  NodeMap<KnownBits> Memo;
   return computeKnownBits(Ctx, E, Memo);
 }
 
 const Expr *mba::foldKnownBits(Context &Ctx, const Expr *E) {
-  std::unordered_map<const Expr *, KnownBits> Memo;
+  NodeMap<KnownBits> Memo;
   computeKnownBits(Ctx, E, Memo);
   uint64_t Mask = Ctx.mask();
   return rewriteBottomUp(Ctx, E, [&](const Expr *N) -> const Expr * {

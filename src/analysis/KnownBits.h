@@ -24,9 +24,9 @@
 
 #include "ast/Context.h"
 #include "ast/Expr.h"
+#include "ast/NodeMap.h"
 
 #include <cstdint>
-#include <unordered_map>
 
 namespace mba {
 
@@ -47,7 +47,7 @@ struct KnownBits {
 KnownBits computeKnownBits(const Context &Ctx, const Expr *E);
 KnownBits
 computeKnownBits(const Context &Ctx, const Expr *E,
-                 std::unordered_map<const Expr *, KnownBits> &Memo);
+                 NodeMap<KnownBits> &Memo);
 
 /// Folds every sub-expression whose bits are all decided into the constant
 /// it must equal. Returns \p E unchanged when nothing folds.

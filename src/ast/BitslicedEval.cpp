@@ -6,6 +6,7 @@
 
 #include "ast/BitslicedEval.h"
 
+#include "ast/NodeMap.h"
 #include "support/Bitslice.h"
 
 #include <cassert>
@@ -13,71 +14,14 @@
 
 using namespace mba;
 
-namespace {
-
-/// Minimal open-addressing pointer -> register map. The evaluator is
-/// compiled once per computeSignature call on the hot simplifier path, so
-/// compilation must stay lean; this avoids the allocation and hashing
-/// overhead of unordered_map (a measurable share of the scalar baseline).
-class NodeIndexMap {
-public:
-  static constexpr uint32_t None = 0xFFFFFFFFu;
-
-  NodeIndexMap() : Table(256) {}
-
-  uint32_t get(const Expr *K) const {
-    size_t I = probe(K);
-    return Table[I].first == K ? Table[I].second : None;
-  }
-
-  /// Returns the value already stored for \p K, or inserts \p V and
-  /// returns None. One probe for the visited-check + claim of the DFS.
-  uint32_t getOrInsert(const Expr *K, uint32_t V) {
-    size_t I = probe(K);
-    if (Table[I].first == K)
-      return Table[I].second;
-    Table[I] = {K, V};
-    if (++Count * 4 >= Table.size() * 3)
-      grow();
-    return None;
-  }
-
-  void set(const Expr *K, uint32_t V) {
-    size_t I = probe(K);
-    assert(Table[I].first == K && "set of a key never inserted");
-    Table[I].second = V;
-  }
-
-private:
-  size_t probe(const Expr *K) const {
-    uint64_t H = (uint64_t)(uintptr_t)K * 0x9e3779b97f4a7c15ULL;
-    size_t M = Table.size() - 1;
-    size_t I = (size_t)(H >> 32) & M;
-    while (Table[I].first && Table[I].first != K)
-      I = (I + 1) & M;
-    return I;
-  }
-
-  void grow() {
-    std::vector<std::pair<const Expr *, uint32_t>> Old = std::move(Table);
-    Table.assign(Old.size() * 2, {nullptr, 0});
-    for (auto &[K, V] : Old)
-      if (K) {
-        size_t I = probe(K);
-        Table[I] = {K, V};
-      }
-  }
-
-  std::vector<std::pair<const Expr *, uint32_t>> Table;
-  size_t Count = 0;
-};
-
-} // namespace
-
 BitslicedExpr::BitslicedExpr(const Context &Ctx, const Expr *E)
     : Ctx(&Ctx), Width(Ctx.width()), Mask(Ctx.mask()) {
   assert(E && "null expression");
-  NodeIndexMap Regs;
+  // Node -> register. The evaluator is compiled once per computeSignature
+  // call on the hot simplifier path, so compilation stays allocation-lean:
+  // typical DAGs fit the initial reservations without growing.
+  NodeMap<uint32_t> Regs;
+  Regs.reserve(64);
   constexpr uint32_t Pending = 0xFFFFFFFEu;
   Program.reserve(64);
   // Iterative post-order; the low pointer bit tags "operands already
@@ -90,7 +34,7 @@ BitslicedExpr::BitslicedExpr(const Context &Ctx, const Expr *E)
     Stack.pop_back();
     const Expr *N = (const Expr *)(Top & ~(uintptr_t)1);
     if (!(Top & 1)) {
-      if (Regs.getOrInsert(N, Pending) != NodeIndexMap::None)
+      if (!Regs.emplace(N, Pending).second)
         continue; // shared subtree already emitted (or queued below us)
       Stack.push_back(Top | 1);
       for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I)
@@ -110,7 +54,7 @@ BitslicedExpr::BitslicedExpr(const Context &Ctx, const Expr *E)
     case ExprKind::Not:
     case ExprKind::Neg:
       I.Opcode = N->kind() == ExprKind::Not ? Op::Not : Op::Neg;
-      I.A = Regs.get(N->operand());
+      I.A = Regs.at(N->operand());
       break;
     default:
       switch (N->kind()) {
@@ -121,11 +65,11 @@ BitslicedExpr::BitslicedExpr(const Context &Ctx, const Expr *E)
       case ExprKind::Or: I.Opcode = Op::Or; break;
       default: I.Opcode = Op::Xor; break;
       }
-      I.A = Regs.get(N->lhs());
-      I.B = Regs.get(N->rhs());
+      I.A = Regs.at(N->lhs());
+      I.B = Regs.at(N->rhs());
       break;
     }
-    Regs.set(N, (uint32_t)Program.size());
+    Regs.at(N) = (uint32_t)Program.size();
     Program.push_back(I);
   }
 

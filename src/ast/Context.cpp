@@ -7,6 +7,8 @@
 #include "ast/Context.h"
 #include "ast/BitslicedEval.h"
 
+#include <bit>
+
 using namespace mba;
 
 Context::Context(unsigned Width) : Width(Width) {
@@ -19,10 +21,12 @@ Context::~Context() = default;
 
 const BitslicedExpr &Context::getBitsliced(const Expr *E) const {
   assertOwnedByCurrentThread();
-  std::unique_ptr<BitslicedExpr> &Slot = BitslicedCache[E];
-  if (!Slot)
-    Slot = std::make_unique<BitslicedExpr>(*this, E);
-  return *Slot;
+  if (std::unique_ptr<BitslicedExpr> *Hit = BitslicedCache.find(E))
+    return **Hit;
+  auto Compiled = std::make_unique<BitslicedExpr>(*this, E);
+  const BitslicedExpr &Result = *Compiled;
+  BitslicedCache.emplace(E, std::move(Compiled));
+  return Result;
 }
 
 uint64_t *Context::evalScratch(size_t Words) const {
@@ -48,46 +52,87 @@ const Expr *Context::getVar(std::string_view Name) {
   return E;
 }
 
+namespace {
+
+/// Hash of an interning key. The table indexes by the high bits, which the
+/// final multiplication makes depend on every input bit.
+uint64_t internHash(ExprKind K, const Expr *L, const Expr *R, uint64_t Aux) {
+  uint64_t H = ((uint64_t)K + 1) * 0x9e3779b97f4a7c15ULL;
+  H = (H ^ (uint64_t)(uintptr_t)L) * 0xbf58476d1ce4e5b9ULL;
+  H = (H ^ (uint64_t)(uintptr_t)R) * 0x94d049bb133111ebULL;
+  return (H ^ Aux) * 0x9e3779b97f4a7c15ULL;
+}
+
+} // namespace
+
+size_t Context::probeInterned(uint64_t Hash, ExprKind K, const Expr *L,
+                              const Expr *R, uint64_t Aux) const {
+  size_t M = Interned.size() - 1;
+  size_t I = (size_t)(Hash >> InternShift);
+  while (const Expr *N = Interned[I].Node) {
+    if (Interned[I].Hash == Hash && N->Kind == K && N->LHS == L &&
+        N->RHS == R && N->Value == Aux)
+      break;
+    I = (I + 1) & M;
+  }
+  return I;
+}
+
+void Context::growInterned() {
+  std::vector<InternSlot> Old = std::move(Interned);
+  size_t NewSlots = Old.empty() ? 256 : Old.size() * 2;
+  Interned = std::vector<InternSlot>(NewSlots);
+  InternShift = 64 - (unsigned)std::countr_zero(NewSlots);
+  size_t M = NewSlots - 1;
+  for (const InternSlot &S : Old) {
+    if (!S.Node)
+      continue;
+    size_t I = (size_t)(S.Hash >> InternShift);
+    while (Interned[I].Node)
+      I = (I + 1) & M;
+    Interned[I] = S;
+  }
+}
+
+const Expr *Context::intern(ExprKind K, const Expr *L, const Expr *R,
+                            uint64_t Aux) {
+  uint64_t Hash = internHash(K, L, R, Aux);
+  size_t I = 0;
+  if (!Interned.empty()) {
+    I = probeInterned(Hash, K, L, R, Aux);
+    if (const Expr *Hit = Interned[I].Node)
+      return Hit;
+  }
+  size_t NumInterned = NumNodes - Vars.size();
+  if ((NumInterned + 1) * 4 > Interned.size() * 3) {
+    growInterned();
+    I = probeInterned(Hash, K, L, R, Aux);
+  }
+  const Expr *E = K == ExprKind::Const
+                      ? Alloc.create<Expr>(Expr(K, nullptr, 0, Aux))
+                      : Alloc.create<Expr>(Expr(K, L, R));
+  Interned[I] = {Hash, E};
+  ++NumNodes;
+  return E;
+}
+
 const Expr *Context::getConst(uint64_t Value) {
   assertOwnedByCurrentThread();
-  Value &= Mask;
-  NodeKey Key{ExprKind::Const, nullptr, nullptr, Value};
-  auto It = Interned.find(Key);
-  if (It != Interned.end())
-    return It->second;
-  const Expr *E =
-      Alloc.create<Expr>(Expr(ExprKind::Const, nullptr, 0, Value));
-  ++NumNodes;
-  Interned.emplace(Key, E);
-  return E;
+  return intern(ExprKind::Const, nullptr, nullptr, Value & Mask);
 }
 
 const Expr *Context::getUnary(ExprKind K, const Expr *A) {
   assertOwnedByCurrentThread();
   assert(isUnaryKind(K) && "not a unary kind");
   assert(A && "null operand");
-  NodeKey Key{K, A, nullptr, 0};
-  auto It = Interned.find(Key);
-  if (It != Interned.end())
-    return It->second;
-  const Expr *E = Alloc.create<Expr>(Expr(K, A, nullptr));
-  ++NumNodes;
-  Interned.emplace(Key, E);
-  return E;
+  return intern(K, A, nullptr, 0);
 }
 
 const Expr *Context::getBinary(ExprKind K, const Expr *A, const Expr *B) {
   assertOwnedByCurrentThread();
   assert(isBinaryKind(K) && "not a binary kind");
   assert(A && B && "null operand");
-  NodeKey Key{K, A, B, 0};
-  auto It = Interned.find(Key);
-  if (It != Interned.end())
-    return It->second;
-  const Expr *E = Alloc.create<Expr>(Expr(K, A, B));
-  ++NumNodes;
-  Interned.emplace(Key, E);
-  return E;
+  return intern(K, A, B, 0);
 }
 
 const Expr *Context::findInterned(ExprKind K, const Expr *L, const Expr *R,
@@ -98,9 +143,9 @@ const Expr *Context::findInterned(ExprKind K, const Expr *L, const Expr *R,
   assertOwnedByCurrentThread();
   if (K == ExprKind::Var)
     return Aux < Vars.size() ? Vars[Aux] : nullptr;
-  NodeKey Key{K, L, R, Aux};
-  auto It = Interned.find(Key);
-  return It != Interned.end() ? It->second : nullptr;
+  if (Interned.empty())
+    return nullptr;
+  return Interned[probeInterned(internHash(K, L, R, Aux), K, L, R, Aux)].Node;
 }
 
 void Context::forEachOwnedNode(
@@ -108,8 +153,9 @@ void Context::forEachOwnedNode(
   assertOwnedByCurrentThread(); // same latent gap as findInterned
   for (const Expr *V : Vars)
     Fn(V);
-  for (const auto &[Key, Node] : Interned)
-    Fn(Node);
+  for (const InternSlot &S : Interned)
+    if (S.Node)
+      Fn(S.Node);
 }
 
 const Expr *Context::rebuild(const Expr *E, const Expr *NewLHS,

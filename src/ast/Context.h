@@ -16,6 +16,7 @@
 #define MBA_AST_CONTEXT_H
 
 #include "ast/Expr.h"
+#include "ast/NodeMap.h"
 #include "support/Arena.h"
 #include "support/ThreadSafety.h"
 
@@ -197,26 +198,26 @@ public:
   size_t bytesUsed() const { return Alloc.bytesUsed(); }
 
 private:
-  struct NodeKey {
-    ExprKind Kind;
-    const Expr *L;
-    const Expr *R;
-    uint64_t Aux; // const value, or var index
-
-    bool operator==(const NodeKey &O) const {
-      return Kind == O.Kind && L == O.L && R == O.R && Aux == O.Aux;
-    }
+  /// One slot of the interning table: a node and the hash of its key
+  /// (kind, operands, constant value). An empty slot has a null Node.
+  struct InternSlot {
+    uint64_t Hash = 0;
+    const Expr *Node = nullptr;
   };
 
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey &K) const {
-      uint64_t H = (uint64_t)K.Kind * 0x9e3779b97f4a7c15ULL;
-      H ^= (uintptr_t)K.L + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-      H ^= (uintptr_t)K.R + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-      H ^= K.Aux + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-      return (size_t)H;
-    }
-  };
+  /// The interned node with key (\p K, \p L, \p R, \p Aux), created on
+  /// first request. Aux is the constant value of a Const node, else 0.
+  const Expr *intern(ExprKind K, const Expr *L, const Expr *R, uint64_t Aux)
+      MBA_REQUIRES(OwnerRole);
+
+  /// Index of the slot holding the key, or of the empty slot that ends its
+  /// probe run. Compares stored hashes before touching a node.
+  size_t probeInterned(uint64_t Hash, ExprKind K, const Expr *L,
+                       const Expr *R, uint64_t Aux) const
+      MBA_REQUIRES(OwnerRole);
+
+  /// Doubles the interning table (or allocates its first slots).
+  void growInterned() MBA_REQUIRES(OwnerRole);
 
   /// Heterogeneous string hashing so name lookups take string_view without
   /// materializing a temporary std::string.
@@ -245,13 +246,19 @@ private:
   /// The owner-thread capability (never blocked on; see ContextOwnerRole).
   mutable ContextOwnerRole OwnerRole;
   size_t NumNodes MBA_GUARDED_BY(OwnerRole) = 0;
-  std::unordered_map<NodeKey, const Expr *, NodeKeyHash>
-      Interned MBA_GUARDED_BY(OwnerRole);
+  /// Hash-consing table of every constant and operator node: open
+  /// addressing over a power-of-two array, linear probing, at most three
+  /// quarters full (the stored hashes keep long probe runs cheap, and a
+  /// fuller table keeps the peak of a doubling, when old and new arrays
+  /// coexist, below what a node-based map holds). Variables live in
+  /// Vars/VarsByName instead.
+  std::vector<InternSlot> Interned MBA_GUARDED_BY(OwnerRole);
+  unsigned InternShift MBA_GUARDED_BY(OwnerRole) = 64;
   std::unordered_map<std::string, const Expr *, StringHash, std::equal_to<>>
       VarsByName MBA_GUARDED_BY(OwnerRole);
   std::vector<const Expr *> Vars MBA_GUARDED_BY(OwnerRole);
   std::thread::id Owner = std::this_thread::get_id();
-  mutable std::unordered_map<const Expr *, std::unique_ptr<BitslicedExpr>>
+  mutable NodeMap<std::unique_ptr<BitslicedExpr>>
       BitslicedCache MBA_GUARDED_BY(OwnerRole);
   mutable std::vector<uint64_t> EvalScratch MBA_GUARDED_BY(OwnerRole);
 };

@@ -41,7 +41,7 @@ size_t mba::countDagNodes(const Expr *E) {
 }
 
 size_t mba::countTreeNodes(const Expr *E) {
-  std::unordered_map<const Expr *, size_t> Memo;
+  NodeMap<size_t> Memo;
   forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     size_t Count = 1;
     for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I)
@@ -53,7 +53,7 @@ size_t mba::countTreeNodes(const Expr *E) {
 
 void mba::forEachNodePostOrder(const Expr *E,
                                const std::function<void(const Expr *)> &Fn) {
-  std::unordered_set<const Expr *> Visited;
+  NodeSet Visited;
   forEachUnseenPostOrder(E, Visited, [&](const Expr *N) {
     Visited.insert(N);
     Fn(N);
@@ -65,9 +65,10 @@ const Expr *mba::substitute(
     const std::unordered_map<const Expr *, const Expr *> &Map) {
   // Keys of Map are final: the walk treats them as seen and never descends
   // below them.
-  std::unordered_map<const Expr *, const Expr *> Memo;
+  NodeMap<const Expr *> Memo;
   struct {
-    const std::unordered_map<const Expr *, const Expr *> &Keys, &Done;
+    const std::unordered_map<const Expr *, const Expr *> &Keys;
+    const NodeMap<const Expr *> &Done;
     bool contains(const Expr *N) const {
       return Keys.contains(N) || Done.contains(N);
     }
@@ -90,7 +91,7 @@ const Expr *mba::substitute(
 const Expr *mba::rewriteBottomUp(
     Context &Ctx, const Expr *E,
     const std::function<const Expr *(const Expr *)> &Fn) {
-  std::unordered_map<const Expr *, const Expr *> Memo;
+  NodeMap<const Expr *> Memo;
   forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     const Expr *Rebuilt = N;
     if (N->isUnary())
@@ -108,7 +109,7 @@ uint64_t mba::exprFingerprint(const Expr *E) {
   assert(E && "null expression");
   // Same traversal shape as cloneExpr: iterative post-order with the low
   // pointer bit tagging "operands already pushed".
-  std::unordered_map<const Expr *, uint64_t> Memo;
+  NodeMap<uint64_t> Memo;
   std::vector<uintptr_t> Stack;
   Stack.push_back((uintptr_t)E);
   while (!Stack.empty()) {
@@ -143,7 +144,7 @@ uint64_t mba::exprFingerprint(const Expr *E) {
       }
       break;
     }
-    Memo[N] = H;
+    Memo.at(N) = H;
   }
   return Memo.at(E);
 }
@@ -154,7 +155,7 @@ const Expr *mba::cloneExpr(Context &Dst, const Expr *E) {
   // being cloned (acyclicity guarantees it is filled in before any parent
   // needs it). Iterative post-order; the low pointer bit tags "operands
   // already pushed" markers (Expr nodes are at least word-aligned).
-  std::unordered_map<const Expr *, const Expr *> Memo;
+  NodeMap<const Expr *> Memo;
   std::vector<uintptr_t> Stack;
   Stack.push_back((uintptr_t)E);
   while (!Stack.empty()) {
@@ -184,7 +185,7 @@ const Expr *mba::cloneExpr(Context &Dst, const Expr *E) {
         C = Dst.getBinary(N->kind(), Memo.at(N->lhs()), Memo.at(N->rhs()));
       break;
     }
-    Memo[N] = C;
+    Memo.at(N) = C;
   }
   return Memo.at(E);
 }

@@ -112,6 +112,8 @@ MBAFacts computeFacts(const Context &Ctx, const Expr *E, MBAFactsMemo &Memo) {
       F.Linear = true;
       F.Poly = true;
     }
+    // The references taken above point into Memo and are dead here: the
+    // emplace may grow the table and move every entry.
     Memo.emplace(N, F);
   });
   return Memo.at(E);

@@ -23,9 +23,9 @@
 
 #include "ast/Context.h"
 #include "ast/Expr.h"
+#include "ast/NodeMap.h"
 
 #include <cstdint>
-#include <unordered_map>
 
 namespace mba {
 
@@ -52,7 +52,7 @@ struct MBAFacts {
 /// Facts of every node classified so far. A memo serves one context (the
 /// facts depend on its width); the overloads taking one walk only the
 /// nodes it does not hold yet.
-using MBAFactsMemo = std::unordered_map<const Expr *, MBAFacts>;
+using MBAFactsMemo = NodeMap<MBAFacts>;
 
 /// True if \p E is a pure bitwise expression: variables and the constants
 /// 0 / -1 (whose truth columns are uniform) combined with &, |, ^, ~ only.

@@ -9,8 +9,6 @@
 #include "ast/ExprUtils.h"
 #include "ast/Printer.h"
 
-#include <unordered_map>
-
 using namespace mba;
 
 namespace {
@@ -54,8 +52,8 @@ uint64_t mba::mbaAlternation(const Expr *E) {
 }
 
 uint64_t mba::countTerms(const Expr *E) {
-  std::unordered_map<const Expr *, uint64_t> Memo;
-  forEachNodePostOrder(E, [&](const Expr *N) {
+  NodeMap<uint64_t> Memo;
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     uint64_t Count;
     switch (N->kind()) {
     case ExprKind::Add:

@@ -24,10 +24,10 @@
 
 #include "ast/Context.h"
 #include "ast/Expr.h"
+#include "ast/NodeMap.h"
 #include "mba/Classify.h"
 
 #include <cstdint>
-#include <unordered_map>
 
 namespace mba {
 
@@ -51,7 +51,7 @@ struct ComplexityMetrics {
 uint64_t mbaAlternation(const Expr *E);
 
 /// Alternation counts of every node measured so far.
-using AlternationMemo = std::unordered_map<const Expr *, uint64_t>;
+using AlternationMemo = NodeMap<uint64_t>;
 
 /// mbaAlternation() over a caller-owned memo: walks only the nodes \p Memo
 /// does not hold yet, and records them in it.

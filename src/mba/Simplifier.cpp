@@ -24,6 +24,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <functional>
+#include <unordered_map>
 
 using namespace mba;
 
@@ -221,9 +222,8 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
     return E;
   if (Depth > Opts.MaxDepth)
     return E;
-  auto It = ResultMemo.find(E);
-  if (It != ResultMemo.end())
-    return It->second;
+  if (const Expr *const *Done = ResultMemo.find(E))
+    return *Done;
 
   const Expr *R = E;
   const char *Rule = "";
@@ -458,12 +458,11 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
   std::unordered_map<const Expr *, const Expr *> BackSubst; // temp -> subexpr
   bool AbstractionFailed = false;
 
-  std::unordered_map<const Expr *, const Expr *> Memo;
+  NodeMap<const Expr *> Memo;
   std::function<const Expr *(const Expr *)> Abstract =
       [&](const Expr *N) -> const Expr * {
-    auto It = Memo.find(N);
-    if (It != Memo.end())
-      return It->second;
+    if (const Expr *const *Done = Memo.find(N))
+      return *Done;
     const Expr *R;
     if (N->isLeaf()) {
       R = N;

@@ -38,13 +38,13 @@
 #include "analysis/Prover.h"
 #include "ast/Context.h"
 #include "ast/Expr.h"
+#include "ast/NodeMap.h"
 #include "mba/Basis.h"
 #include "mba/Metrics.h"
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -245,7 +245,7 @@ private:
   BasisCache OwnBasisCache;
 
   /// Memo of completed top-level rewrites, keyed on input node.
-  std::unordered_map<const Expr *, const Expr *> ResultMemo;
+  NodeMap<const Expr *> ResultMemo;
 
   /// Classification facts and alternation counts of the nodes analysed so
   /// far in this call. simplifyRec and its helpers ask for them at every

@@ -6,6 +6,7 @@
 
 #include "poly/PolyExpr.h"
 
+#include "ast/NodeMap.h"
 #include "ast/Printer.h"
 
 #include <algorithm>
@@ -17,56 +18,64 @@ std::optional<Polynomial> mba::exprToPolynomialGeneral(
     const Context &Ctx, const Expr *E,
     const std::function<std::optional<Polynomial>(const Expr *)> &AtomPoly) {
   uint64_t Mask = Ctx.mask();
-  std::unordered_map<const Expr *, std::optional<Polynomial>> Memo;
-  std::function<std::optional<Polynomial>(const Expr *)> Go =
-      [&](const Expr *N) -> std::optional<Polynomial> {
-    auto It = Memo.find(N);
-    if (It != Memo.end())
-      return It->second;
+  // Node -> its polynomial, or std::nullopt when it is outside the fragment
+  // (or its expansion exceeded the cap).
+  NodeMap<std::optional<Polynomial>> Memo;
+  // Depth-first over an explicit stack, so deep chains cannot overflow the
+  // call stack. The order is that of a recursive converter: AtomPoly sees a
+  // node before its operands, the lhs sub-DAG is finished before the rhs
+  // one starts, and the rhs is skipped once the lhs failed. Each frame is a
+  // node and how many of its operands are converted.
+  struct Frame {
+    const Expr *N;
+    unsigned Done;
+  };
+  std::vector<Frame> Stack{{E, 0}};
+  while (!Stack.empty()) {
+    auto [N, Done] = Stack.back();
     std::optional<Polynomial> R;
-    if (auto AtomResult = AtomPoly(N)) {
-      R = std::move(AtomResult);
-    } else if (N->isConst()) {
-      R = Polynomial::constant(N->constValue(), Mask);
+    if (Done == 0) {
+      if (Memo.contains(N)) {
+        Stack.pop_back();
+        continue;
+      }
+      if (auto AtomResult = AtomPoly(N)) {
+        R = std::move(AtomResult);
+      } else if (N->isConst()) {
+        R = Polynomial::constant(N->constValue(), Mask);
+      } else if (N->is(ExprKind::Neg) || N->is(ExprKind::Add) ||
+                 N->is(ExprKind::Sub) || N->is(ExprKind::Mul)) {
+        Stack.back().Done = 1;
+        Stack.push_back({N->getOperand(0), 0});
+        continue;
+      }
+      // Otherwise a bitwise node or variable not designated as an atom:
+      // the expression is outside the fragment this conversion handles.
     } else {
-      switch (N->kind()) {
-      case ExprKind::Neg: {
-        auto A = Go(N->operand());
+      // Read the operands' entries before the emplace below, which may
+      // move every slot of the memo.
+      const std::optional<Polynomial> &A = Memo.at(N->getOperand(0));
+      if (N->is(ExprKind::Neg)) {
         if (A)
           R = A->negated();
-        break;
-      }
-      case ExprKind::Add: {
-        auto A = Go(N->lhs());
-        auto B = A ? Go(N->rhs()) : std::nullopt;
-        if (A && B)
+      } else if (A && Done == 1) {
+        Stack.back().Done = 2;
+        Stack.push_back({N->rhs(), 0});
+        continue;
+      } else if (A) {
+        const std::optional<Polynomial> &B = Memo.at(N->rhs());
+        if (B && N->is(ExprKind::Add))
           R = *A + *B;
-        break;
-      }
-      case ExprKind::Sub: {
-        auto A = Go(N->lhs());
-        auto B = A ? Go(N->rhs()) : std::nullopt;
-        if (A && B)
+        else if (B && N->is(ExprKind::Sub))
           R = *A - *B;
-        break;
-      }
-      case ExprKind::Mul: {
-        auto A = Go(N->lhs());
-        auto B = A ? Go(N->rhs()) : std::nullopt;
-        if (A && B)
+        else if (B)
           R = tryMul(*A, *B); // respects the expansion cap
-        break;
-      }
-      default:
-        // A bitwise node or variable not designated as an atom: the
-        // expression is outside the fragment this conversion handles.
-        break;
       }
     }
-    Memo.emplace(N, R);
-    return R;
-  };
-  return Go(E);
+    Memo.emplace(N, std::move(R));
+    Stack.pop_back();
+  }
+  return std::move(Memo.at(E));
 }
 
 std::optional<Polynomial>

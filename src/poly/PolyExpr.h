@@ -17,11 +17,11 @@
 
 #include "ast/Context.h"
 #include "ast/Expr.h"
+#include "ast/NodeMap.h"
 #include "poly/Polynomial.h"
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace mba {
@@ -32,18 +32,17 @@ class AtomMap {
 public:
   /// Returns the id of \p E, registering it on first use.
   AtomId getOrCreate(const Expr *E) {
-    auto [It, Inserted] = Ids.emplace(E, (AtomId)Exprs.size());
+    auto [Id, Inserted] = Ids.emplace(E, (AtomId)Exprs.size());
     if (Inserted)
       Exprs.push_back(E);
-    return It->second;
+    return *Id;
   }
 
   /// Returns the id of \p E if registered.
   std::optional<AtomId> lookup(const Expr *E) const {
-    auto It = Ids.find(E);
-    if (It == Ids.end())
-      return std::nullopt;
-    return It->second;
+    if (const AtomId *Id = Ids.find(E))
+      return *Id;
+    return std::nullopt;
   }
 
   /// The expression of atom \p Id.
@@ -55,7 +54,7 @@ public:
   size_t size() const { return Exprs.size(); }
 
 private:
-  std::unordered_map<const Expr *, AtomId> Ids;
+  NodeMap<AtomId> Ids;
   std::vector<const Expr *> Exprs;
 };
 

@@ -225,9 +225,9 @@ TEST(AbstractInterpTest, AllDomainsSoundOnRandomExpressions) {
     IntervalDomain ID(Ctx.mask());
     for (int Trial = 0; Trial < 60; ++Trial) {
       const Expr *E = randomExpr(Ctx, Rng, Vars, 4);
-      std::unordered_map<const Expr *, KnownBits> KBMemo;
-      std::unordered_map<const Expr *, Parity> PMemo;
-      std::unordered_map<const Expr *, Interval> IMemo;
+      NodeMap<KnownBits> KBMemo;
+      NodeMap<Parity> PMemo;
+      NodeMap<Interval> IMemo;
       computeAbstract(KBD, E, KBMemo);
       computeAbstract(PD, E, PMemo);
       computeAbstract(ID, E, IMemo);
@@ -353,7 +353,7 @@ private:
 /// returns the number of transfer-function calls.
 size_t transferCallsBottomUp(const Context &Ctx, const Expr *E) {
   CountingDomain<KnownBitsDomain> D(KnownBitsDomain(Ctx.mask()));
-  std::unordered_map<const Expr *, KnownBits> Memo;
+  NodeMap<KnownBits> Memo;
   forEachNodePostOrder(E, [&](const Expr *N) { computeAbstract(D, N, Memo); });
   computeAbstract(D, E, Memo); // asking again costs nothing
   return D.Calls;
@@ -392,9 +392,9 @@ TEST(AbstractInterpTest, FoldAbstractMatchesPerDomainFolding) {
     IntervalDomain ID(Ctx.mask());
     for (int Trial = 0; Trial < 200; ++Trial) {
       const Expr *E = randomExpr(Ctx, Rng, Vars, 5);
-      std::unordered_map<const Expr *, KnownBits> KBMemo;
-      std::unordered_map<const Expr *, Parity> PMemo;
-      std::unordered_map<const Expr *, Interval> IMemo;
+      NodeMap<KnownBits> KBMemo;
+      NodeMap<Parity> PMemo;
+      NodeMap<Interval> IMemo;
       const Expr *Reference =
           rewriteBottomUp(Ctx, E, [&](const Expr *N) -> const Expr * {
             if (N->isLeaf())

@@ -7,8 +7,11 @@
 #include "ast/Context.h"
 #include "ast/Evaluator.h"
 #include "ast/ExprUtils.h"
+#include "ast/NodeMap.h"
 #include "ast/Parser.h"
 #include "ast/Printer.h"
+#include "gen/Corpus.h"
+#include "mba/Simplifier.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
@@ -67,6 +70,167 @@ TEST(Context, RebuildReturnsSameNodeWhenUnchanged) {
   EXPECT_EQ(Ctx.rebuild(E, Y, X), Ctx.getAdd(Y, X));
   const Expr *N = Ctx.getNot(X);
   EXPECT_EQ(Ctx.rebuild(N, X, nullptr), N);
+}
+
+TEST(Context, InternsAMillionNodesThroughTableGrowth) {
+  // Enough distinct nodes to double the interning table a dozen times.
+  // Every node must stay findable at the pointer first handed out.
+  Context Ctx(64);
+  const Expr *X = Ctx.getVar("x");
+  std::vector<const Expr *> Sample;
+  const Expr *Prev = X;
+  for (uint64_t I = 0; I < 400000; ++I) {
+    const Expr *C = Ctx.getConst(I);
+    const Expr *Sum = Ctx.getAdd(Prev, C);
+    Prev = Ctx.getNot(Sum);
+    if (I % 997 == 0)
+      Sample.insert(Sample.end(), {C, Sum, Prev});
+  }
+  ASSERT_GT(Ctx.numNodes(), 1000000u);
+  size_t Before = Ctx.numNodes();
+  for (size_t I = 0; I < Sample.size(); I += 3) {
+    const Expr *C = Sample[I], *Sum = Sample[I + 1], *Not = Sample[I + 2];
+    EXPECT_EQ(Ctx.getConst(C->constValue()), C);
+    EXPECT_EQ(Ctx.getAdd(Sum->lhs(), Sum->rhs()), Sum);
+    EXPECT_EQ(Ctx.getNot(Not->operand()), Not);
+    EXPECT_EQ(Ctx.findInterned(ExprKind::Const, nullptr, nullptr,
+                               C->constValue()),
+              C);
+    EXPECT_EQ(Ctx.findInterned(ExprKind::Add, Sum->lhs(), Sum->rhs(), 0), Sum);
+    EXPECT_EQ(Ctx.findInterned(ExprKind::Not, Not->operand(), nullptr, 0),
+              Not);
+  }
+  EXPECT_EQ(Ctx.numNodes(), Before); // re-requests created nothing
+  EXPECT_EQ(Ctx.findInterned(ExprKind::Sub, X, X, 0), nullptr);
+  EXPECT_EQ(Ctx.findInterned(ExprKind::Const, nullptr, nullptr, ~0ULL),
+            nullptr);
+  NodeSet Owned;
+  size_t Visits = 0;
+  Ctx.forEachOwnedNode([&](const Expr *N) {
+    ++Visits;
+    Owned.insert(N);
+  });
+  EXPECT_EQ(Visits, Ctx.numNodes());
+  EXPECT_EQ(Owned.size(), Ctx.numNodes());
+}
+
+TEST(NodeMap, EmplaceKeepsTheFirstValue) {
+  Context Ctx(64);
+  const Expr *X = Ctx.getVar("x"), *Y = Ctx.getVar("y");
+  NodeMap<int> Map;
+  EXPECT_TRUE(Map.empty());
+  EXPECT_EQ(Map.find(X), nullptr); // lookup in a table with no storage
+  auto [V, Inserted] = Map.emplace(X, 1);
+  EXPECT_TRUE(Inserted);
+  EXPECT_EQ(*V, 1);
+  auto [Again, InsertedAgain] = Map.emplace(X, 2);
+  EXPECT_FALSE(InsertedAgain);
+  EXPECT_EQ(*Again, 1);
+  EXPECT_EQ(Map.at(X), 1);
+  EXPECT_EQ(Map.find(Y), nullptr);
+  EXPECT_FALSE(Map.contains(Y));
+  Map.at(X) += 5; // at() hands out the stored value
+  EXPECT_EQ(*Map.find(X), 6);
+  EXPECT_EQ(Map.size(), 1u);
+}
+
+TEST(NodeMap, GrowthKeepsEveryEntry) {
+  Context Ctx(64);
+  std::vector<const Expr *> Keys;
+  for (uint64_t I = 0; I < 5000; ++I)
+    Keys.push_back(Ctx.getConst(I));
+  NodeMap<uint64_t> Map;
+  NodeSet Set;
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    ASSERT_TRUE(Map.emplace(Keys[I], I * 7).second);
+    ASSERT_TRUE(Set.insert(Keys[I]));
+    ASSERT_FALSE(Set.insert(Keys[I]));
+  }
+  EXPECT_GE(Map.capacity(), 2 * Keys.size()); // several doublings
+  EXPECT_EQ(Map.size(), Keys.size());
+  EXPECT_EQ(Set.size(), Keys.size());
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    ASSERT_EQ(Map.at(Keys[I]), I * 7);
+    ASSERT_TRUE(Set.contains(Keys[I]));
+  }
+  EXPECT_EQ(Map.find(Ctx.getVar("x")), nullptr);
+  EXPECT_FALSE(Set.contains(Ctx.getVar("x")));
+
+  // reserve() re-places the entries once; the reserved count then fits.
+  NodeMap<uint64_t> Reserved;
+  Reserved.emplace(Keys[0], 0);
+  Reserved.reserve(1000);
+  size_t Capacity = Reserved.capacity();
+  EXPECT_GE(Capacity, 2000u);
+  for (size_t I = 0; I < 1000; ++I)
+    Reserved.emplace(Keys[I], I);
+  EXPECT_EQ(Reserved.capacity(), Capacity);
+  EXPECT_EQ(Reserved.at(Keys[0]), 0u); // the first value was kept
+  EXPECT_EQ(Reserved.at(Keys[999]), 999u);
+}
+
+TEST(NodeMap, ClearReusesOrReleasesStorage) {
+  Context Ctx(64);
+  std::vector<const Expr *> Keys;
+  for (uint64_t I = 0; I < 20000; ++I)
+    Keys.push_back(Ctx.getConst(I));
+  NodeMap<const Expr *> Map;
+  for (int I = 0; I < 100; ++I)
+    Map.emplace(Keys[I], Keys[I + 1]);
+  size_t SmallCapacity = Map.capacity();
+  Map.clear();
+  EXPECT_TRUE(Map.empty());
+  EXPECT_EQ(Map.capacity(), SmallCapacity); // kept for the next call
+  EXPECT_EQ(Map.find(Keys[0]), nullptr);
+  Map.emplace(Keys[7], Keys[0]);
+  EXPECT_EQ(Map.at(Keys[7]), Keys[0]);
+  EXPECT_EQ(Map.size(), 1u);
+
+  // One huge call, then a small one: the small call's clear frees the
+  // storage the huge one grew instead of keeping it forever.
+  Map.clear();
+  for (const Expr *K : Keys)
+    Map.emplace(K, K);
+  size_t HugeCapacity = Map.capacity();
+  Map.clear();
+  EXPECT_EQ(Map.capacity(), HugeCapacity);
+  for (int I = 0; I < 10; ++I)
+    Map.emplace(Keys[I], nullptr);
+  Map.clear();
+  EXPECT_LT(Map.capacity(), HugeCapacity / 16);
+  for (int I = 0; I < 10; ++I)
+    EXPECT_TRUE(Map.emplace(Keys[I], Keys[I]).second);
+  EXPECT_EQ(Map.at(Keys[9]), Keys[9]);
+}
+
+TEST(Context, SimplifiedTextIsIndependentOfTableLayout) {
+  // The same corpus slice simplified in a fresh context and in one whose
+  // tables were pre-filled with unrelated nodes: node addresses and probe
+  // sequences differ, the printed outputs must not.
+  Context Gen(64);
+  CorpusOptions Opts;
+  Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 40;
+  std::vector<std::string> Inputs;
+  for (const CorpusEntry &Entry : generateCorpus(Gen, Opts))
+    Inputs.push_back(printExpr(Gen, Entry.Obfuscated));
+  ASSERT_GE(Inputs.size(), 120u);
+
+  auto SimplifyAll = [&](Context &Ctx) {
+    MBASolver Solver(Ctx);
+    std::vector<std::string> Out;
+    for (const std::string &Text : Inputs)
+      Out.push_back(printExpr(Ctx, Solver.simplify(parseOrDie(Ctx, Text))));
+    return Out;
+  };
+  Context Fresh(64);
+  Context Filled(64);
+  RNG Rng(17);
+  const Expr *U = Filled.getVar("u"), *W = Filled.getVar("w");
+  for (int I = 0; I < 50000; ++I) {
+    const Expr *C = Filled.getConst(Rng.next());
+    U = Filled.getXor(Filled.getMul(U, C), W);
+  }
+  EXPECT_EQ(SimplifyAll(Fresh), SimplifyAll(Filled));
 }
 
 TEST(ExprKindPredicates, Classification) {

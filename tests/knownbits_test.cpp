@@ -244,14 +244,15 @@ TEST(KnownBitsTest, ZeroOneDisjointInvariantUnderAllOps) {
         default: E = Ctx.getNeg(E); break;
         }
       }
-      std::unordered_map<const Expr *, KnownBits> Memo;
+      NodeMap<KnownBits> Memo;
       computeKnownBits(Ctx, E, Memo);
-      for (const auto &[Node, K] : Memo) {
+      forEachNodePostOrder(E, [&](const Expr *Node) {
+        const KnownBits &K = Memo.at(Node);
         ASSERT_EQ(K.Zero & K.One, 0u)
             << "width " << Width << ": " << printExpr(Ctx, Node);
         ASSERT_EQ(K.Zero & ~Ctx.mask(), 0u) << printExpr(Ctx, Node);
         ASSERT_EQ(K.One & ~Ctx.mask(), 0u) << printExpr(Ctx, Node);
-      }
+      });
     }
   }
 }

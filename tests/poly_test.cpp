@@ -156,6 +156,29 @@ TEST(PolyExpr, ExpansionCapReturnsNullopt) {
   EXPECT_FALSE(P.has_value());
 }
 
+TEST(PolyExpr, HundredThousandLevelChainConvertsWithoutRecursion) {
+  // (e*3)+k, 50,000 times: 100,000 arithmetic levels above x. A converter
+  // that recursed once per level overflowed the stack at a fifth of this.
+  Context Ctx(64);
+  const Expr *X = Ctx.getVar("x");
+  const Expr *E = X;
+  uint64_t Scale = 1, Offset = 0;
+  for (uint64_t K = 0; K < 50000; ++K) {
+    E = Ctx.getAdd(Ctx.getMul(E, Ctx.getConst(3)), Ctx.getConst(K));
+    Scale *= 3;
+    Offset = Offset * 3 + K;
+  }
+  AtomMap Atoms;
+  auto P = exprToPolynomial(Ctx, E, Atoms,
+                            [](const Expr *N) { return N->isVar(); });
+  ASSERT_TRUE(P.has_value());
+  ASSERT_EQ(Atoms.size(), 1u);
+  // The result is Scale*x + Offset (mod 2^64).
+  EXPECT_EQ(P->numTerms(), 2u);
+  EXPECT_EQ(P->linearCoefficient(0), Scale);
+  EXPECT_EQ(P->constantTerm(), Offset);
+}
+
 TEST(PolyExpr, BuildLinearCombinationFormatting) {
   Context Ctx(64);
   const Expr *X = Ctx.getVar("x");
