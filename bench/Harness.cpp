@@ -42,8 +42,6 @@ HarnessOptions mba::bench::parseHarnessArgs(int Argc, char **Argv) {
       Opts.StageZeroProver = std::strtoul(V, nullptr, 10) != 0;
     else if (const char *V = Value("--jobs="))
       Opts.Jobs = (unsigned)std::strtoul(V, nullptr, 10);
-    else if (const char *V = Value("--incremental="))
-      Opts.IncrementalAig = std::strtoul(V, nullptr, 10) != 0;
     else if (const char *V = Value("--simplify="))
       Opts.Simplify = std::strtoul(V, nullptr, 10) != 0;
     else if (const char *V = Value("--json="))
@@ -63,7 +61,7 @@ HarnessOptions mba::bench::parseHarnessArgs(int Argc, char **Argv) {
       std::fprintf(stderr,
                    "warning: unknown argument '%s' "
                    "(supported: --per-category= --timeout= --width= --seed= "
-                   "--static-prove= --jobs= --incremental= --simplify= "
+                   "--static-prove= --jobs= --simplify= "
                    "--json= --cache= --cache-file= --trace= --metrics= "
                    "--query-log=)\n",
                    Arg);
@@ -446,12 +444,11 @@ void mba::bench::writeStudyJson(const std::string &Path,
   std::fprintf(F,
                "  \"config\": {\"per_category\": %u, \"timeout_seconds\": "
                "%.6f, \"width\": %u, \"seed\": %llu, \"jobs\": %u, "
-               "\"stage_zero\": %s, \"simplify\": %s, \"incremental\": %s},\n",
+               "\"stage_zero\": %s, \"simplify\": %s},\n",
                Opts.PerCategory, Opts.TimeoutSeconds, Opts.Width,
                (unsigned long long)Opts.Seed, Result.Jobs,
                Result.StaticStats.queries() ? "true" : "false",
-               Result.SimplifySeconds > 0 ? "true" : "false",
-               Opts.IncrementalAig ? "true" : "false");
+               Result.SimplifySeconds > 0 ? "true" : "false");
   std::fprintf(F,
                "  \"timing\": {\"total_seconds\": %.6f, \"wall_seconds\": "
                "%.6f, \"clone_seconds\": %.6f, \"simplify_seconds\": %.6f},\n",

@@ -50,17 +50,11 @@ struct HarnessOptions {
   /// Worker threads for the solving loop: 0 = hardware concurrency,
   /// 1 = the exact serial path on the main context.
   unsigned Jobs = 0;
-  /// Run the BlastBV+AIG backend incrementally (one persistent guarded
-  /// SAT instance per worker, recycled on its reset window) instead of a
-  /// fresh solver per query. Verdicts are identical either way; only
-  /// timing and the sat.incremental.* counters change.
-  bool IncrementalAig = true;
   /// MBA-Solver preprocessing for the benches that default to it
   /// (table6/fig6). --simplify=0 feeds the raw corpus to the same solver
   /// matrix — the ablation that shows the paper's before/after in one
-  /// binary, and the config CI uses to drive the incremental SAT path
-  /// (simplified queries collapse structurally on the AIG and never
-  /// reach a solver).
+  /// binary, and the config CI uses to drive the SAT path (simplified
+  /// queries collapse structurally on the AIG and never reach a solver).
   bool Simplify = true;
   /// When non-empty, the study also writes a machine-readable JSON report
   /// here (writeStudyJson).
@@ -88,7 +82,7 @@ struct HarnessOptions {
 };
 
 /// Parses --per-category / --timeout / --width / --seed / --static-prove /
-/// --jobs / --incremental / --simplify / --json / --cache / --cache-file /
+/// --jobs / --simplify / --json / --cache / --cache-file /
 /// --trace / --metrics / --query-log overrides.
 HarnessOptions parseHarnessArgs(int Argc, char **Argv);
 

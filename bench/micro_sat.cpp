@@ -34,7 +34,7 @@ struct RippleBlaster {
   CnfEmitter Em;
 
   RippleBlaster(SatSolver &S, unsigned Width)
-      : B(G, Width, Encoding::Ripple), Em(G, S, CnfOrder::NodeOrder) {}
+      : B(G, Width, Encoding::Ripple), Em(G, S) {}
 
   void emitWord(const AigBlaster::Word &W) {
     for (AigLit L : W)

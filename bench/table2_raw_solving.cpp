@@ -48,9 +48,7 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<PipelineCaches> Caches = makePipelineCaches(Opts);
   Config.Caches = Caches.get();
   StudyResult Result = runSolvingStudyParallel(
-      Ctx, Corpus,
-      [&Opts](Context &) { return makeAllCheckers(Opts.IncrementalAig); },
-      Config);
+      Ctx, Corpus, [](Context &) { return makeAllCheckers(); }, Config);
   savePipelineCaches(Opts, Caches.get());
   printSolverCategoryTable(
       Result.Records, Opts.PerCategory,

@@ -39,8 +39,8 @@ int main(int Argc, char **Argv) {
   Config.Jobs = Opts.Jobs;
   // --simplify=0 skips the paper's preprocessing and feeds the raw corpus
   // to the same solver matrix — the one-binary before/after ablation, and
-  // the configuration that actually exercises the incremental SAT path
-  // (simplified queries collapse structurally on the shared AIG).
+  // the configuration that actually reaches SAT (simplified queries
+  // collapse structurally on the AIG).
   Config.Simplify = Opts.Simplify;
   Config.StageZero = Opts.StageZeroProver;
   // --cache=1 shares the semantic memoization layer across the study;
@@ -49,9 +49,7 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<PipelineCaches> Caches = makePipelineCaches(Opts);
   Config.Caches = Caches.get();
   StudyResult Result = runSolvingStudyParallel(
-      Ctx, Corpus,
-      [&Opts](Context &) { return makeAllCheckers(Opts.IncrementalAig); },
-      Config);
+      Ctx, Corpus, [](Context &) { return makeAllCheckers(); }, Config);
   savePipelineCaches(Opts, Caches.get());
   printSolverCategoryTable(
       Result.Records, Opts.PerCategory,

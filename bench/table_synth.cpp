@@ -152,18 +152,15 @@ ConfigResult runConfig(Context &Ctx, const std::vector<Entry> &Entries,
   R.Name = Name;
   MBASolver Solver(Ctx, SOpts);
   // The production solving configuration: stage-0 static prover in front
-  // of the incremental BlastBV+AIG backend. Both sides are preprocessed,
+  // of the BlastBV+AIG backend. Both sides are preprocessed,
   // exactly like the Table 6 study — with the synth fallback on, two
   // semantically equal residues canonicalize to the same expression, so
   // the query collapses structurally instead of reaching SAT.
-  auto Checker = makeStagedChecker(Ctx, makeAigChecker(true));
+  auto Checker = makeStagedChecker(Ctx, makeAigChecker());
   telemetry::Counter &Queries = telemetry::counter("sat.aig.queries");
   telemetry::Counter &Short = telemetry::counter("sat.aig.short_circuit");
-  telemetry::Counter &Assumption =
-      telemetry::counter("sat.incremental.assumption_solves");
   telemetry::Counter &Fresh = telemetry::counter("sat.fresh.solves");
-  uint64_t Q0 = Queries.value(), S0 = Short.value(),
-           V0 = Assumption.value() + Fresh.value();
+  uint64_t Q0 = Queries.value(), S0 = Short.value(), V0 = Fresh.value();
   for (const Entry &E : Entries) {
     Stopwatch Timer;
     const Expr *Lhs = Solver.simplify(E.Target);
@@ -175,7 +172,7 @@ ConfigResult runConfig(Context &Ctx, const std::vector<Entry> &Entries,
   }
   R.SatQueries = Queries.value() - Q0;
   R.SatShortCircuit = Short.value() - S0;
-  R.SatSolves = Assumption.value() + Fresh.value() - V0;
+  R.SatSolves = Fresh.value() - V0;
   return R;
 }
 

@@ -304,13 +304,13 @@ int run(int Argc, char **Argv) {
     const Expr *E = parseArg(Ctx, Positional[1]);
     // Capture the full decision trail in memory: simplify, then verify the
     // result against the input through the staged pipeline (stage-0 prover
-    // in front of the incremental AIG backend) — the same path a study
+    // in front of the BlastBV+AIG backend) — the same path a study
     // query takes.
     querylog::beginCapture();
     MBASolver Solver(Ctx);
     const Expr *R = Solver.simplify(E);
     StageZeroStats Stats;
-    auto Checker = makeStagedChecker(Ctx, makeAigChecker(true), &Stats,
+    auto Checker = makeStagedChecker(Ctx, makeAigChecker(), &Stats,
                                      ProveBudget(), nullptr);
     CheckResult CR = Checker->check(Ctx, E, R, Timeout);
     std::vector<std::string> Lines = querylog::endCapture();

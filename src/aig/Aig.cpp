@@ -279,43 +279,12 @@ void CnfEmitter::encode(uint32_t N) {
 sat::Lit CnfEmitter::emit(AigLit L) {
   if (NodeLit.size() < G.numNodes())
     NodeLit.resize(G.numNodes(), sat::Lit());
-  if (NodeLit[L.node()].valid()) {
+  uint32_t Root = L.node();
+  if (NodeLit[Root].valid()) {
     ++Hits;
     return litOf(L);
   }
-  if (Order == CnfOrder::NodeOrder) {
-    emitInNodeOrder(L.node());
-    return litOf(L);
-  }
 
-  Stack.clear();
-  Stack.push_back(L.node());
-  while (!Stack.empty()) {
-    uint32_t N = Stack.back();
-    if (NodeLit[N].valid()) { // duplicate stack entry
-      Stack.pop_back();
-      continue;
-    }
-    if (G.isAnd(N)) {
-      AigLit F[3];
-      bool Pending = false;
-      for (unsigned I = 0, K = cnfFanins(G, N, G.matchXorMux(N), F); I != K;
-           ++I) {
-        if (!NodeLit[F[I].node()].valid()) {
-          Stack.push_back(F[I].node());
-          Pending = true;
-        }
-      }
-      if (Pending)
-        continue;
-    }
-    encode(N);
-    Stack.pop_back();
-  }
-  return litOf(L);
-}
-
-void CnfEmitter::emitInNodeOrder(uint32_t Root) {
   // Mark the not-yet-encoded cone, then encode it by ascending node index:
   // fanins precede their nodes, so every node's leaves are ready in time.
   SeenEpoch.resize(G.numNodes(), 0);
@@ -339,31 +308,5 @@ void CnfEmitter::emitInNodeOrder(uint32_t Root) {
   for (uint32_t N = Lowest; N <= Root; ++N)
     if (SeenEpoch[N] == Epoch)
       encode(N);
-}
-
-void CnfEmitter::appendConeVars(AigLit Root, std::vector<sat::Var> &Out) {
-  // Unlike emit(), this descends through already-encoded nodes: the live
-  // cone of a query includes structure shared with earlier queries, and
-  // those variables need re-seeding just as much as the new ones.
-  SeenEpoch.resize(G.numNodes(), 0);
-  ++Epoch;
-  Stack.clear();
-  Stack.push_back(Root.node());
-  while (!Stack.empty()) {
-    uint32_t N = Stack.back();
-    Stack.pop_back();
-    if (SeenEpoch[N] == Epoch)
-      continue;
-    SeenEpoch[N] = Epoch;
-    assert(N < NodeLit.size() && NodeLit[N].valid() &&
-           "appendConeVars before emit");
-    Out.push_back(NodeLit[N].var());
-    if (!G.isAnd(N))
-      continue;
-    // Follow emit()'s shape detection (a pure function of the node): the
-    // inner ANDs of an XOR/MUX encoding never received variables.
-    AigLit F[3];
-    for (unsigned I = 0, K = cnfFanins(G, N, G.matchXorMux(N), F); I != K; ++I)
-      Stack.push_back(F[I].node());
-  }
+  return litOf(L);
 }

@@ -18,10 +18,10 @@
 ///    idempotence, substitution, resolution — Brummayer & Biere, "Local
 ///    Two-Level And-Inverter Graph Minimization without Blowup"), so many
 ///    miters collapse to a constant and never reach SAT at all;
-///  * CNF emission (CnfEmitter) is *incremental*: the node-to-SAT-variable
-///    map persists across queries against one solver, detects XOR/MUX
-///    shapes structurally, and encodes only the not-yet-encoded cone of
-///    each new root.
+///  * CNF emission (CnfEmitter) detects XOR/MUX shapes structurally and
+///    numbers a root's cone in construction order; its node-to-SAT-variable
+///    map persists across emit() calls, so a later root against the same
+///    solver encodes only its not-yet-encoded cone.
 ///
 /// An AigLevel turns the construction-time rules down: Plain builds every
 /// gate, Strash only folds and hashes. Those two levels stand in for the
@@ -201,37 +201,21 @@ private:
   AigStats St;
 };
 
-/// The order in which CnfEmitter::emit numbers a new cone's variables.
-enum class CnfOrder : uint8_t {
-  Dfs,       ///< depth-first from the root
-  NodeOrder, ///< ascending node index, i.e. construction order
-};
-
-/// Incremental Tseitin encoder over a persistent solver: the node-to-lit
-/// map survives across emit() calls, so when successive queries share AIG
-/// structure (the common case in a corpus study — the strash guarantees
-/// sharing), only the genuinely new cone gets fresh variables and clauses.
+/// Tseitin encoder from an AIG into a solver. The node-to-lit map
+/// survives across emit() calls, so roots that share AIG structure share
+/// their encoding: only the not-yet-encoded cone of each new root gets
+/// fresh variables and clauses, numbered by ascending node index — the
+/// construction order a one-pass bit-blaster allocates in.
 class CnfEmitter {
 public:
-  CnfEmitter(const Aig &G, sat::SatSolver &S, CnfOrder Order = CnfOrder::Dfs)
-      : G(G), S(S), Order(Order) {}
+  CnfEmitter(const Aig &G, sat::SatSolver &S) : G(G), S(S) {}
 
   /// Returns a SAT literal constrained equivalent to \p L, emitting the
   /// not-yet-encoded part of its cone.
   sat::Lit emit(AigLit L);
 
-  /// Nodes whose encoding was answered by the persistent map (cross-query
-  /// structure sharing at the CNF level).
+  /// Roots whose encoding was answered by the persistent map.
   uint64_t cacheHits() const { return Hits; }
-
-  /// Appends the SAT variables of \p Root's emitted cone to \p Out
-  /// (mirrors emit()'s traversal, so XOR/MUX-internal nodes that never
-  /// received a variable are skipped). Incremental front ends seed these
-  /// into the solver's branching order each query: without it, stale VSIDS
-  /// activity from retired queries dominates and every restart descends
-  /// through dead variables before reaching the live cone. Must be called
-  /// after emit(\p Root).
-  void appendConeVars(AigLit Root, std::vector<sat::Var> &Out);
 
 private:
   sat::Lit litOf(AigLit L) const {
@@ -242,14 +226,11 @@ private:
   /// Gives node \p N a variable and its defining clauses; the nodes it is
   /// encoded over (XOR/MUX leaves or fanins) must already have one.
   void encode(uint32_t N);
-  /// emit() under CnfOrder::NodeOrder.
-  void emitInNodeOrder(uint32_t Root);
 
   const Aig &G;
   sat::SatSolver &S;
-  CnfOrder Order;
   std::vector<sat::Lit> NodeLit; // per node; invalid = not yet encoded
-  std::vector<uint32_t> Stack;   // DFS scratch
+  std::vector<uint32_t> Stack;   // cone walk scratch
   std::vector<uint32_t> SeenEpoch; // cone walk visit marks
   uint32_t Epoch = 0;
   uint64_t Hits = 0;

@@ -7,9 +7,8 @@
 /// \file
 /// Translates MBA expressions into AIG words: each variable gets one input
 /// word shared across every expression translated through the same
-/// ExprAig, so both sides of an equivalence query see identical inputs —
-/// and, because the memo and the graph persist, queries translated later
-/// reuse the words (and hence the CNF) of every subterm seen before.
+/// ExprAig, so both sides of an equivalence query see identical inputs,
+/// and a subterm the two sides share is translated once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +28,8 @@ class ExprAig {
 public:
   ExprAig(AigBlaster &Blaster) : Blaster(Blaster) {}
 
-  /// Returns the word computing \p E. Shared sub-DAGs translate once —
-  /// including across calls, so a corpus of related queries amortizes.
+  /// Returns the word computing \p E. Shared sub-DAGs translate once,
+  /// including across calls.
   AigBlaster::Word blast(const Expr *E);
 
   /// The input word assigned to variable \p V (created on first use).

@@ -11,6 +11,12 @@
 
 using namespace mba::sat;
 
+namespace {
+/// The largest DIMACS variable: V names Var V - 1, whose literals pack as
+/// 2 * (V - 1) + sign and must stay below Lit's invalid code UINT32_MAX.
+constexpr uint64_t MaxDimacsVar = (UINT32_MAX - 2) / 2 + 1;
+} // namespace
+
 std::optional<CnfFormula> mba::sat::parseDimacs(std::string_view Text) {
   CnfFormula F;
   size_t Pos = 0;
@@ -56,9 +62,12 @@ std::optional<CnfFormula> mba::sat::parseDimacs(std::string_view Text) {
     }
     if (Pos >= Text.size() || !std::isdigit((unsigned char)Text[Pos]))
       return std::nullopt;
-    unsigned long V = 0;
+    // Checking every digit keeps V far from uint64_t overflow.
+    uint64_t V = 0;
     while (Pos < Text.size() && std::isdigit((unsigned char)Text[Pos])) {
       V = V * 10 + (unsigned)(Text[Pos] - '0');
+      if (V > MaxDimacsVar)
+        return std::nullopt;
       ++Pos;
     }
     if (V == 0) {

@@ -24,8 +24,8 @@
 namespace mba::sat {
 
 /// A parsed CNF: clause list over variables 0..NumVars-1. Learnt clauses
-/// (implied by Clauses; exported from an incremental solver for debugging)
-/// are kept separate so consumers can ignore or inspect them.
+/// (implied by Clauses; exported from a solver's learnt-clause DB for
+/// debugging) are kept separate so consumers can ignore or inspect them.
 struct CnfFormula {
   unsigned NumVars = 0;
   std::vector<std::vector<Lit>> Clauses;
@@ -34,7 +34,8 @@ struct CnfFormula {
 
 /// Parses DIMACS text ("p cnf V C" header, clauses of nonzero integers
 /// terminated by 0, 'c' comment lines). Returns std::nullopt on malformed
-/// input. Variables beyond the header count grow the formula. A
+/// input, including a variable too large for Lit's packing (above
+/// 2^31 - 1). Variables beyond the header count grow the formula. A
 /// "c learnt" comment line switches subsequent clauses into
 /// CnfFormula::LearntClauses (the writeDimacs IncludeLearnt round-trip).
 std::optional<CnfFormula> parseDimacs(std::string_view Text);

@@ -22,13 +22,12 @@ const char *mba::verdictName(Verdict V) {
 
 EquivalenceChecker::~EquivalenceChecker() = default;
 
-std::vector<std::unique_ptr<EquivalenceChecker>>
-mba::makeAllCheckers(bool IncrementalAig) {
+std::vector<std::unique_ptr<EquivalenceChecker>> mba::makeAllCheckers() {
   std::vector<std::unique_ptr<EquivalenceChecker>> Checkers;
   if (auto Z3 = makeZ3Checker())
     Checkers.push_back(std::move(Z3));
   Checkers.push_back(makeBlastChecker(false));
   Checkers.push_back(makeBlastChecker(true));
-  Checkers.push_back(makeAigChecker(IncrementalAig));
+  Checkers.push_back(makeAigChecker());
   return Checkers;
 }

@@ -74,13 +74,11 @@ public:
 std::unique_ptr<EquivalenceChecker> makeBlastChecker(bool EnableRewriting);
 
 /// The AIG-based backend ("BlastBV+AIG"): carry-lookahead/carry-save
-/// encodings over a structurally-hashed And-Inverter Graph feeding one
-/// persistent incremental SAT solver (per-query assumption guards, learnt
-/// clauses kept across queries). With \p Incremental false the solver state
-/// is rebuilt per query — same verdicts, no cross-query reuse; the
-/// determinism tests compare the two modes. Stateful: create one instance
-/// per Context/worker thread (the harness CheckerFactory already does).
-std::unique_ptr<EquivalenceChecker> makeAigChecker(bool Incremental = true);
+/// encodings over a fully rewritten, structurally-hashed And-Inverter
+/// Graph, with the same per-query protocol as BlastBV (a fresh graph and
+/// solver per query). The parameter is ignored; it remains so that callers
+/// written against the earlier makeAigChecker(bool) still compile.
+std::unique_ptr<EquivalenceChecker> makeAigChecker(bool Ignored = true);
 
 /// The Z3 backend; returns nullptr when built without Z3.
 std::unique_ptr<EquivalenceChecker> makeZ3Checker();
@@ -91,11 +89,8 @@ std::unique_ptr<EquivalenceChecker> makeZ3Checker();
 std::unique_ptr<EquivalenceChecker> makeSignatureChecker();
 
 /// All available backends in the paper's order (Z3, then the two
-/// STP/Boolector stand-ins), plus the AIG/incremental backend.
-/// \p IncrementalAig selects whether that backend reuses solver state
-/// across queries (the default) or rebuilds per query.
-std::vector<std::unique_ptr<EquivalenceChecker>>
-makeAllCheckers(bool IncrementalAig = true);
+/// STP/Boolector stand-ins), plus the BlastBV+AIG backend.
+std::vector<std::unique_ptr<EquivalenceChecker>> makeAllCheckers();
 
 //===----------------------------------------------------------------------===//
 // Stage 0: the static equivalence prover in front of any backend

@@ -159,7 +159,7 @@ bool Synthesizer::verify(const Expr *E, const Expr *Candidate) {
   if (!Opts.Verify)
     return true;
   if (!Checker)
-    Checker = makeStagedChecker(Ctx, makeAigChecker(/*Incremental=*/true));
+    Checker = makeStagedChecker(Ctx, makeAigChecker());
   Stopwatch Timer;
   CheckResult R = Checker->check(Ctx, E, Candidate, Opts.VerifyTimeoutSeconds);
   bool Proved = R.Outcome == Verdict::Equivalent;

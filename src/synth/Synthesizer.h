@@ -21,7 +21,7 @@
 /// corners + samples act as a filter with early-exit on first mismatch.
 /// Agreement on samples is necessary but not sufficient, so a candidate is
 /// only ever *installed* after the staged equivalence checker (static
-/// prover + AIG/incremental SAT) proves it, or, when the checker times out
+/// prover + AIG + SAT) proves it, or, when the checker times out
 /// on an input space of at most 2^24 assignments, exhaustive evaluation
 /// does. Any other Timeout is rejection, never trust. The result is sound by construction: the synthesizer can fail to
 /// improve, but cannot miscompile.

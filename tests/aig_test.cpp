@@ -1,4 +1,4 @@
-//===- tests/aig_test.cpp - AIG layer and incremental-backend tests -------===//
+//===- tests/aig_test.cpp - AIG layer and bit-blasting backend tests ------===//
 //
 // Part of the MBA-Solver reproduction. MIT license.
 //
@@ -13,10 +13,14 @@
 #include "ast/Parser.h"
 #include "gen/Corpus.h"
 #include "solvers/EquivalenceChecker.h"
+#include "support/Json.h"
+#include "support/QueryLog.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace mba;
 using namespace mba::aig;
@@ -237,7 +241,7 @@ TEST(AigCnf, NodeOrderNumbersTheConeInConstructionOrder) {
   ASSERT_LT(Dead.node(), AB.node());
 
   sat::SatSolver S;
-  CnfEmitter Em(G, S, CnfOrder::NodeOrder);
+  CnfEmitter Em(G, S);
   sat::Lit RootLit = Em.emit(Root);
   // Inputs a, b, c, then a&b, then the root: the dead gate gets nothing.
   EXPECT_EQ(S.numVars(), 5u);
@@ -372,7 +376,7 @@ struct RippleProfile {
 
   RippleProfile(sat::SatSolver &S, unsigned Width, bool Rewriting)
       : G(Rewriting ? AigLevel::Strash : AigLevel::Plain),
-        B(G, Width, Encoding::Ripple), Em(G, S, CnfOrder::NodeOrder) {}
+        B(G, Width, Encoding::Ripple), Em(G, S) {}
 
   /// Encodes \p W so modelWord() can read it after solving.
   void emitWord(const AigBlaster::Word &W) {
@@ -529,10 +533,18 @@ TEST(ExprBlasterTest, SharedSubDagBlastedOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// Incremental vs fresh-solver determinism
+// The per-query protocol: no query sees another's state
 //===----------------------------------------------------------------------===//
 
-TEST(AigChecker, IncrementalMatchesFreshOver200QueryCorpus) {
+/// One check record's search fingerprint, read from the query log.
+struct QuerySearch {
+  std::string Verdict;
+  double Conflicts, CnfVars;
+
+  bool operator==(const QuerySearch &) const = default;
+};
+
+TEST(AigChecker, QueryOrderDoesNotChangeTheSearch) {
   // Width 4: every query decides well under the budget for all three
   // backends (width 8 already pushes some poly miters past 10s on the
   // in-tree CDCL solver).
@@ -555,27 +567,49 @@ TEST(AigChecker, IncrementalMatchesFreshOver200QueryCorpus) {
         {Corpus[I].Obfuscated, Corpus[(I + 1) % Corpus.size()].Ground});
   ASSERT_EQ(Queries.size(), 200u);
 
-  auto Incremental = makeAigChecker(/*Incremental=*/true);
-  auto Fresh = makeAigChecker(/*Incremental=*/false);
-  auto Reference = makeBlastChecker(/*EnableRewriting=*/true);
+  // One checker serves the corpus forward, then reversed. Each query
+  // builds its graph and solver afresh, so its verdict, encoding and
+  // search cannot depend on the queries before it.
+  auto Checker = makeAigChecker();
+  auto Run = [&](bool Reversed) {
+    querylog::beginCapture();
+    for (size_t K = 0; K != Queries.size(); ++K) {
+      auto &[A, B] = Queries[Reversed ? Queries.size() - 1 - K : K];
+      Checker->check(Ctx, A, B, /*TimeoutSeconds=*/10);
+    }
+    std::vector<QuerySearch> Out;
+    for (const std::string &Line : querylog::endCapture()) {
+      json::Value Rec;
+      EXPECT_TRUE(json::parse(Line, Rec)) << Line;
+      Out.push_back({std::string(Rec.stringAt("verdict")),
+                     Rec.numberAt("sat_conflicts"), Rec.numberAt("cnf_vars")});
+    }
+    if (Reversed)
+      std::reverse(Out.begin(), Out.end());
+    return Out;
+  };
+  std::vector<QuerySearch> Forward = Run(false), Backward = Run(true);
+  ASSERT_EQ(Forward.size(), Queries.size());
+  ASSERT_EQ(Backward.size(), Queries.size());
+  double TotalConflicts = 0;
+  for (size_t I = 0; I != Queries.size(); ++I) {
+    EXPECT_EQ(Forward[I], Backward[I]) << "query " << I;
+    TotalConflicts += Forward[I].Conflicts;
+  }
+  EXPECT_GT(TotalConflicts, 0) << "the corpus must reach the CDCL search";
 
-  int Decided = 0;
-  for (auto &[A, B] : Queries) {
-    CheckResult RI = Incremental->check(Ctx, A, B, /*TimeoutSeconds=*/10);
-    CheckResult RF = Fresh->check(Ctx, A, B, /*TimeoutSeconds=*/10);
-    EXPECT_EQ(RI.Outcome, RF.Outcome)
-        << "incremental and fresh verdicts differ";
-    if (RI.Outcome != Verdict::Timeout) {
-      ++Decided;
-      CheckResult RR = Reference->check(Ctx, A, B, /*TimeoutSeconds=*/10);
-      if (RR.Outcome != Verdict::Timeout) {
-        EXPECT_EQ(RI.Outcome, RR.Outcome)
-            << "AIG backend disagrees with BlastBV+RW";
-      }
+  // The verdicts agree with BlastBV+RW, and at width 4 with a 10s budget
+  // everything is decided.
+  auto Reference = makeBlastChecker(/*EnableRewriting=*/true);
+  for (size_t I = 0; I != Queries.size(); ++I) {
+    ASSERT_NE(Forward[I].Verdict, "timeout") << "query " << I;
+    auto &[A, B] = Queries[I];
+    CheckResult RR = Reference->check(Ctx, A, B, /*TimeoutSeconds=*/10);
+    if (RR.Outcome != Verdict::Timeout) {
+      EXPECT_EQ(Forward[I].Verdict, verdictName(RR.Outcome))
+          << "AIG backend disagrees with BlastBV+RW on query " << I;
     }
   }
-  // At width 4 with a 10s budget, everything should be decided.
-  EXPECT_EQ(Decided, 200);
 }
 
 } // namespace

@@ -62,7 +62,7 @@ std::string writeReport(const std::string &Name, double TavgScale = 1.0,
   Out << "{\n  \"table\": \"unit\",\n"
          "  \"config\": {\"per_category\": 10, \"timeout_seconds\": 1.0, "
          "\"width\": 64, \"seed\": 1, \"jobs\": 1, \"stage_zero\": true, "
-         "\"simplify\": true, \"incremental\": true},\n"
+         "\"simplify\": true},\n"
          "  \"stage_zero\": {\"proved\": 12, \"refuted\": 0, "
          "\"fallthrough\": 8},\n"
          "  \"solvers\": [\n    {\"name\": \"BlastBV\", \"categories\": [\n";

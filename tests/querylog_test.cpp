@@ -96,7 +96,7 @@ TEST(QueryLog, CheckRecordHasCompleteChain) {
   const Expr *B = parse(Ctx, "x ^ y");
   querylog::beginCapture();
   StageZeroStats Stats;
-  auto Checker = makeStagedChecker(Ctx, makeAigChecker(true), &Stats,
+  auto Checker = makeStagedChecker(Ctx, makeAigChecker(), &Stats,
                                    ProveBudget(), nullptr);
   CheckResult CR = Checker->check(Ctx, A, B, 5.0);
   std::vector<json::Value> Records = parseLines(querylog::endCapture());
@@ -126,7 +126,7 @@ TEST(QueryLog, BackendFieldsLandInTheStagedRecord) {
   const Expr *B = parse(Ctx, "x * y + 17");
   querylog::beginCapture();
   StageZeroStats Stats;
-  auto Checker = makeStagedChecker(Ctx, makeAigChecker(true), &Stats,
+  auto Checker = makeStagedChecker(Ctx, makeAigChecker(), &Stats,
                                    ProveBudget(), nullptr);
   // Generous timeout: the 8-bit multiplier miter takes seconds under a
   // loaded parallel ctest run, and an expiry would flip the verdict.
@@ -152,7 +152,7 @@ TEST(QueryLog, StandaloneBackendArmsItsOwnRecord) {
   const Expr *A = parse(Ctx, "x + y");
   const Expr *B = parse(Ctx, "y + x");
   querylog::beginCapture();
-  auto Checker = makeAigChecker(true);
+  auto Checker = makeAigChecker();
   Checker->check(Ctx, A, B, 5.0);
   std::vector<json::Value> Records = parseLines(querylog::endCapture());
   ASSERT_EQ(Records.size(), 1u);

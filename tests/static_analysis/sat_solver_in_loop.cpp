@@ -1,7 +1,7 @@
-// mba-tidy corpus: fresh SAT solvers built inside per-query loops. The
-// incremental backend owns one persistent SatSolver and retires queries
-// with guard literals; rebuilding the solver every iteration throws away
-// the learnt clauses, VSIDS order and saved phases the previous query
+// mba-tidy corpus: fresh SAT solvers built inside loops. A backend builds
+// one SatSolver per query, in the function that answers it; rebuilding the
+// solver every loop iteration re-encodes the clauses and throws away the
+// learnt clauses, VSIDS order and saved phases the previous iteration
 // paid for.
 #include "sat/Solver.h"
 
@@ -31,9 +31,9 @@ void rawNewPerQuery(int N) {
   }
 }
 
-// The sanctioned shape: one hoisted instance outside the loop, each query
-// guarded by an assumption literal. A reference to the persistent solver
-// inside the loop body is fine.
+// The sanctioned shape: one hoisted instance outside the loop, each
+// iteration's constraints passed as assumptions. A reference to the
+// hoisted solver inside the loop body is fine.
 void hoistedIncrementalSolver(const std::vector<int> &Queries) {
   mba::sat::SatSolver Solver;
   for (int Q : Queries) {

@@ -43,7 +43,7 @@ TEST(SynthRoundTrip, FiveHundredObfuscatedTargets) {
   Obfuscator Obf(Ctx, /*Seed=*/0xB057ED);
   RNG Rng(20210620);
   Synthesizer Synth(Ctx);
-  auto Independent = makeStagedChecker(Ctx, makeAigChecker(true));
+  auto Independent = makeStagedChecker(Ctx, makeAigChecker());
 
   const Expr *AllVars[3] = {Ctx.getVar("x"), Ctx.getVar("y"),
                             Ctx.getVar("z")};

@@ -154,14 +154,12 @@ std::string configKey(const json::Value &Root) {
   char Buf[160];
   std::snprintf(Buf, sizeof(Buf),
                 "per_category=%.0f timeout=%.3f width=%.0f seed=%.0f "
-                "stage_zero=%d simplify=%d incremental=%d",
+                "stage_zero=%d simplify=%d",
                 Config->numberAt("per_category"),
                 Config->numberAt("timeout_seconds"),
                 Config->numberAt("width"), Config->numberAt("seed"),
                 Config->get("stage_zero") && Config->get("stage_zero")->asBool(),
-                Config->get("simplify") && Config->get("simplify")->asBool(),
-                Config->get("incremental") &&
-                    Config->get("incremental")->asBool());
+                Config->get("simplify") && Config->get("simplify")->asBool());
   return Buf;
 }
 

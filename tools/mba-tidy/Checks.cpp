@@ -544,13 +544,13 @@ class SatSolverInLoopCheck : public Check {
 public:
   std::string_view name() const override { return "mba-sat-solver-in-loop"; }
   std::string_view description() const override {
-    return "Fresh SatSolver constructed inside a per-query loop in "
-           "src/solvers; hoist one incremental instance and solve under "
-           "assumptions";
+    return "Fresh SatSolver constructed inside a loop in src/solvers; a "
+           "backend builds one solver per query, in the function that "
+           "answers the query, never one per loop iteration";
   }
 
   void run(const SourceFile &SF, std::vector<Diagnostic> &Out) const override {
-    // The incremental-solver rule binds the backend implementations only:
+    // The one-solver-per-query rule binds the backend implementations only:
     // tests and micro-benchmarks build throwaway solvers in loops by
     // design, so the check is scoped to src/solvers (plus its own lint
     // corpus).
@@ -577,10 +577,11 @@ public:
     }
     for (size_t J : Sites)
       emit(Out, SF, T[J], name(),
-           "fresh SatSolver constructed inside a per-query loop; every "
-           "iteration discards the learnt clauses, VSIDS order and saved "
-           "phases the previous query paid for — hoist one persistent "
-           "instance and solve under per-query assumption guards");
+           "fresh SatSolver constructed inside a loop; every iteration "
+           "re-encodes the clauses and discards the learnt clauses the "
+           "previous one paid for — build the solver once per query, "
+           "outside the loop, and vary each iteration's constraints "
+           "through solve(assumptions)");
   }
 
 private:

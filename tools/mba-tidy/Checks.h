@@ -25,9 +25,8 @@
 ///                               semantic cache keys, which breaks
 ///                               cross-process snapshot persistence.
 ///   mba-sat-solver-in-loop      Fresh SatSolver constructed inside a
-///                               per-query loop in src/solvers instead of
-///                               one hoisted incremental instance solved
-///                               under assumptions.
+///                               loop in src/solvers instead of once per
+///                               query in the function that answers it.
 ///
 //===----------------------------------------------------------------------===//
 
