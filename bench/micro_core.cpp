@@ -4,10 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Micro-benchmarks of the core primitives: interning, cloning, parsing,
-/// signature computation, basis solving, abstract folding, full
-/// simplification per category, and obfuscation. These are throughput tests for the library itself (the
-/// paper-facing numbers live in the table*/fig* binaries).
+/// Micro-benchmarks of the core primitives: interning, fingerprinting,
+/// cloning, parsing, signature computation, basis solving, abstract
+/// folding, full simplification per category, and obfuscation. These are
+/// throughput tests for the library itself (the paper-facing numbers live
+/// in the table*/fig* binaries).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -150,6 +151,20 @@ void BM_InternMiss(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 2 * State.range(0));
 }
 BENCHMARK(BM_InternMiss)->Arg(1 << 12)->Arg(1 << 16);
+
+// The structural fingerprint that keys the result and verdict caches, read
+// from the root of an xor chain of the given DAG size. Each node carries
+// its fingerprint from interning, so the time must not grow with the size.
+void BM_ExprFingerprint(benchmark::State &State) {
+  Context Ctx(64);
+  const Expr *E = Ctx.getVar("x");
+  for (int64_t I = 1; I < State.range(0) / 2; ++I)
+    E = Ctx.getXor(E, Ctx.getConst((uint64_t)I));
+  for (auto _ : State)
+    benchmark::DoNotOptimize(exprFingerprint(E));
+  State.SetComplexityN(State.range(0));
+}
+BENCHMARK(BM_ExprFingerprint)->Arg(64)->Arg(65536)->Complexity();
 
 // Copying corpus expressions into a fresh context, as the parallel
 // harness does for every query it hands to a worker.

@@ -6,6 +6,8 @@
 
 #include "ast/Context.h"
 #include "ast/BitslicedEval.h"
+#include "ast/ExprUtils.h"
+#include "support/Cache.h"
 
 #include <bit>
 
@@ -36,6 +38,22 @@ uint64_t *Context::evalScratch(size_t Words) const {
   return EvalScratch.data();
 }
 
+namespace {
+
+/// The fingerprint of a node of kind \p K before its name, value or
+/// operands are mixed in.
+uint64_t kindSeed(ExprKind K) {
+  return hashMix64((uint64_t)K + 0x517cc1b727220a95ULL);
+}
+
+} // namespace
+
+uint64_t mba::exprFingerprint(const Expr *E) {
+  assert(E && "null expression");
+  return E->isConst() ? hashCombine64(kindSeed(ExprKind::Const), E->Value)
+                      : E->Value;
+}
+
 const Expr *Context::getVar(std::string_view Name) {
   assert(!Name.empty() && "variable name must be non-empty");
   assertOwnedByCurrentThread();
@@ -45,7 +63,10 @@ const Expr *Context::getVar(std::string_view Name) {
 
   const char *Interned = Alloc.copyString(Name.data(), Name.size());
   unsigned Index = (unsigned)Vars.size();
-  const Expr *E = Alloc.create<Expr>(Expr(ExprKind::Var, Interned, Index, 0));
+  uint64_t Fingerprint = hashCombine64(kindSeed(ExprKind::Var),
+                                       hashBytes64(Name.data(), Name.size()));
+  const Expr *E =
+      Alloc.create<Expr>(Expr(ExprKind::Var, Interned, Index, Fingerprint));
   ++NumNodes;
   Vars.push_back(E);
   VarsByName.emplace(std::string(Name), E);
@@ -71,7 +92,7 @@ size_t Context::probeInterned(uint64_t Hash, ExprKind K, const Expr *L,
   size_t I = (size_t)(Hash >> InternShift);
   while (const Expr *N = Interned[I].Node) {
     if (Interned[I].Hash == Hash && N->Kind == K && N->LHS == L &&
-        N->RHS == R && N->Value == Aux)
+        N->RHS == R && (K != ExprKind::Const || N->Value == Aux))
       break;
     I = (I + 1) & M;
   }
@@ -108,9 +129,17 @@ const Expr *Context::intern(ExprKind K, const Expr *L, const Expr *R,
     growInterned();
     I = probeInterned(Hash, K, L, R, Aux);
   }
-  const Expr *E = K == ExprKind::Const
-                      ? Alloc.create<Expr>(Expr(K, nullptr, 0, Aux))
-                      : Alloc.create<Expr>(Expr(K, L, R));
+  const Expr *E;
+  if (K == ExprKind::Const) {
+    E = Alloc.create<Expr>(Expr(K, nullptr, 0, Aux));
+  } else {
+    // Operand order matters (Sub is not commutative); hashCombine64 is
+    // order-sensitive, so lhs-then-rhs keeps a-b distinct from b-a.
+    uint64_t Fingerprint = hashCombine64(kindSeed(K), exprFingerprint(L));
+    if (R)
+      Fingerprint = hashCombine64(Fingerprint, exprFingerprint(R));
+    E = Alloc.create<Expr>(Expr(K, Fingerprint, L, R));
+  }
   Interned[I] = {Hash, E};
   ++NumNodes;
   return E;

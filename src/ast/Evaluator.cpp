@@ -5,22 +5,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "ast/Evaluator.h"
-
-#include <functional>
+#include "ast/ExprUtils.h"
 
 using namespace mba;
 
 namespace {
 
-/// Shared evaluation core; \p Lookup maps a Var node to its value.
-uint64_t evalImpl(const Context &Ctx, const Expr *E,
-                  const std::function<uint64_t(const Expr *)> &Lookup) {
-  std::unordered_map<const Expr *, uint64_t> Memo;
+/// Shared evaluation core; \p Lookup maps a Var node to its value. An
+/// explicit post-order walk, so deep expressions cannot overflow the stack.
+template <class LookupFn>
+uint64_t evalImpl(const Context &Ctx, const Expr *E, LookupFn &&Lookup) {
+  NodeMap<uint64_t> Memo;
   uint64_t Mask = Ctx.mask();
-  std::function<uint64_t(const Expr *)> Go = [&](const Expr *N) -> uint64_t {
-    auto It = Memo.find(N);
-    if (It != Memo.end())
-      return It->second;
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
     uint64_t R = 0;
     switch (N->kind()) {
     case ExprKind::Var:
@@ -30,34 +27,33 @@ uint64_t evalImpl(const Context &Ctx, const Expr *E,
       R = N->constValue();
       break;
     case ExprKind::Not:
-      R = ~Go(N->operand()) & Mask;
+      R = ~Memo.at(N->operand()) & Mask;
       break;
     case ExprKind::Neg:
-      R = (0 - Go(N->operand())) & Mask;
+      R = (0 - Memo.at(N->operand())) & Mask;
       break;
     case ExprKind::Add:
-      R = (Go(N->lhs()) + Go(N->rhs())) & Mask;
+      R = (Memo.at(N->lhs()) + Memo.at(N->rhs())) & Mask;
       break;
     case ExprKind::Sub:
-      R = (Go(N->lhs()) - Go(N->rhs())) & Mask;
+      R = (Memo.at(N->lhs()) - Memo.at(N->rhs())) & Mask;
       break;
     case ExprKind::Mul:
-      R = (Go(N->lhs()) * Go(N->rhs())) & Mask;
+      R = (Memo.at(N->lhs()) * Memo.at(N->rhs())) & Mask;
       break;
     case ExprKind::And:
-      R = Go(N->lhs()) & Go(N->rhs());
+      R = Memo.at(N->lhs()) & Memo.at(N->rhs());
       break;
     case ExprKind::Or:
-      R = Go(N->lhs()) | Go(N->rhs());
+      R = Memo.at(N->lhs()) | Memo.at(N->rhs());
       break;
     case ExprKind::Xor:
-      R = Go(N->lhs()) ^ Go(N->rhs());
+      R = Memo.at(N->lhs()) ^ Memo.at(N->rhs());
       break;
     }
     Memo.emplace(N, R);
-    return R;
-  };
-  return Go(E);
+  });
+  return Memo.at(E);
 }
 
 } // namespace

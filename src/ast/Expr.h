@@ -136,6 +136,7 @@ public:
 
 private:
   friend class Context;
+  friend uint64_t exprFingerprint(const Expr *E);
 
   // Leaf constructor (Var / Const).
   Expr(ExprKind K, const char *Name, unsigned Index, uint64_t Value)
@@ -143,11 +144,14 @@ private:
         RHS(nullptr) {}
 
   // Operator constructor.
-  Expr(ExprKind K, const Expr *L, const Expr *R)
-      : Kind(K), Index(0), Value(0), Name(nullptr), LHS(L), RHS(R) {}
+  Expr(ExprKind K, uint64_t Fingerprint, const Expr *L, const Expr *R)
+      : Kind(K), Index(0), Value(Fingerprint), Name(nullptr), LHS(L),
+        RHS(R) {}
 
   ExprKind Kind;
   unsigned Index;
+  /// A Const node's value; every other node's structural fingerprint
+  /// (exprFingerprint), computed by the Context when it interns the node.
   uint64_t Value;
   const char *Name;
   const Expr *LHS;

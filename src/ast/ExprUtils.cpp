@@ -6,8 +6,6 @@
 
 #include "ast/ExprUtils.h"
 
-#include "support/Cache.h"
-
 #include <algorithm>
 #include <cstring>
 
@@ -102,50 +100,6 @@ const Expr *mba::rewriteBottomUp(
     assert(Result && "rewrite callback must return a node");
     Memo.emplace(N, Result);
   });
-  return Memo.at(E);
-}
-
-uint64_t mba::exprFingerprint(const Expr *E) {
-  assert(E && "null expression");
-  // Same traversal shape as cloneExpr: iterative post-order with the low
-  // pointer bit tagging "operands already pushed".
-  NodeMap<uint64_t> Memo;
-  std::vector<uintptr_t> Stack;
-  Stack.push_back((uintptr_t)E);
-  while (!Stack.empty()) {
-    uintptr_t Top = Stack.back();
-    Stack.pop_back();
-    const Expr *N = (const Expr *)(Top & ~(uintptr_t)1);
-    if (!(Top & 1)) {
-      if (!Memo.emplace(N, 0).second)
-        continue;
-      Stack.push_back(Top | 1);
-      for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I)
-        Stack.push_back((uintptr_t)N->getOperand(I));
-      continue;
-    }
-    uint64_t H = hashMix64((uint64_t)N->kind() + 0x517cc1b727220a95ULL);
-    switch (N->kind()) {
-    case ExprKind::Var:
-      H = hashCombine64(H, hashBytes64(N->varName(),
-                                       std::strlen(N->varName())));
-      break;
-    case ExprKind::Const:
-      H = hashCombine64(H, N->constValue());
-      break;
-    default:
-      // Operand order matters (Sub is not commutative); hashCombine64 is
-      // order-sensitive, so lhs-then-rhs keeps a-b distinct from b-a.
-      if (N->isUnary()) {
-        H = hashCombine64(H, Memo.at(N->operand()));
-      } else {
-        H = hashCombine64(H, Memo.at(N->lhs()));
-        H = hashCombine64(H, Memo.at(N->rhs()));
-      }
-      break;
-    }
-    Memo.at(N) = H;
-  }
   return Memo.at(E);
 }
 

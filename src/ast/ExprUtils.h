@@ -100,10 +100,14 @@ rewriteBottomUp(Context &Ctx, const Expr *E,
 /// Context-independent 64-bit structural fingerprint of \p E: hashes node
 /// kinds, variable names and constant values bottom-up, so two expressions
 /// (possibly from different contexts) get the same fingerprint iff they
-/// print identically. This is the cache key of the semantic memoization
-/// layer (support/Cache.h) — keyed by name/value, never by pointer, so
+/// have the same structure, up to hash collisions. Equal text does not
+/// imply equal fingerprints: x+(y+z) prints as x+y+z, which parses as
+/// (x+y)+z. This is the cache key of the semantic memoization layer
+/// (support/Cache.h) — keyed by name/value, never by pointer, so
 /// fingerprints are stable across contexts, runs and snapshot reloads.
-/// DAG-memoized and iterative like every walk here.
+/// Computed at interning, O(1): the Context stores each variable's and
+/// operator's fingerprint in its node, from its operands' fingerprints, and
+/// a constant's is one hash of its value (defined in ast/Context.cpp).
 uint64_t exprFingerprint(const Expr *E);
 
 /// Deep-copies \p E (owned by any context of the same width) into \p Dst:

@@ -12,10 +12,12 @@
 #include "ast/Printer.h"
 #include "gen/Corpus.h"
 #include "mba/Simplifier.h"
+#include "support/Cache.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -24,6 +26,10 @@
 using namespace mba;
 
 namespace {
+
+// The fingerprint shares the Value slot with constants, so nodes stay as
+// small as before it was stored.
+static_assert(sizeof(Expr) == 40);
 
 TEST(Context, InterningDeduplicatesNodes) {
   Context Ctx(64);
@@ -233,6 +239,112 @@ TEST(Context, SimplifiedTextIsIndependentOfTableLayout) {
   EXPECT_EQ(SimplifyAll(Fresh), SimplifyAll(Filled));
 }
 
+/// The fingerprint definition as a walk over the DAG, the way it was
+/// computed before nodes stored it: each node's hash mixes its kind with
+/// its name, its value or its operands' hashes, lhs first. Fills \p Memo,
+/// which may be shared between calls, and returns the hash of \p E.
+uint64_t referenceFingerprint(const Expr *E, NodeMap<uint64_t> &Memo) {
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
+    uint64_t H = hashMix64((uint64_t)N->kind() + 0x517cc1b727220a95ULL);
+    if (N->isVar())
+      H = hashCombine64(H, hashBytes64(N->varName(),
+                                       std::strlen(N->varName())));
+    else if (N->isConst())
+      H = hashCombine64(H, N->constValue());
+    for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I)
+      H = hashCombine64(H, Memo.at(N->getOperand(I)));
+    Memo.emplace(N, H);
+  });
+  return Memo.at(E);
+}
+
+TEST(ExprFingerprint, EveryInternedNodeMatchesTheReferenceWalk) {
+  for (unsigned Width : {3u, 64u}) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    Context Gen(Width);
+    std::vector<std::string> Texts;
+    for (const CorpusEntry &Entry : generateCorpus(Gen, CorpusOptions())) {
+      Texts.push_back(printExpr(Gen, Entry.Ground));
+      Texts.push_back(printExpr(Gen, Entry.Obfuscated));
+    }
+    ASSERT_EQ(Texts.size(), 6000u);
+
+    // Two contexts interning the texts in opposite orders: node addresses
+    // and creation order differ, fingerprints must not.
+    Context Forward(Width), Backward(Width);
+    std::vector<const Expr *> F, B(Texts.size());
+    for (const std::string &T : Texts)
+      F.push_back(parseOrDie(Forward, T));
+    for (size_t I = Texts.size(); I-- != 0;)
+      B[I] = parseOrDie(Backward, Texts[I]);
+    for (size_t I = 0; I != Texts.size(); ++I)
+      ASSERT_EQ(exprFingerprint(F[I]), exprFingerprint(B[I])) << Texts[I];
+
+    for (const Context *Ctx : {&Forward, &Backward}) {
+      NodeMap<uint64_t> Memo;
+      size_t Checked = 0;
+      Ctx->forEachOwnedNode([&](const Expr *N) {
+        ++Checked;
+        EXPECT_EQ(exprFingerprint(N), referenceFingerprint(N, Memo));
+      });
+      EXPECT_EQ(Checked, Ctx->numNodes());
+    }
+  }
+}
+
+TEST(ExprFingerprint, HundredThousandLevelChainMatchesTheReference) {
+  Context Ctx(64);
+  const Expr *E = Ctx.getVar("x");
+  for (uint64_t K = 1; K <= 100000; ++K)
+    E = Ctx.getAdd(E, Ctx.getConst(K));
+  NodeMap<uint64_t> Memo;
+  EXPECT_EQ(exprFingerprint(E), referenceFingerprint(E, Memo));
+}
+
+TEST(Context, ReinterningEveryNodeReturnsTheSameNode) {
+  // A fresh context holding a corpus slice: asking again for each node's
+  // key, through the builders and through findInterned, must find the node
+  // itself. Operator nodes keep their fingerprint where constants keep
+  // their value, so a lookup that compared that slot for every kind would
+  // miss here.
+  Context Gen(64);
+  CorpusOptions Opts;
+  Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 100;
+  std::vector<CorpusEntry> Corpus = generateCorpus(Gen, Opts);
+  Context Ctx(64);
+  for (const CorpusEntry &Entry : Corpus) {
+    cloneExpr(Ctx, Entry.Ground);
+    cloneExpr(Ctx, Entry.Obfuscated);
+  }
+  std::vector<const Expr *> Owned;
+  Ctx.forEachOwnedNode([&](const Expr *N) { Owned.push_back(N); });
+  size_t Before = Ctx.numNodes();
+  ASSERT_EQ(Owned.size(), Before);
+  for (const Expr *N : Owned) {
+    const Expr *Again;
+    uint64_t Aux = 0;
+    switch (N->kind()) {
+    case ExprKind::Var:
+      Again = Ctx.getVar(N->varName());
+      Aux = N->varIndex();
+      break;
+    case ExprKind::Const:
+      Again = Ctx.getConst(N->constValue());
+      Aux = N->constValue();
+      break;
+    default:
+      Again = N->isUnary() ? Ctx.getUnary(N->kind(), N->operand())
+                           : Ctx.getBinary(N->kind(), N->lhs(), N->rhs());
+      break;
+    }
+    EXPECT_EQ(Again, N);
+    EXPECT_EQ(Ctx.findInterned(N->kind(), N->isLeaf() ? nullptr : N->lhs(),
+                               N->isBinary() ? N->rhs() : nullptr, Aux),
+              N);
+  }
+  EXPECT_EQ(Ctx.numNodes(), Before);
+}
+
 TEST(ExprKindPredicates, Classification) {
   EXPECT_TRUE(isArithmeticKind(ExprKind::Add));
   EXPECT_TRUE(isArithmeticKind(ExprKind::Neg));
@@ -280,6 +392,21 @@ TEST(Evaluator, MapOverload) {
   const Expr *X = Ctx.getVar("x");
   std::unordered_map<const Expr *, uint64_t> Vals = {{X, 41}};
   EXPECT_EQ(evaluate(Ctx, Ctx.getAdd(X, Ctx.getOne()), Vals), 42u);
+}
+
+TEST(Evaluator, HundredThousandLevelChainEvaluatesWithoutRecursion) {
+  // x+1+2+...+100000, left-deep. An evaluator that recursed once per level
+  // overflowed the stack on this chain.
+  Context Ctx(64);
+  const Expr *X = Ctx.getVar("x");
+  const Expr *E = X;
+  for (uint64_t K = 1; K <= 100000; ++K)
+    E = Ctx.getAdd(E, Ctx.getConst(K));
+  uint64_t Vals[] = {5};
+  uint64_t Expected = 5 + 100000ULL * 100001ULL / 2;
+  EXPECT_EQ(evaluate(Ctx, E, Vals), Expected);
+  std::unordered_map<const Expr *, uint64_t> Map = {{X, 5}};
+  EXPECT_EQ(evaluate(Ctx, E, Map), Expected);
 }
 
 TEST(Evaluator, HackersDelightIdentities) {
