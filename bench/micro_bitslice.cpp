@@ -6,11 +6,12 @@
 ///
 /// Micro-benchmarks of the bitsliced (transposed) evaluation path against
 /// the scalar baseline it replaced:
-///  * signature construction (computeSignature vs computeSignatureScalar) —
-///    the hot loop of classification and simplification, and the headline
-///    ">= 10x at 3 variables / width 64" number in docs/PERF.md;
-///  * batch point evaluation (BitslicedExpr vs CompiledExpr vs evaluate) —
-///    the sampling-refutation and fuzz-agreement workload;
+///  * signature construction (computeSignature vs a per-corner loop over
+///    the plain Evaluator) — the hot loop of classification and
+///    simplification, and the headline ">= 10x at 3 variables / width 64"
+///    number in docs/PERF.md;
+///  * batch point evaluation (BitslicedExpr vs evaluate) — the
+///    sampling-refutation, fuzz-agreement and Syntia-oracle workload;
 ///  * the raw 64x64 bit-matrix transpose primitive;
 ///  * the wide-engine kernels (and/or/xor/add/mul/transpose) once per
 ///    supported ISA back end, reporting lanes/cycle and bytes/cycle so the
@@ -27,11 +28,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "ast/BitslicedEval.h"
-#include "ast/CompiledEval.h"
 #include "ast/Evaluator.h"
 #include "ast/ExprUtils.h"
 #include "ast/Parser.h"
 #include "gen/Corpus.h"
+#include "linalg/TruthTable.h"
 #include "mba/Signature.h"
 #include "support/Bitslice.h"
 #include "support/RNG.h"
@@ -63,6 +64,21 @@ const Expr *corpusLinear3(Context &Ctx) {
   return Corpus[Corpus.size() / 2].Obfuscated;
 }
 
+// The scalar baseline: one corner at a time through the plain Evaluator.
+std::vector<uint64_t> signatureScalar(const Context &Ctx, const Expr *E,
+                                      const std::vector<const Expr *> &Vars) {
+  unsigned T = (unsigned)Vars.size();
+  std::vector<uint64_t> Sig(size_t(1) << T);
+  std::vector<uint64_t> Assignment(Ctx.numVars(), 0);
+  for (size_t Row = 0; Row != Sig.size(); ++Row) {
+    for (unsigned I = 0; I != T; ++I)
+      Assignment[Vars[I]->varIndex()] =
+          truthBit((unsigned)Row, I, T) ? Ctx.mask() : 0;
+    Sig[Row] = (0 - evaluate(Ctx, E, Assignment)) & Ctx.mask();
+  }
+  return Sig;
+}
+
 void BM_SignatureScalar(benchmark::State &State) {
   Context Ctx(64);
   const Expr *E = corpusLinear3(Ctx);
@@ -70,7 +86,7 @@ void BM_SignatureScalar(benchmark::State &State) {
   for (const Expr *V : collectVariables(E))
     Vars.push_back(V);
   for (auto _ : State)
-    benchmark::DoNotOptimize(computeSignatureScalar(Ctx, E, Vars));
+    benchmark::DoNotOptimize(signatureScalar(Ctx, E, Vars));
 }
 BENCHMARK(BM_SignatureScalar);
 
@@ -110,7 +126,7 @@ void BM_SignatureSmallScalar(benchmark::State &State) {
   std::vector<const Expr *> Vars = {Ctx.getVar("x"), Ctx.getVar("y"),
                                     Ctx.getVar("z")};
   for (auto _ : State)
-    benchmark::DoNotOptimize(computeSignatureScalar(Ctx, E, Vars));
+    benchmark::DoNotOptimize(signatureScalar(Ctx, E, Vars));
 }
 BENCHMARK(BM_SignatureSmallScalar);
 
@@ -134,7 +150,7 @@ void BM_Signature8VarScalar(benchmark::State &State) {
   for (const char *Name : {"a", "b", "c", "d", "e", "f", "g", "h"})
     Vars.push_back(Ctx.getVar(Name));
   for (auto _ : State)
-    benchmark::DoNotOptimize(computeSignatureScalar(Ctx, E, Vars));
+    benchmark::DoNotOptimize(signatureScalar(Ctx, E, Vars));
 }
 BENCHMARK(BM_Signature8VarScalar);
 
@@ -172,31 +188,6 @@ void BM_Batch4096Interpreted(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Batch4096Interpreted);
-
-void BM_Batch4096Compiled(benchmark::State &State) {
-  Context Ctx(64);
-  const Expr *E = parseOrDie(Ctx, SampleLinear3);
-  RNG Rng(7);
-  std::vector<uint64_t> X(BatchPoints), Y(BatchPoints), Z(BatchPoints);
-  for (size_t I = 0; I != BatchPoints; ++I) {
-    X[I] = Rng.next();
-    Y[I] = Rng.next();
-    Z[I] = Rng.next();
-  }
-  CompiledExpr Compiled(Ctx, E);
-  std::vector<uint64_t> Vals(3);
-  for (auto _ : State) {
-    uint64_t Acc = 0;
-    for (size_t I = 0; I != BatchPoints; ++I) {
-      Vals[0] = X[I];
-      Vals[1] = Y[I];
-      Vals[2] = Z[I];
-      Acc ^= Compiled.evaluate(Vals);
-    }
-    benchmark::DoNotOptimize(Acc);
-  }
-}
-BENCHMARK(BM_Batch4096Compiled);
 
 void BM_Batch4096Bitsliced(benchmark::State &State) {
   Context Ctx(64);

@@ -6,9 +6,10 @@
 ///
 /// Deobfuscation at the *code* level rather than the expression level:
 /// reads a straight-line trace (the form a binary-analysis frontend lifts
-/// an obfuscated basic block into), flattens the requested outputs into
-/// pure expressions over the inputs, simplifies them with MBA-Solver, and
-/// prints the recovered minimal program.
+/// an obfuscated basic block into), lowers it to one program-IR function
+/// per requested output (ir/Program.h, parseTrace), runs the verified
+/// region pipeline of ir/Passes.h on it, and prints the report and the
+/// recovered minimal program.
 ///
 ///   ./build/examples/trace_deobfuscate              # built-in demo trace
 ///   ./build/examples/trace_deobfuscate file.trace out1 out2
@@ -19,10 +20,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "ast/Context.h"
-#include "ast/Printer.h"
-#include "ir/Trace.h"
+#include "ir/Passes.h"
+#include "ir/Program.h"
 #include "mba/Metrics.h"
-#include "mba/Simplifier.h"
 
 #include <cstdio>
 #include <fstream>
@@ -66,40 +66,30 @@ int main(int Argc, char **Argv) {
     RootNames = {"check"};
   }
 
-  std::string Error;
-  auto T = Trace::parse(Ctx, Text, &Error);
-  if (!T) {
-    std::fprintf(stderr, "trace parse error: %s\n", Error.c_str());
-    return 1;
-  }
-
-  std::printf("--- lifted trace (%zu instructions) ---\n%s\n", T->size(),
-              T->print(Ctx).c_str());
-
-  std::vector<const Expr *> Roots;
-  for (const std::string &Name : RootNames) {
-    const Expr *V = Ctx.getVar(Name);
-    if (!T->defines(V))
-      std::fprintf(stderr, "warning: root '%s' is not defined by the trace\n",
-                   Name.c_str());
-    Roots.push_back(V);
-  }
-  if (Roots.empty()) {
+  if (RootNames.empty()) {
     std::fprintf(stderr, "no roots requested\n");
     return 1;
   }
+  Diag D;
+  auto P = parseTrace(Ctx, Text, RootNames, &D);
+  if (!P) {
+    std::fprintf(stderr, "trace parse error: %s\n", D.str().c_str());
+    return 1;
+  }
 
-  for (const Expr *Root : Roots) {
-    const Expr *Flat = T->flatten(Ctx, Root);
+  std::printf("--- lifted trace (%zu instructions) ---\n%s\n",
+              P->Functions.front().entry().Insts.size(),
+              printFunction(Ctx, P->Functions.front()).c_str());
+  for (const Function &F : P->Functions) {
+    const Expr *Flat = flattenValue(Ctx, F, F.entry().Term.Value);
     ComplexityMetrics M = measureComplexity(Ctx, Flat);
     std::printf("flattened %s: %s MBA, %llu alternations, length %zu\n",
-                Root->varName(), mbaKindName(M.Kind),
+                F.Name.c_str(), mbaKindName(M.Kind),
                 (unsigned long long)M.Alternation, M.Length);
   }
 
-  MBASolver Solver(Ctx);
-  Trace Clean = T->deobfuscate(Ctx, Solver, Roots);
-  std::printf("\n--- recovered program (%.4f s) ---\n%s",
-              Solver.stats().Seconds, Clean.print(Ctx).c_str());
+  ProgramReport Report = deobfuscateProgram(Ctx, *P);
+  std::printf("\n--- report ---\n%s", Report.str().c_str());
+  std::printf("\n--- recovered program ---\n%s", P->print(Ctx).c_str());
   return 0;
 }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -127,10 +128,46 @@ struct LineCursor {
   }
 };
 
+/// Splits \p Text into comment-stripped lines; every construct of the IR
+/// (and of a trace) is line-oriented.
+std::vector<std::string_view> splitLines(std::string_view Text) {
+  std::vector<std::string_view> Lines;
+  size_t Pos = 0;
+  while (Pos <= Text.size()) {
+    size_t End = Text.find('\n', Pos);
+    if (End == std::string_view::npos)
+      End = Text.size();
+    std::string_view L = Text.substr(Pos, End - Pos);
+    size_t Hash = L.find('#');
+    if (Hash != std::string_view::npos)
+      L = L.substr(0, Hash);
+    Lines.push_back(L);
+    if (End == Text.size())
+      break;
+    Pos = End + 1;
+  }
+  return Lines;
+}
+
 struct ProgramParser {
   Context &Ctx;
   Diag *D;
   Program P;
+
+  Function *F = nullptr;    ///< currently open function
+  BasicBlock *BB = nullptr; ///< currently open block
+  // Pending label fixups: phi/terminator labels resolved per function.
+  // Targets are addressed by indices, never pointers — F->Blocks (and a
+  // block's Phis) reallocate while the function is still being parsed.
+  struct LabelRef {
+    std::string Name;
+    unsigned Line, Col;
+    unsigned Block; ///< index into F->Blocks
+    int Phi;        ///< phi index within the block, or -1 for terminator
+    unsigned Slot;  ///< Succs index (terminator) or incoming index (phi)
+  };
+  std::vector<LabelRef> Refs;
+  std::unordered_map<const Expr *, SourceLoc> FnDefs; // per-function
 
   ProgramParser(Context &Ctx, Diag *D) : Ctx(Ctx), D(D) {}
 
@@ -188,40 +225,91 @@ struct ProgramParser {
     return V;
   }
 
-  bool parse(std::string_view Text) {
-    // Split into comment-stripped lines first; every construct is
-    // line-oriented.
-    std::vector<std::string_view> Lines;
-    size_t Pos = 0;
-    while (Pos <= Text.size()) {
-      size_t End = Text.find('\n', Pos);
-      if (End == std::string_view::npos)
-        End = Text.size();
-      std::string_view L = Text.substr(Pos, End - Pos);
-      size_t Hash = L.find('#');
-      if (Hash != std::string_view::npos)
-        L = L.substr(0, Hash);
-      Lines.push_back(L);
-      if (End == Text.size())
-        break;
-      Pos = End + 1;
-    }
+  /// 'name = phi [label: value], ...' or 'name = expr' into the open
+  /// block — the instruction-line grammar shared by programs and traces.
+  bool parseAssignment(LineCursor &C) {
+    unsigned LineNo = C.LineNo;
+    unsigned DCol = C.col();
+    std::string DName = C.ident();
+    if (DName.empty())
+      return fail(C, "expected 'name = expr', a terminator, or a label");
+    if (!C.consume('='))
+      return fail(C, "expected '=' after '" + DName + "'");
+    const Expr *Dest = Ctx.getVar(DName);
+    if (auto It = FnDefs.find(Dest); It != FnDefs.end())
+      return fail(LineNo, DCol, DName,
+                  "redefinition of '" + DName + "' (first defined at line " +
+                      std::to_string(It->second.Line) +
+                      "; functions are in SSA form)");
+    FnDefs.emplace(Dest, SourceLoc{LineNo, DCol});
 
-    Function *F = nullptr; // currently open function
-    BasicBlock *BB = nullptr;
+    LineCursor Save = C;
+    std::string MaybePhi = C.ident();
+    if (MaybePhi == "phi" && (C.peek() == '[' || C.atEnd())) {
+      if (!BB->Insts.empty())
+        return fail(LineNo, DCol, DName,
+                    "phi nodes must precede all instructions of the block");
+      PhiNode Phi;
+      Phi.Dest = Dest;
+      Phi.Loc = {LineNo, DCol};
+      while (true) {
+        if (!C.consume('['))
+          return fail(C, "expected '[' to open a phi incoming");
+        unsigned LCol = C.col();
+        std::string Label = C.ident();
+        if (Label.empty())
+          return fail(LineNo, LCol, C.peekToken(),
+                      "expected a predecessor label in the phi incoming");
+        if (!C.consume(':'))
+          return fail(C, "expected ':' after the phi predecessor label");
+        const Expr *V = parsePhiValue(C);
+        if (!V)
+          return false;
+        if (!C.consume(']'))
+          return fail(C, "expected ']' to close the phi incoming");
+        Phi.Incoming.emplace_back(0U, V);
+        // The phi will be pushed at index BB->Phis.size() below.
+        Refs.push_back({Label, LineNo, LCol, F->numBlocks() - 1,
+                        (int)BB->Phis.size(),
+                        (unsigned)(Phi.Incoming.size() - 1)});
+        if (C.consume(','))
+          continue;
+        if (C.atEnd())
+          break;
+        return fail(C, "expected ',' or end of line after a phi incoming");
+      }
+      if (Phi.Incoming.empty())
+        return fail(LineNo, DCol, DName, "phi needs at least one incoming");
+      BB->Phis.push_back(std::move(Phi));
+      return true;
+    }
+    C = Save;
+
+    const Expr *Rhs = parseOperand(C, std::string_view::npos, "expression");
+    if (!Rhs)
+      return false;
+    BB->Insts.push_back(IRInst{Dest, Rhs, SourceLoc{LineNo, DCol}});
+    return true;
+  }
+
+  /// A trace: every non-blank line is an instruction of the single block
+  /// opened in \p Fn.
+  bool parseTraceBody(std::string_view Text, Function &Fn) {
+    std::vector<std::string_view> Lines = splitLines(Text);
+    F = &Fn;
+    BB = &Fn.Blocks.emplace_back();
+    BB->Name = "entry";
+    for (unsigned LineNo = 1; LineNo <= Lines.size(); ++LineNo) {
+      LineCursor C{Lines[LineNo - 1], 0, LineNo};
+      if (!C.atEnd() && !parseAssignment(C))
+        return false;
+    }
+    return true;
+  }
+
+  bool parse(std::string_view Text) {
+    std::vector<std::string_view> Lines = splitLines(Text);
     bool BlockDone = false; // saw the terminator
-    // Pending label fixups: phi/terminator labels resolved per function.
-    // Targets are addressed by indices, never pointers — F->Blocks (and a
-    // block's Phis) reallocate while the function is still being parsed.
-    struct LabelRef {
-      std::string Name;
-      unsigned Line, Col;
-      unsigned Block; ///< index into F->Blocks
-      int Phi;        ///< phi index within the block, or -1 for terminator
-      unsigned Slot;  ///< Succs index (terminator) or incoming index (phi)
-    };
-    std::vector<LabelRef> Refs;
-    std::unordered_map<const Expr *, SourceLoc> FnDefs; // per-function
 
     auto closeFunction = [&](LineCursor &C) -> bool {
       if (BB && !BlockDone)
@@ -402,68 +490,8 @@ struct ProgramParser {
         C = Save;
       }
 
-      // 'name = phi ...' or 'name = expr'.
-      unsigned DCol = C.col();
-      std::string DName = C.ident();
-      if (DName.empty())
-        return fail(C, "expected 'name = expr', a terminator, or a label");
-      if (!C.consume('='))
-        return fail(C, "expected '=' after '" + DName + "'");
-      const Expr *Dest = Ctx.getVar(DName);
-      if (auto It = FnDefs.find(Dest); It != FnDefs.end())
-        return fail(LineNo, DCol, DName,
-                    "redefinition of '" + DName + "' (first defined at line " +
-                        std::to_string(It->second.Line) +
-                        "; functions are in SSA form)");
-      FnDefs.emplace(Dest, SourceLoc{LineNo, DCol});
-
-      LineCursor Save = C;
-      std::string MaybePhi = C.ident();
-      if (MaybePhi == "phi" && (C.peek() == '[' || C.atEnd())) {
-        if (!BB->Insts.empty())
-          return fail(LineNo, DCol, DName,
-                      "phi nodes must precede all instructions of the block");
-        PhiNode Phi;
-        Phi.Dest = Dest;
-        Phi.Loc = {LineNo, DCol};
-        while (true) {
-          if (!C.consume('['))
-            return fail(C, "expected '[' to open a phi incoming");
-          unsigned LCol = C.col();
-          std::string Label = C.ident();
-          if (Label.empty())
-            return fail(LineNo, LCol, C.peekToken(),
-                        "expected a predecessor label in the phi incoming");
-          if (!C.consume(':'))
-            return fail(C, "expected ':' after the phi predecessor label");
-          const Expr *V = parsePhiValue(C);
-          if (!V)
-            return false;
-          if (!C.consume(']'))
-            return fail(C, "expected ']' to close the phi incoming");
-          Phi.Incoming.emplace_back(0U, V);
-          // The phi will be pushed at index BB->Phis.size() below.
-          Refs.push_back({Label, LineNo, LCol, F->numBlocks() - 1,
-                          (int)BB->Phis.size(),
-                          (unsigned)(Phi.Incoming.size() - 1)});
-          if (C.consume(','))
-            continue;
-          if (C.atEnd())
-            break;
-          return fail(C, "expected ',' or end of line after a phi incoming");
-        }
-        if (Phi.Incoming.empty())
-          return fail(LineNo, DCol, DName, "phi needs at least one incoming");
-        BB->Phis.push_back(std::move(Phi));
-        continue;
-      }
-      C = Save;
-
-      const Expr *Rhs = parseOperand(C, std::string_view::npos,
-                                     "expression");
-      if (!Rhs)
+      if (!parseAssignment(C))
         return false;
-      BB->Insts.push_back(IRInst{Dest, Rhs, SourceLoc{LineNo, DCol}});
     }
 
     if (F) {
@@ -491,6 +519,36 @@ std::optional<Program> Program::parse(Context &Ctx, std::string_view Text,
     if (!verifyFunction(Ctx, F, D))
       return std::nullopt;
   return std::move(PP.P);
+}
+
+std::optional<Program> mba::parseTrace(Context &Ctx, std::string_view Text,
+                                       const std::vector<std::string> &Roots,
+                                       Diag *D) {
+  ProgramParser PP(Ctx, D);
+  Function Body;
+  if (!PP.parseTraceBody(Text, Body))
+    return std::nullopt;
+  // The inputs: names read but never assigned, in name order.
+  std::vector<const Expr *> Inputs;
+  for (const IRInst &I : Body.entry().Insts)
+    for (const Expr *V : collectVariables(I.Rhs))
+      if (!PP.FnDefs.count(V))
+        Inputs.push_back(V);
+  std::sort(Inputs.begin(), Inputs.end(), [](const Expr *A, const Expr *B) {
+    return std::strcmp(A->varName(), B->varName()) < 0;
+  });
+  Inputs.erase(std::unique(Inputs.begin(), Inputs.end()), Inputs.end());
+
+  Program P;
+  for (const std::string &Root : Roots) {
+    Function &F = P.Functions.emplace_back(Body);
+    F.Name = Root;
+    F.Params = Inputs;
+    F.entry().Term.Value = Ctx.getVar(Root);
+    if (!verifyFunction(Ctx, F, D))
+      return std::nullopt;
+  }
+  return P;
 }
 
 //===----------------------------------------------------------------------===//

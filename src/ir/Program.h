@@ -8,8 +8,8 @@
 /// A small SSA program IR: functions made of basic blocks with phi nodes,
 /// straight-line MBA instructions, and branches on MBA-expressible
 /// conditions. This is the representation a lifter hands to the MBA
-/// deobfuscation pipeline (ir/Passes.h) — the straight-line ir/Trace is the
-/// degenerate single-block case.
+/// deobfuscation pipeline (ir/Passes.h). A straight-line trace is the
+/// degenerate single-block case and lowers into it (parseTrace).
 ///
 /// Textual grammar (one construct per line, '#' comments, flexible
 /// whitespace):
@@ -153,6 +153,25 @@ struct Program {
   Function *findFunction(std::string_view Name);
   const Function *findFunction(std::string_view Name) const;
 };
+
+/// Lowers a straight-line trace to one single-block function per name in
+/// \p Roots. A trace is the form a lifter hands over for one obfuscated
+/// basic block:
+///
+///   t1 = (x | y) + (x & y)     # '#' comments, one assignment per line
+///   out = t1 - y
+///
+/// Names never assigned are the trace's inputs. Each function is named
+/// after its root, takes the inputs in name order as parameters, runs the
+/// whole trace and ends in 'ret <root>'. Lines are parsed as IR
+/// instructions and every function is verified (verifyFunction), so
+/// redefinition, self-use and use-before-def are reported like any SSA
+/// violation, numbered by the trace's own lines. Everything downstream —
+/// interpretFunction, flattenValue, the ir/Passes.h pipeline, printing —
+/// is the program IR's.
+std::optional<Program> parseTrace(Context &Ctx, std::string_view Text,
+                                  const std::vector<std::string> &Roots,
+                                  Diag *D = nullptr);
 
 /// Renders one function in the textual grammar.
 std::string printFunction(const Context &Ctx, const Function &F);

@@ -7,16 +7,12 @@
 #include "mba/Signature.h"
 
 #include "ast/BitslicedEval.h"
-#include "ast/CompiledEval.h"
-#include "support/Bitslice.h"
-#include "ast/Evaluator.h"
 #include "ast/ExprUtils.h"
-#include "linalg/TruthTable.h"
+#include "support/Bitslice.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 using namespace mba;
 
@@ -69,26 +65,6 @@ mba::computeSignature(const Context &Ctx, const Expr *E,
     Compiled.evaluateCornersWide(VarMasks, NumLanes, Sig.data() + Base);
     for (unsigned J = 0; J != NumLanes; ++J)
       Sig[Base + J] = (0 - Sig[Base + J]) & Ctx.mask();
-  }
-  return Sig;
-}
-
-std::vector<uint64_t>
-mba::computeSignatureScalar(const Context &Ctx, const Expr *E,
-                            std::span<const Expr *const> Vars) {
-  unsigned T = (unsigned)Vars.size();
-  assert(T <= 20 && "signature would be too large");
-  std::vector<uint64_t> Sig(1u << T);
-  // 2^t evaluations of the same DAG: compile once, replay per corner.
-  CompiledExpr Compiled(Ctx, E);
-  unsigned MaxIndex = 0;
-  for (const Expr *V : Vars)
-    MaxIndex = std::max(MaxIndex, V->varIndex());
-  std::vector<uint64_t> Assignment(MaxIndex + 1, 0);
-  for (unsigned Row = 0; Row != (1u << T); ++Row) {
-    for (unsigned I = 0; I != T; ++I)
-      Assignment[Vars[I]->varIndex()] = truthBit(Row, I, T) ? Ctx.mask() : 0;
-    Sig[Row] = (0 - Compiled.evaluate(Assignment)) & Ctx.mask();
   }
   return Sig;
 }

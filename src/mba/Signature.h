@@ -41,15 +41,6 @@ namespace mba {
 std::vector<uint64_t> computeSignature(const Context &Ctx, const Expr *E,
                                        std::span<const Expr *const> Vars);
 
-/// Reference implementation of computeSignature that evaluates one corner at
-/// a time with the scalar compiled evaluator. The production path above runs
-/// the corners 64 per block through the bitsliced evaluator
-/// (ast/BitslicedEval.h); this version is kept as the baseline for
-/// bench/micro_bitslice.cpp and for the tests pinning the two paths equal.
-std::vector<uint64_t>
-computeSignatureScalar(const Context &Ctx, const Expr *E,
-                       std::span<const Expr *const> Vars);
-
 /// Signature over E's own (name-sorted) variables; also returns that
 /// variable list via \p VarsOut when non-null.
 std::vector<uint64_t>

@@ -7,12 +7,88 @@
 #include "mba/SimplifyCache.h"
 
 #include "ast/ExprUtils.h"
-#include "ast/Parser.h"
-#include "ast/Printer.h"
+#include "ast/NodeMap.h"
 
 #include <cassert>
 
 using namespace mba;
+
+namespace {
+
+// Entry payload: the value's DAG as a post-order node list, root last —
+// a u32 node count, then per node its kind byte followed by its constant
+// (u64), its variable name (u32 length, then the bytes), or its operand
+// indices (u32 each, every one smaller than the node's own index).
+// Unlike printed text this keeps the exact shape, so a replayed value has
+// the fingerprint of the one that was saved.
+
+void encodeNodes(const Expr *E, std::vector<uint8_t> &Out) {
+  NodeMap<uint32_t> Index;
+  uint32_t Next = 0;
+  putU32(Out, 0); // the node count, patched below
+  forEachNodePostOrder(E, [&](const Expr *N) {
+    putU8(Out, (uint8_t)N->kind());
+    if (N->isConst()) {
+      putU64(Out, N->constValue());
+    } else if (N->isVar()) {
+      std::string_view Name = N->varName();
+      putU32(Out, (uint32_t)Name.size());
+      Out.insert(Out.end(), Name.begin(), Name.end());
+    } else {
+      for (unsigned I = 0; I != N->numOperands(); ++I)
+        putU32(Out, Index.at(N->getOperand(I)));
+    }
+    Index.emplace(N, Next++);
+  });
+  for (int I = 0; I != 4; ++I)
+    Out[I] = (uint8_t)(Next >> (8 * I));
+}
+
+/// Rebuilds an encodeNodes payload in \p Ctx; null on an unknown kind, an
+/// empty variable name, an operand index that is not smaller than its
+/// node's, a node count the bytes do not match, or an empty list.
+const Expr *decodeNodes(Context &Ctx, const std::vector<uint8_t> &Buf) {
+  ByteCursor C(Buf);
+  uint32_t Count = C.u32();
+  if (C.failed() || Count == 0 || Count > Buf.size())
+    return nullptr;
+  std::vector<const Expr *> Nodes;
+  Nodes.reserve(Count);
+  auto Operand = [&]() -> const Expr * {
+    uint32_t I = C.u32();
+    return !C.failed() && I < Nodes.size() ? Nodes[I] : nullptr;
+  };
+  while (Nodes.size() != Count) {
+    uint8_t Kind = C.u8();
+    if (Kind > (uint8_t)ExprKind::Xor)
+      return nullptr;
+    ExprKind K = (ExprKind)Kind;
+    const Expr *N = nullptr;
+    if (K == ExprKind::Const) {
+      uint64_t V = C.u64();
+      N = C.failed() ? nullptr : Ctx.getConst(V);
+    } else if (K == ExprKind::Var) {
+      uint32_t Len = C.u32();
+      if (!C.failed() && Len != 0 && Len <= Buf.size() - C.Pos) {
+        N = Ctx.getVar({(const char *)Buf.data() + C.Pos, Len});
+        C.Pos += Len;
+      }
+    } else if (isUnaryKind(K)) {
+      if (const Expr *A = Operand())
+        N = Ctx.getUnary(K, A);
+    } else {
+      const Expr *A = Operand(), *B = Operand();
+      if (A && B)
+        N = Ctx.getBinary(K, A, B);
+    }
+    if (!N)
+      return nullptr;
+    Nodes.push_back(N);
+  }
+  return C.atEnd() ? Nodes.back() : nullptr;
+}
+
+} // namespace
 
 const Expr *SimplifyCache::lookup(ShardedCache<const Expr *> &Layer,
                                   uint64_t Key, Context &Dst) {
@@ -53,8 +129,7 @@ void SimplifyCache::save(SnapshotWriter &W) const {
     std::vector<uint8_t> Buf;
     for (const auto &[Key, Value] : Entries) {
       Buf.clear();
-      std::string S = printExpr(Store, Value);
-      Buf.insert(Buf.end(), S.begin(), S.end());
+      encodeNodes(Value, Buf);
       W.entry(Key, Buf);
     }
   }
@@ -72,7 +147,7 @@ bool SimplifyCache::loadSection(SnapshotReader &R, std::string_view Name,
 
   MutexLock Lock(StoreMu);
   Store.adoptByCurrentThread();
-  // Open-coded for the same reason as save(): the guarded parse into the
+  // Open-coded for the same reason as save(): the guarded rebuild in the
   // store context must be visible to the analysis, not hidden in a
   // Decode callback.
   uint64_t Key = 0;
@@ -80,11 +155,9 @@ bool SimplifyCache::loadSection(SnapshotReader &R, std::string_view Name,
   for (uint64_t I = 0; I != Count; ++I) {
     if (!R.entry(Key, Buf))
       break;
-    std::string_view Text((const char *)Buf.data(), Buf.size());
-    ParseResult P = parseExpr(Store, Text);
-    if (!P.ok())
-      continue; // unparseable payload: drop the entry
-    Layer->insert(Key, P.E);
+    if (const Expr *E = decodeNodes(Store, Buf))
+      Layer->insert(Key, E);
+    // else: a malformed payload drops the entry
   }
   return true;
 }

@@ -77,8 +77,8 @@ public:
   CacheStats resultStats() const { return Results.stats(); }
   CacheStats linearStats() const { return Linear.stats(); }
 
-  /// Writes both layers as snapshot sections (values as printed
-  /// expressions, re-parsed on load).
+  /// Writes both layers as snapshot sections (each value as a post-order
+  /// node list, rebuilt node for node on load).
   void save(SnapshotWriter &W) const MBA_EXCLUDES(StoreMu);
 
   /// Loads one section by name if it belongs to this cache; returns false

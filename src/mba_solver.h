@@ -25,7 +25,6 @@
 
 // Expressions: construction, parsing, printing, evaluation, visualization.
 #include "ast/BitslicedEval.h"
-#include "ast/CompiledEval.h"
 #include "ast/Context.h"
 #include "ast/DotPrinter.h"
 #include "ast/Evaluator.h"
@@ -64,8 +63,8 @@
 #include "solvers/SmtLib.h"
 #include "solvers/SmtLibParser.h"
 
-// Straight-line code traces.
-#include "ir/Trace.h"
+// The program IR (multi-block SSA; straight-line traces lower into it).
+#include "ir/Program.h"
 
 // Bulk-evaluation kernels and the worker pool behind parallel studies.
 #include "support/Bitslice.h"

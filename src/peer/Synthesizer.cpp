@@ -6,8 +6,7 @@
 
 #include "peer/Synthesizer.h"
 
-#include "ast/CompiledEval.h"
-#include "ast/Evaluator.h"
+#include "ast/BitslicedEval.h"
 #include "ast/ExprUtils.h"
 
 #include <bit>
@@ -131,34 +130,37 @@ SynthResult Synthesizer::synthesize(const Expr *Target,
   uint64_t Mask = Ctx.mask();
 
   // The I/O oracle: corner-ish samples first, then random ones. Outputs
-  // come from the target, which is otherwise treated as a black box.
+  // come from the target, which is otherwise treated as a black box. The
+  // inputs are kept transposed — one lane of NumSamples values per
+  // variable index — so each candidate runs once over the whole batch.
   unsigned MaxIndex = 0;
   for (const Expr *V : Vars)
     MaxIndex = std::max(MaxIndex, V->varIndex());
-  std::vector<std::vector<uint64_t>> Inputs;
-  std::vector<uint64_t> Outputs;
+  const size_t NumSamples = Opts.NumSamples;
+  std::vector<uint64_t> Lanes((MaxIndex + 1) * NumSamples, 0);
   const uint64_t Special[] = {0, 1, Mask, 2};
-  for (unsigned S = 0; S != Opts.NumSamples; ++S) {
-    std::vector<uint64_t> Sample(MaxIndex + 1, 0);
+  for (size_t S = 0; S != NumSamples; ++S)
     for (const Expr *V : Vars)
-      Sample[V->varIndex()] =
+      Lanes[V->varIndex() * NumSamples + S] =
           S < 4 ? Special[(S + V->varIndex()) % 4] : (Rng.next() & Mask);
-    Outputs.push_back(evaluate(Ctx, Target, Sample));
-    Inputs.push_back(std::move(Sample));
-  }
+  std::vector<const uint64_t *> LanePtrs;
+  for (unsigned I = 0; I <= MaxIndex; ++I)
+    LanePtrs.push_back(Lanes.data() + I * NumSamples);
+  const std::vector<uint64_t> Outputs =
+      BitslicedExpr(Ctx, Target).evaluatePoints(LanePtrs, NumSamples);
 
   // Reward: mean per-sample bit similarity; 1.0 iff all samples match.
-  // Candidates are evaluated on every sample, so compile once per
-  // candidate and replay the bytecode.
+  // Each candidate gets its own program rather than Context::getBitsliced,
+  // whose cache would keep every random candidate alive with the context.
   auto RewardOf = [&](const Expr *E) {
-    CompiledExpr Compiled(Ctx, E);
+    std::vector<uint64_t> Out =
+        BitslicedExpr(Ctx, E).evaluatePoints(LanePtrs, NumSamples);
     double Total = 0;
-    for (size_t S = 0; S != Inputs.size(); ++S) {
-      uint64_t Out = Compiled.evaluate(Inputs[S]);
-      unsigned Wrong = (unsigned)std::popcount((Out ^ Outputs[S]) & Mask);
+    for (size_t S = 0; S != NumSamples; ++S) {
+      unsigned Wrong = (unsigned)std::popcount((Out[S] ^ Outputs[S]) & Mask);
       Total += 1.0 - (double)Wrong / Width;
     }
-    return Total / (double)Inputs.size();
+    return Total / (double)NumSamples;
   };
 
   // Uniform random completion under the size cap.

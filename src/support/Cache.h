@@ -277,13 +277,21 @@ private:
 //     u64       entry count
 //     repeated: u64 key, u32 payload length, payload bytes
 //
+// Payloads are the client's codec. The simplify sections store each
+// expression as a post-order node list (mba/SimplifyCache.cpp): a u32 node
+// count, then per node a kind byte and a u64 constant, a u32-length-
+// prefixed variable name, or u32 operand indices that point at earlier
+// nodes; the root is last. (Printed text would lose the shape of
+// right-nested associative operators, and with it the fingerprints the
+// verdict cache keys on.)
+//
 // A reader rejects mismatched magic, version or width up front (a cache
 // keyed at width 64 is meaningless at width 8), and reports truncation or
 // implausible lengths as corruption. Unknown section names are skipped, so
 // the format is forward-extensible within one version.
 
 inline constexpr char SnapshotMagic[8] = {'M', 'B', 'A', 'C', 'A', 'C', 'H', 'E'};
-inline constexpr uint32_t SnapshotVersion = 1;
+inline constexpr uint32_t SnapshotVersion = 2;
 
 /// Streaming writer for the snapshot format. Construct, write sections via
 /// beginSection()/entry(), then call finish() — which reports whether every

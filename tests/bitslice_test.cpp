@@ -14,6 +14,7 @@
 #include "ast/BitslicedEval.h"
 #include "ast/Evaluator.h"
 #include "ast/Parser.h"
+#include "linalg/TruthTable.h"
 #include "mba/Signature.h"
 #include "support/Bitslice.h"
 #include "support/RNG.h"
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
 #include <vector>
 
 using namespace mba;
@@ -243,9 +245,50 @@ TEST(BitslicedEval, MissingVariablesReadZero) {
     EXPECT_EQ(V, 0u);
 }
 
+TEST(BitslicedEval, SharedSubtreesCompileOnce) {
+  Context Ctx(64);
+  const Expr *Shared = parseOrDie(Ctx, "x*y + 1");
+  const Expr *E = Ctx.getAdd(Shared, Ctx.getMul(Shared, Shared));
+  BitslicedExpr BE(Ctx, E);
+  // Nodes: x, y, x*y, 1, x*y+1 (shared), shared*shared, outer add = 7.
+  EXPECT_EQ(BE.size(), 7u);
+}
+
+TEST(BitslicedEval, RepeatedEvaluationIsConsistent) {
+  // Programs borrow the context's evaluation scratch; one compiled per
+  // candidate and interleaved with another (the Syntia oracle's pattern)
+  // must not see each other's state.
+  Context Ctx(64);
+  BitslicedExpr Square(Ctx, parseOrDie(Ctx, "x*x - 2*x + 1"));
+  std::vector<uint64_t> X = {5, 0, 1};
+  const uint64_t *Ptrs[] = {X.data()};
+  for (int I = 0; I < 10; ++I) {
+    BitslicedExpr Other(Ctx, parseOrDie(Ctx, "~x ^ (x + 7)"));
+    (void)Other.evaluatePoints(Ptrs, 3);
+    EXPECT_EQ(Square.evaluatePoints(Ptrs, 3),
+              (std::vector<uint64_t>{16, 1, 0}));
+  }
+}
+
+/// The reference signature: one corner at a time through the plain
+/// Evaluator, negated and masked (row k is -E(corner_k)).
+std::vector<uint64_t> signatureByEvaluator(const Context &Ctx, const Expr *E,
+                                           std::span<const Expr *const> Vars) {
+  unsigned T = (unsigned)Vars.size();
+  std::vector<uint64_t> Sig(size_t(1) << T);
+  std::vector<uint64_t> Assignment(Ctx.numVars(), 0);
+  for (size_t Row = 0; Row != Sig.size(); ++Row) {
+    for (unsigned I = 0; I != T; ++I)
+      Assignment[Vars[I]->varIndex()] =
+          truthBit((unsigned)Row, I, T) ? Ctx.mask() : 0;
+    Sig[Row] = (0 - evaluate(Ctx, E, Assignment)) & Ctx.mask();
+  }
+  return Sig;
+}
+
 TEST(BitslicedEval, SignaturePathsAgree) {
   // The production computeSignature runs corners through the bitsliced
-  // evaluator; pin it to the scalar reference across variable counts that
+  // evaluator; pin it to the plain Evaluator across variable counts that
   // exercise partial (t <= 6) and multi-block (t = 7, 8) corner batches.
   RNG Rng(0x51619);
   for (unsigned Width : {8u, 64u}) {
@@ -258,7 +301,7 @@ TEST(BitslicedEval, SignaturePathsAgree) {
       for (unsigned Trial = 0; Trial != 8; ++Trial) {
         const Expr *E = randomExpr(Ctx, Rng, Sub, 3);
         ASSERT_EQ(computeSignature(Ctx, E, Sub),
-                  computeSignatureScalar(Ctx, E, Sub))
+                  signatureByEvaluator(Ctx, E, Sub))
             << "width " << Width << " t " << T;
       }
     }

@@ -329,6 +329,99 @@ TEST(SimplifyCacheTest, SnapshotRoundTrip) {
   EXPECT_EQ(printExpr(Ctx, Lin), printExpr(Ctx, parseOrDie(Ctx, "x+y-2*(x&y)")));
 }
 
+/// Loads every simplify section of the snapshot at \p Path into \p Cache.
+void loadSimplify(const std::string &Path, SimplifyCache &Cache) {
+  SnapshotReader R(Path, 64);
+  ASSERT_TRUE(R.ok()) << R.error();
+  std::string Name;
+  uint64_t Count = 0;
+  while (R.nextSection(Name, Count))
+    EXPECT_TRUE(Cache.loadSection(R, Name, Count));
+  EXPECT_TRUE(R.ok()) << R.error();
+}
+
+TEST(SimplifyCacheTest, SnapshotKeepsRightNestedShapes) {
+  // The printer drops the parentheses of a right-nested associative
+  // operator (x+(y+z) prints as x+y+z), so a text payload would come back
+  // left-nested with a different fingerprint. The node list keeps it.
+  std::string Path = tempPath("nested.mbacache");
+  Context Ctx(64);
+  const Expr *X = Ctx.getVar("x"), *Y = Ctx.getVar("y"), *Z = Ctx.getVar("z");
+  const ExprKind Kinds[] = {ExprKind::Add, ExprKind::Mul, ExprKind::And,
+                            ExprKind::Or, ExprKind::Xor};
+  std::vector<const Expr *> Saved;
+  {
+    SimplifyCache Cache(64);
+    for (ExprKind K : Kinds) {
+      // x op (y op z), plus a shared operand to exercise DAG indices.
+      const Expr *Inner = Ctx.getBinary(K, Y, Z);
+      Saved.push_back(Ctx.getBinary(K, X, Inner));
+      Saved.push_back(Ctx.getSub(Ctx.getBinary(K, X, Inner), Ctx.getNot(Inner)));
+    }
+    for (size_t I = 0; I != Saved.size(); ++I)
+      Cache.insertResult(I, Saved[I]);
+    SnapshotWriter W(Path, 64);
+    Cache.save(W);
+    ASSERT_TRUE(W.finish());
+  }
+  SimplifyCache Loaded(64);
+  loadSimplify(Path, Loaded);
+  Context Fresh(64);
+  for (size_t I = 0; I != Saved.size(); ++I) {
+    const Expr *Out = Loaded.lookupResult(I, Fresh);
+    ASSERT_NE(Out, nullptr) << I;
+    EXPECT_EQ(exprFingerprint(Out), exprFingerprint(Saved[I]))
+        << printExpr(Ctx, Saved[I]);
+  }
+}
+
+TEST(SimplifyCacheTest, MalformedPayloadsNeverCrash) {
+  // Every truncation of an entry, and every single-bit flip of it, must
+  // load without crashing: a truncated entry is dropped, a flipped one is
+  // dropped or rebuilt as some well-formed expression.
+  std::string Path = tempPath("malformed.mbacache");
+  uint64_t Key = 0;
+  std::vector<uint8_t> Payload;
+  {
+    SimplifyCache Cache(64);
+    Context Ctx(64);
+    Cache.insertResult(7, parseOrDie(Ctx, "(x & ~y) * 3 + -(x ^ y)"));
+    SnapshotWriter W(Path, 64);
+    Cache.save(W);
+    ASSERT_TRUE(W.finish());
+    SnapshotReader R(Path, 64);
+    std::string Name;
+    uint64_t Count = 0;
+    ASSERT_TRUE(R.nextSection(Name, Count));
+    ASSERT_EQ(Name, SimplifyCache::ResultSection);
+    ASSERT_TRUE(R.entry(Key, Payload));
+  }
+  auto LoadOne = [&](const std::vector<uint8_t> &Bytes) -> const Expr * {
+    {
+      SnapshotWriter W(Path, 64);
+      W.beginSection(SimplifyCache::ResultSection, 1);
+      W.entry(Key, Bytes);
+      EXPECT_TRUE(W.finish());
+    }
+    SimplifyCache Cache(64);
+    loadSimplify(Path, Cache);
+    Context Ctx(64);
+    const Expr *E = Cache.lookupResult(Key, Ctx);
+    if (E)
+      (void)printExpr(Ctx, E);
+    return E;
+  };
+  ASSERT_NE(LoadOne(Payload), nullptr);
+  for (size_t Len = 0; Len != Payload.size(); ++Len)
+    EXPECT_EQ(LoadOne({Payload.begin(), Payload.begin() + Len}), nullptr)
+        << "truncated to " << Len << " bytes";
+  for (size_t Bit = 0; Bit != Payload.size() * 8; ++Bit) {
+    std::vector<uint8_t> Flipped = Payload;
+    Flipped[Bit / 8] ^= (uint8_t)(1u << (Bit % 8));
+    LoadOne(Flipped);
+  }
+}
+
 TEST(VerdictCacheTest, MergeKeepsDecidedOverUnknown) {
   VerdictCache Cache;
   Cache.insert(5, {VerdictEntry::Unknown, 0.5});

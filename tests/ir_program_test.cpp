@@ -6,7 +6,11 @@
 
 #include "ir/Program.h"
 
+#include "ast/Evaluator.h"
 #include "ast/Printer.h"
+#include "gen/Obfuscator.h"
+#include "ir/Passes.h"
+#include "support/RNG.h"
 
 #include <gtest/gtest.h>
 
@@ -342,6 +346,254 @@ TEST(IRMetrics, CountsNodesAndInsts) {
   // Nodes: every inst rhs, branch cond, ret value, plus 1 + #incomings
   // per phi — just pin that it is stable and nontrivial.
   EXPECT_GT(countFunctionNodes(F), 10u);
+}
+
+//===----------------------------------------------------------------------===//
+// Straight-line traces (parseTrace): one single-block function per root
+//===----------------------------------------------------------------------===//
+
+const char *SampleTrace = R"(
+# an obfuscated basic block
+t1 = (x | y) + (x & y)
+t2 = t1 - y          # t2 == x
+t3 = (t2 ^ y) + 2*(t2 & y)
+out = t3 * 2 - t3    # out == x + y
+dead = t1 * t1
+)";
+
+Function traceFunction(Context &Ctx, std::string_view Text,
+                       const std::string &Root) {
+  Diag D;
+  auto P = parseTrace(Ctx, Text, {Root}, &D);
+  EXPECT_TRUE(P.has_value()) << D.str();
+  return P ? P->Functions.front() : Function();
+}
+
+Diag traceFail(Context &Ctx, std::string_view Text, const std::string &Root) {
+  Diag D;
+  EXPECT_FALSE(parseTrace(Ctx, Text, {Root}, &D).has_value())
+      << "expected trace rejection for:\n" << Text;
+  return D;
+}
+
+/// The trace function's value for inputs x and y.
+uint64_t runXY(const Context &Ctx, const Function &F, uint64_t X,
+               uint64_t Y) {
+  const uint64_t Args[] = {X, Y}; // parameters are the inputs by name
+  return *interpretFunction(Ctx, F, Args);
+}
+
+TEST(TraceParse, ParsesInstructionsAndComments) {
+  Context Ctx(64);
+  Function F = traceFunction(Ctx, SampleTrace, "out");
+  EXPECT_EQ(F.Name, "out");
+  ASSERT_EQ(F.numBlocks(), 1u);
+  const BasicBlock &BB = F.entry();
+  ASSERT_EQ(BB.Insts.size(), 5u);
+  EXPECT_STREQ(BB.Insts[0].Dest->varName(), "t1");
+  EXPECT_STREQ(BB.Insts[3].Dest->varName(), "out");
+  // Positions are the trace's own lines (the comment line is line 2).
+  EXPECT_EQ(BB.Insts[0].Loc.Line, 3u);
+  EXPECT_EQ(BB.Term.Kind, TermKind::Ret);
+  EXPECT_EQ(BB.Term.Value, Ctx.getVar("out"));
+  ASSERT_EQ(F.Params.size(), 2u);
+  EXPECT_STREQ(F.Params[0]->varName(), "x");
+  EXPECT_STREQ(F.Params[1]->varName(), "y");
+}
+
+TEST(TraceParse, RejectsMalformedInput) {
+  Context Ctx(64);
+  EXPECT_EQ(traceFail(Ctx, "t1 = x +", "t1").Line, 1u);
+  traceFail(Ctx, "just text", "just");
+  traceFail(Ctx, "1bad = x", "a");
+  traceFail(Ctx, " = x", "a");
+  // Re-assignment violates single-assignment form.
+  Diag D = traceFail(Ctx, "a = x\na = y", "a");
+  EXPECT_NE(D.Message.find("redefinition of 'a'"), std::string::npos);
+  // Self-reference is not allowed.
+  traceFail(Ctx, "a = a + 1", "a");
+}
+
+TEST(TraceParse, DiagnosticsCarryColumnAndToken) {
+  Context Ctx(64);
+  // The '=' is missing: the diagnostic points at the token after the name.
+  Diag D = traceFail(Ctx, "just text", "just");
+  EXPECT_EQ(D.Line, 1u);
+  EXPECT_EQ(D.Col, 6u);
+  EXPECT_EQ(D.Token, "text");
+  EXPECT_NE(D.Message.find("expected '='"), std::string::npos);
+  // A bad expression points into the expression text.
+  D = traceFail(Ctx, "a = x + + y", "a");
+  EXPECT_EQ(D.Line, 1u);
+  EXPECT_EQ(D.Col, 9u);
+  EXPECT_EQ(D.Token, "+");
+  EXPECT_NE(D.Message.find("bad expression"), std::string::npos);
+  // A destination that is not an identifier points at its first character.
+  D = traceFail(Ctx, "1bad = x", "a");
+  EXPECT_EQ(D.Col, 1u);
+  EXPECT_EQ(D.Token, "1bad");
+  D = traceFail(Ctx, " = x", "a");
+  EXPECT_EQ(D.Col, 2u);
+  EXPECT_EQ(D.Token, "=");
+  // A redefinition points at the second definition.
+  D = traceFail(Ctx, "a = x\na = y", "a");
+  EXPECT_EQ(D.Line, 2u);
+  EXPECT_EQ(D.Col, 1u);
+  EXPECT_EQ(D.Token, "a");
+  // Self-use names the variable.
+  D = traceFail(Ctx, "a = a + 1", "a");
+  EXPECT_EQ(D.Line, 1u);
+  EXPECT_EQ(D.Col, 1u);
+  EXPECT_EQ(D.Token, "a");
+  EXPECT_NE(D.Message.find("use before def"), std::string::npos);
+}
+
+TEST(TraceParse, RejectsUseBeforeDef) {
+  // 'b' is assigned later in the trace: referencing it earlier would
+  // silently read an unrelated input named 'b'.
+  Context Ctx(64);
+  Diag D = traceFail(Ctx, "a = b + 1\nb = 2", "a");
+  EXPECT_EQ(D.Line, 1u);
+  EXPECT_EQ(D.Col, 1u);
+  EXPECT_EQ(D.Token, "b");
+  EXPECT_NE(D.Message.find("use of 'b' is not dominated by its definition"),
+            std::string::npos);
+}
+
+TEST(TraceParse, EmptyTextIsEmptyTrace) {
+  Context Ctx(64);
+  auto P = parseTrace(Ctx, "\n# only a comment\n\n", {});
+  ASSERT_TRUE(P.has_value());
+  EXPECT_TRUE(P->Functions.empty());
+  // A root the trace never assigns (nor reads) is undefined.
+  Diag D = traceFail(Ctx, "\n# only a comment\n\n", "out");
+  EXPECT_NE(D.Message.find("undefined value 'out'"), std::string::npos);
+}
+
+TEST(TraceRun, ExecutesSequentially) {
+  Context Ctx(64);
+  Diag D;
+  auto P = parseTrace(Ctx, "a = x + 1\nb = a * 2\nc = b - x", {"a", "b", "c"},
+                      &D);
+  ASSERT_TRUE(P.has_value()) << D.str();
+  ASSERT_EQ(P->Functions.size(), 3u);
+  const uint64_t Args[] = {10};
+  EXPECT_EQ(interpretFunction(Ctx, *P->findFunction("a"), Args), 11u);
+  EXPECT_EQ(interpretFunction(Ctx, *P->findFunction("b"), Args), 22u);
+  EXPECT_EQ(interpretFunction(Ctx, *P->findFunction("c"), Args), 12u);
+}
+
+TEST(TraceFlatten, MatchesExecution) {
+  Context Ctx(64);
+  Function F = traceFunction(Ctx, SampleTrace, "out");
+  const Expr *Flat = flattenValue(Ctx, F, Ctx.getVar("out"));
+  RNG Rng(3);
+  for (int I = 0; I < 100; ++I) {
+    uint64_t X = Rng.next(), Y = Rng.next();
+    std::unordered_map<const Expr *, uint64_t> In = {{Ctx.getVar("x"), X},
+                                                     {Ctx.getVar("y"), Y}};
+    EXPECT_EQ(runXY(Ctx, F, X, Y), evaluate(Ctx, Flat, In));
+  }
+}
+
+TEST(TraceFlatten, InputPassesThrough) {
+  Context Ctx(64);
+  Function F = traceFunction(Ctx, "a = x + 1", "a");
+  const Expr *X = Ctx.getVar("x"), *Y = Ctx.getVar("y");
+  EXPECT_EQ(flattenValue(Ctx, F, X), X);
+  EXPECT_EQ(flattenValue(Ctx, F, Y), Y);
+}
+
+TEST(TraceDce, RemovesUnreachableInstructions) {
+  Context Ctx(64);
+  Function F = traceFunction(Ctx, SampleTrace, "out");
+  Function Live = F;
+  EXPECT_EQ(eliminateDeadInstructions(Live), 1u); // 'dead' dropped
+  ASSERT_EQ(Live.entry().Insts.size(), 4u);
+  for (const IRInst &I : Live.entry().Insts)
+    EXPECT_STRNE(I.Dest->varName(), "dead");
+  // Semantics of the root are preserved.
+  RNG Rng(4);
+  for (int I = 0; I < 50; ++I) {
+    uint64_t X = Rng.next(), Y = Rng.next();
+    EXPECT_EQ(runXY(Ctx, F, X, Y), runXY(Ctx, Live, X, Y));
+  }
+}
+
+/// Deobfuscates \p P and returns each function's recovered root text.
+std::vector<std::string> recoveredRoots(Context &Ctx, Program &P) {
+  ProgramReport Report = deobfuscateProgram(Ctx, P);
+  EXPECT_EQ(Report.totalRegionsRewritten(), P.Functions.size())
+      << Report.str();
+  std::vector<std::string> Out;
+  for (const Function &F : P.Functions) {
+    EXPECT_EQ(F.entry().Insts.size(), 1u) << printFunction(Ctx, F);
+    Out.push_back(printExpr(Ctx, flattenValue(Ctx, F, F.entry().Term.Value)));
+  }
+  return Out;
+}
+
+TEST(TraceDeobfuscate, RecoversSimpleSemantics) {
+  Context Ctx(64);
+  auto P = parseTrace(Ctx, SampleTrace, {"out"});
+  ASSERT_TRUE(P.has_value());
+  EXPECT_EQ(recoveredRoots(Ctx, *P), (std::vector<std::string>{"x+y"}));
+  EXPECT_NE(P->print(Ctx).find("out = x+y"), std::string::npos);
+}
+
+TEST(TraceDeobfuscate, MultipleRoots) {
+  Context Ctx(64);
+  auto P = parseTrace(Ctx, SampleTrace, {"t2", "out"});
+  ASSERT_TRUE(P.has_value());
+  EXPECT_EQ(recoveredRoots(Ctx, *P),
+            (std::vector<std::string>{"x", "x+y"}));
+}
+
+TEST(TraceDeobfuscate, GeneratedObfuscationRoundTrip) {
+  // Write a multi-instruction obfuscated trace with the generator, then
+  // deobfuscate and compare semantics on samples.
+  Context Ctx(64);
+  Obfuscator Obf(Ctx, 99);
+  RNG Rng(17);
+  const Expr *X = Ctx.getVar("x"), *Y = Ctx.getVar("y");
+  ObfuscationOptions Opts;
+  std::string Text =
+      "s1 = " + printExpr(Ctx, Obf.obfuscateLinear(Ctx.getAdd(X, Y), Opts)) +
+      "\ns2 = " + printExpr(Ctx, Obf.obfuscateLinear(Ctx.getSub(X, Y), Opts)) +
+      // result = s1 + s2 == 2x, expressed through the temps.
+      "\nresult = s1 + s2\n";
+  Diag D;
+  auto P = parseTrace(Ctx, Text, {"result"}, &D);
+  ASSERT_TRUE(P.has_value()) << D.str();
+  const Function Obfuscated = P->Functions.front();
+  EXPECT_EQ(recoveredRoots(Ctx, *P), (std::vector<std::string>{"2*x"}));
+  const Function &Clean = P->Functions.front();
+  for (int I = 0; I < 100; ++I) {
+    uint64_t XV = Rng.next(), YV = Rng.next();
+    EXPECT_EQ(runXY(Ctx, Obfuscated, XV, YV), runXY(Ctx, Clean, XV, YV));
+    EXPECT_EQ(runXY(Ctx, Clean, XV, YV), (2 * XV) & Ctx.mask());
+  }
+}
+
+TEST(TracePrint, RoundTripsThroughParse) {
+  // A lowered trace prints as an ordinary program, which parses back to
+  // the same canonical text and the same semantics.
+  Context Ctx(64);
+  auto P = parseTrace(Ctx, SampleTrace, {"t2", "out"});
+  ASSERT_TRUE(P.has_value());
+  std::string Text = P->print(Ctx);
+  Diag D;
+  auto P2 = Program::parse(Ctx, Text, &D);
+  ASSERT_TRUE(P2.has_value()) << D.str() << "\n" << Text;
+  EXPECT_EQ(P2->print(Ctx), Text);
+  ASSERT_EQ(P2->Functions.size(), 2u);
+  RNG Rng(5);
+  for (int I = 0; I < 50; ++I) {
+    uint64_t X = Rng.next(), Y = Rng.next();
+    for (size_t F = 0; F != 2; ++F)
+      EXPECT_EQ(runXY(Ctx, P->Functions[F], X, Y),
+                runXY(Ctx, P2->Functions[F], X, Y));
+  }
 }
 
 } // namespace

@@ -9,7 +9,8 @@
 #include "ast/Parser.h"
 #include "ast/Printer.h"
 #include "gen/EncodeArithmetic.h"
-#include "ir/Trace.h"
+#include "ir/Passes.h"
+#include "ir/Program.h"
 #include "mba/Simplifier.h"
 #include "support/RNG.h"
 
@@ -80,37 +81,35 @@ TEST(EncodeNarrowWidths, EncodingHoldsAtEveryWidth) {
 TEST(TraceWithEncoder, EncodedTraceDeobfuscates) {
   // Encode each instruction of a trace, then recover the root semantics.
   Context Ctx(64);
-  auto T = Trace::parse(Ctx, "t1 = x + y\nout = t1 * 2 - t1");
-  ASSERT_TRUE(T.has_value());
+  auto P = parseTrace(Ctx, "t1 = x + y\nout = t1 * 2 - t1", {"out"});
+  ASSERT_TRUE(P.has_value());
   EncodeOptions Opts;
   Opts.Rounds = 2;
   Opts.Percent = 100;
   Opts.Seed = 5;
-  Trace Encoded;
-  for (const TraceInst &I : T->instructions())
-    Encoded.append(I.Dest, encodeArithmetic(Ctx, I.Rhs, Opts));
+  Function &F = P->Functions.front();
+  for (IRInst &I : F.entry().Insts)
+    I.Rhs = encodeArithmetic(Ctx, I.Rhs, Opts);
+  const Function Encoded = F;
 
-  MBASolver Solver(Ctx);
-  const Expr *Roots[] = {Ctx.getVar("out")};
-  Trace Clean = Encoded.deobfuscate(Ctx, Solver, Roots);
-  ASSERT_EQ(Clean.size(), 1u);
+  ProgramReport Report = deobfuscateProgram(Ctx, *P);
+  EXPECT_EQ(Report.totalRegionsRewritten(), 1u) << Report.str();
+  ASSERT_EQ(F.entry().Insts.size(), 1u);
   // Flattening composes the per-instruction encodings into forms like
   // (2t) & ~t — relational bit facts outside the MBA model (the paper's
   // Section 7 limitation) — so full recovery to "x+y" is not guaranteed.
   // Required: semantic equality and a genuine size reduction.
   const Expr *Out = Ctx.getVar("out");
-  const Expr *Recovered = Clean.instructions()[0].Rhs;
+  const Expr *Recovered = flattenValue(Ctx, F, Out);
   RNG Rng(6);
   for (int I = 0; I < 100; ++I) {
-    std::unordered_map<const Expr *, uint64_t> In = {
-        {Ctx.getVar("x"), Rng.next()}, {Ctx.getVar("y"), Rng.next()}};
-    uint64_t Want = (In.at(Ctx.getVar("x")) + In.at(Ctx.getVar("y"))) &
-                    Ctx.mask();
-    ASSERT_EQ(Encoded.run(Ctx, In).at(Out), Want);
-    ASSERT_EQ(Clean.run(Ctx, In).at(Out), Want);
+    const uint64_t Args[] = {Rng.next(), Rng.next()}; // x, y
+    uint64_t Want = (Args[0] + Args[1]) & Ctx.mask();
+    ASSERT_EQ(interpretFunction(Ctx, Encoded, Args), Want);
+    ASSERT_EQ(interpretFunction(Ctx, F, Args), Want);
   }
   EXPECT_LT(printExpr(Ctx, Recovered).size(),
-            printExpr(Ctx, Encoded.flatten(Ctx, Out)).size());
+            printExpr(Ctx, flattenValue(Ctx, Encoded, Out)).size());
 }
 
 TEST(DeterminismAcrossContexts, SimplifierOutputIsContextIndependent) {

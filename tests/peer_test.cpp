@@ -11,6 +11,7 @@
 #include "ast/ExprUtils.h"
 #include "ast/Parser.h"
 #include "ast/Printer.h"
+#include "gen/Corpus.h"
 #include "mba/Metrics.h"
 #include "support/RNG.h"
 
@@ -226,6 +227,56 @@ TEST(SynthesizerTest, DeterministicForFixedSeed) {
   SynthResult R2 = Synth.synthesize(Target, Vars, Opts);
   EXPECT_EQ(R1.Best, R2.Best);
   EXPECT_EQ(R1.BestReward, R2.BestReward);
+}
+
+TEST(SynthesizerTest, GoldenOnDefaultCorpus) {
+  // Pins the search itself: the oracle's rewards steer every MCTS
+  // decision, so any change in how candidates are evaluated on the samples
+  // (or in the order the rewards are summed) shows up here as a different
+  // best candidate or iteration count. Entries of the default corpus
+  // generator, default options, seed = entry index + 1.
+  struct Golden {
+    const char *Best;
+    unsigned Iterations;
+  };
+  const Golden Want[] = {
+      {"x|1*y", 148},
+      {"x^y", 308},
+      {"y-x*-1", 336},
+      {"x+y", 219},
+      {"y+x", 133},
+      {"x+y", 204},
+      {"x-y", 175},
+      {"-x", 95},
+      {"-((0--y)*(-~(-1-x)&-1))", 1082},
+      {"(x&-1)-(1^y-z)", 4000},
+      {"y+x", 153},
+      {"x-y", 588},
+      {"x*-x", 4000},
+      {"-w&z", 4000},
+      {"-x|x", 4000},
+      {"y-~x", 4000},
+      {"x*x", 4000},
+      {"w", 4000},
+      {"(2--2|~(2+0+1))*x|0", 3425},
+      {"~y", 4000},
+  };
+  Context Ctx(64);
+  CorpusOptions CO;
+  CO.LinearCount = 7;
+  CO.PolyCount = 7;
+  CO.NonPolyCount = 6;
+  std::vector<CorpusEntry> Corpus = generateCorpus(Ctx, CO);
+  ASSERT_EQ(Corpus.size(), std::size(Want));
+  Synthesizer Synth(Ctx);
+  for (size_t I = 0; I != Corpus.size(); ++I) {
+    SynthOptions Opts;
+    Opts.Seed = 1 + I;
+    SynthResult R = Synth.synthesize(
+        Corpus[I].Obfuscated, collectVariables(Corpus[I].Obfuscated), Opts);
+    EXPECT_EQ(printExpr(Ctx, R.Best), Want[I].Best) << "entry " << I;
+    EXPECT_EQ(R.IterationsUsed, Want[I].Iterations) << "entry " << I;
+  }
 }
 
 } // namespace
