@@ -23,8 +23,12 @@
 #include "mba/Basis.h"
 #include "mba/Signature.h"
 #include "mba/Simplifier.h"
+#include "poly/Polynomial.h"
 
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 using namespace mba;
 
@@ -41,6 +45,39 @@ void BM_Parse(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Parse);
+
+/// The printed obfuscated and ground sides of the paper corpus (1000
+/// entries per category, seed 1, width 64): the text perfbench parses.
+const std::vector<std::string> &paperCorpusTexts() {
+  static const std::vector<std::string> Texts = [] {
+    Context Gen(64);
+    CorpusOptions Opts;
+    Opts.Seed = 1;
+    std::vector<std::string> Out;
+    for (const CorpusEntry &E : generateCorpus(Gen, Opts)) {
+      Out.push_back(printExpr(Gen, E.Obfuscated));
+      Out.push_back(printExpr(Gen, E.Ground));
+    }
+    return Out;
+  }();
+  return Texts;
+}
+
+void BM_ParseCorpusText(benchmark::State &State) {
+  // Every corpus text into one context, as a long-running process parses
+  // them: after the first iteration every node is an intern hit, so this
+  // is the parser's own cost per byte.
+  const std::vector<std::string> &Texts = paperCorpusTexts();
+  size_t Bytes = 0;
+  for (const std::string &T : Texts)
+    Bytes += T.size();
+  Context Ctx(64);
+  for (auto _ : State)
+    for (const std::string &T : Texts)
+      benchmark::DoNotOptimize(parseExpr(Ctx, T).E);
+  State.SetBytesProcessed(State.iterations() * (int64_t)Bytes);
+}
+BENCHMARK(BM_ParseCorpusText);
 
 void BM_Print(benchmark::State &State) {
   Context Ctx(64);
@@ -107,6 +144,52 @@ void BM_SimplifyColdCache(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SimplifyColdCache);
+
+void BM_SimplifyColdCorpus(benchmark::State &State) {
+  // The cold query path: a fresh solver (empty lookup table, no shared
+  // cache) simplifies both sides of 100 corpus entries per category. The
+  // context, and with it the compiled evaluators, persists across
+  // iterations.
+  Context Ctx(64);
+  CorpusOptions Opts;
+  Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 100;
+  Opts.Seed = 1;
+  std::vector<CorpusEntry> Corpus = generateCorpus(Ctx, Opts);
+  for (auto _ : State) {
+    MBASolver Solver(Ctx);
+    for (const CorpusEntry &E : Corpus) {
+      benchmark::DoNotOptimize(Solver.simplify(E.Obfuscated));
+      benchmark::DoNotOptimize(Solver.simplify(E.Ground));
+    }
+  }
+  State.SetItemsProcessed(State.iterations() * 2 * (int64_t)Corpus.size());
+}
+BENCHMARK(BM_SimplifyColdCorpus);
+
+void BM_PolyMul(benchmark::State &State) {
+  // Two polynomials of N terms each over eight atoms, degrees 0 to 2, as
+  // the poly path's expansion multiplies them: many products collect into
+  // the same monomial.
+  constexpr uint64_t Mask = ~0ULL;
+  auto Make = [&](uint64_t Seed) {
+    Polynomial P(Mask);
+    uint64_t X = Seed;
+    while (P.numTerms() != (size_t)State.range(0)) {
+      X = X * 6364136223846793005ULL + 1442695040888963407ULL;
+      Monomial M;
+      for (unsigned D = (unsigned)(X >> 60) % 3; D; --D)
+        M = M * Monomial::atom((AtomId)(X >> (40 + 3 * D)) % 8);
+      P.addTerm(M, (X >> 8) | 1);
+    }
+    return P;
+  };
+  Polynomial A = Make(1), B = Make(2);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(A * B);
+  State.SetItemsProcessed(State.iterations() * State.range(0) *
+                          State.range(0));
+}
+BENCHMARK(BM_PolyMul)->Arg(8)->Arg(32);
 
 void BM_FoldAbstractChain(benchmark::State &State) {
   // The abstract-fold pre-pass over a left-deep ((x+1)+1)... chain: one

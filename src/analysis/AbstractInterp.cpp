@@ -414,16 +414,44 @@ private:
 
 const Expr *mba::foldAbstract(Context &Ctx, const Expr *E) {
   ProductDomain D(Ctx);
-  NodeMap<ProductDomain::Value> Memo;
-  return rewriteBottomUp(Ctx, E, [&](const Expr *N) -> const Expr * {
-    if (N->isLeaf())
-      return N;
-    // A rebuilt node is absent from the memo (an operand was folded), but
-    // its operands are in it: computeAbstract evaluates just the new node.
-    if (auto C = D.asConstant(computeAbstract(D, N, Memo)))
-      return Ctx.getConst(*C);
-    return N;
+  // Original node -> its folded form and the product value of that form.
+  // A node's value depends only on the node, so the value of a rebuilt
+  // node follows from its rebuilt operands' entries, and a node folded to
+  // c carries the value of the constant node c.
+  struct Folded {
+    const Expr *N;
+    ProductDomain::Value V;
+  };
+  NodeMap<Folded> Memo;
+  forEachUnseenPostOrder(E, Memo, [&](const Expr *N) {
+    Folded F;
+    switch (N->kind()) {
+    case ExprKind::Var:
+      F = {N, D.top()};
+      break;
+    case ExprKind::Const:
+      F = {N, D.constant(N->constValue())};
+      break;
+    case ExprKind::Not:
+    case ExprKind::Neg: {
+      const Folded &A = Memo.at(N->operand());
+      F = {Ctx.rebuild(N, A.N, nullptr), D.unary(N->kind(), A.V)};
+      break;
+    }
+    default: {
+      const Folded &L = Memo.at(N->lhs());
+      const Folded &R = Memo.at(N->rhs());
+      F = {Ctx.rebuild(N, L.N, R.N),
+           D.binary(N->kind(), L.V, R.V, L.N == R.N)};
+      break;
+    }
+    }
+    if (!F.N->isLeaf())
+      if (auto C = D.asConstant(F.V))
+        F = {Ctx.getConst(*C), D.constant(*C)};
+    Memo.emplace(N, F);
   });
+  return Memo.at(E).N;
 }
 
 std::optional<Refutation>

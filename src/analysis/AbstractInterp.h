@@ -220,8 +220,9 @@ Interval computeInterval(const Context &Ctx, const Expr *E);
 
 /// Multi-domain constant folding: folds every sub-expression that any of
 /// the three domains proves constant (asked in the order known bits,
-/// parity, interval). Strictly subsumes foldKnownBits(). One bottom-up walk
-/// over one memo of all three values: linear in the DAG size.
+/// parity, interval). Strictly subsumes foldKnownBits(). One post-order
+/// walk over one memo that holds each node's folded form together with
+/// that form's value in all three domains: linear in the DAG size.
 const Expr *foldAbstract(Context &Ctx, const Expr *E);
 
 /// A static disproof of `A == B`, produced without solving.

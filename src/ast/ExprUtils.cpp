@@ -7,9 +7,22 @@
 #include "ast/ExprUtils.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <iterator>
 
 using namespace mba;
+
+namespace {
+
+/// The canonical variable order: by name.
+void sortByName(std::vector<const Expr *> &Vars) {
+  std::sort(Vars.begin(), Vars.end(), [](const Expr *A, const Expr *B) {
+    return std::strcmp(A->varName(), B->varName()) < 0;
+  });
+}
+
+} // namespace
 
 std::vector<const Expr *> mba::collectVariables(const Expr *E) {
   std::vector<const Expr *> Vars;
@@ -17,10 +30,89 @@ std::vector<const Expr *> mba::collectVariables(const Expr *E) {
     if (N->isVar())
       Vars.push_back(N); // the walk visits each distinct node once
   });
-  std::sort(Vars.begin(), Vars.end(), [](const Expr *A, const Expr *B) {
-    return std::strcmp(A->varName(), B->varName()) < 0;
-  });
+  sortByName(Vars);
   return Vars;
+}
+
+VariableMemo::Set VariableMemo::walk(const Expr *E) {
+  forEachUnseenPostOrder(E, Sets, [&](const Expr *N) {
+    Set S;
+    if (N->isVar()) {
+      unsigned I = N->varIndex();
+      if (I < 64) {
+        LowVars[I] = N;
+        S.Low = 1ULL << I;
+      } else {
+        S.High = (uint32_t)HighLists.size();
+        HighLists.push_back({N});
+      }
+    } else if (N->isUnary()) {
+      S = Sets.at(N->operand());
+    } else if (N->isBinary()) {
+      S = unite(Sets.at(N->lhs()), Sets.at(N->rhs()));
+    }
+    Sets.emplace(N, S);
+  });
+  return Sets.at(E);
+}
+
+VariableMemo::Set VariableMemo::unite(Set A, Set B) {
+  Set R{A.Low | B.Low, A.High};
+  if (!A.High || A.High == B.High) {
+    R.High = B.High;
+    return R;
+  }
+  if (!B.High)
+    return R;
+  const std::vector<const Expr *> &LA = HighLists[A.High];
+  const std::vector<const Expr *> &LB = HighLists[B.High];
+  std::vector<const Expr *> Merged;
+  std::set_union(LA.begin(), LA.end(), LB.begin(), LB.end(),
+                 std::back_inserter(Merged),
+                 [](const Expr *X, const Expr *Y) {
+                   return X->varIndex() < Y->varIndex();
+                 });
+  // A superset of both keeps its list instead of copying it.
+  if (Merged.size() == LA.size())
+    return R;
+  if (Merged.size() == LB.size()) {
+    R.High = B.High;
+    return R;
+  }
+  R.High = (uint32_t)HighLists.size();
+  HighLists.push_back(std::move(Merged));
+  return R;
+}
+
+std::vector<const Expr *> VariableMemo::expand(Set S) const {
+  const std::vector<const Expr *> &High = HighLists[S.High];
+  std::vector<const Expr *> Vars;
+  Vars.reserve((size_t)std::popcount(S.Low) + High.size());
+  for (uint64_t Bits = S.Low; Bits; Bits &= Bits - 1)
+    Vars.push_back(LowVars[std::countr_zero(Bits)]);
+  Vars.insert(Vars.end(), High.begin(), High.end());
+  sortByName(Vars);
+  return Vars;
+}
+
+std::vector<const Expr *> VariableMemo::variables(const Expr *E) {
+  return expand(walk(E));
+}
+
+std::vector<const Expr *> VariableMemo::variables(const Expr *A,
+                                                  const Expr *B) {
+  Set SA = walk(A);
+  return expand(unite(SA, walk(B)));
+}
+
+size_t VariableMemo::count(const Expr *E) {
+  Set S = walk(E);
+  return (size_t)std::popcount(S.Low) + HighLists[S.High].size();
+}
+
+void VariableMemo::clear() {
+  Sets.clear();
+  HighLists.resize(1);
 }
 
 bool mba::containsSubExpr(const Expr *E, const Expr *Sub) {

@@ -8,27 +8,69 @@
 
 #include "support/Telemetry.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 using namespace mba;
 
 namespace {
 
 /// Deepest nesting of parentheses and prefix operators parseExpr accepts.
-/// The descent recurses once per level (seven frames per parenthesis), so
+/// The parser recurses once per level (four frames per parenthesis), so
 /// without a cap a deeply nested input overflows the stack. Generated and
 /// published MBA expressions nest a few dozen levels.
 constexpr unsigned MaxNestingDepth = 2048;
+
+/// Byte classes of the grammar, as the C locale's <cctype> has them.
+enum ByteClass : uint8_t {
+  Space = 1,     ///< isspace: ' ' and \t \n \v \f \r
+  Digit = 2,     ///< 0-9
+  Alpha = 4,     ///< A-Z a-z _ (the first byte of an identifier)
+  HexLetter = 8, ///< a-f A-F
+};
+
+constexpr std::array<uint8_t, 256> makeByteClasses() {
+  std::array<uint8_t, 256> T{};
+  for (char C : {' ', '\t', '\n', '\v', '\f', '\r'})
+    T[(unsigned char)C] = Space;
+  for (int C = '0'; C <= '9'; ++C)
+    T[C] = Digit;
+  for (int C = 'a'; C <= 'z'; ++C)
+    T[C] = T[C - 'a' + 'A'] = Alpha | (C <= 'f' ? HexLetter : 0);
+  T['_'] = Alpha;
+  return T;
+}
+
+constexpr std::array<uint8_t, 256> ByteClasses = makeByteClasses();
+
+bool is(char C, uint8_t Class) {
+  return ByteClasses[(unsigned char)C] & Class;
+}
+
+/// Binding strength of a binary operator byte, 0 for any other byte.
+/// Python/C order: '|' < '^' < '&' < '+' '-' < '*'.
+constexpr std::array<uint8_t, 256> makeBinaryPrecedence() {
+  std::array<uint8_t, 256> T{};
+  T['|'] = 1;
+  T['^'] = 2;
+  T['&'] = 3;
+  T['+'] = T['-'] = 4;
+  T['*'] = 5;
+  return T;
+}
+
+constexpr std::array<uint8_t, 256> BinaryPrecedence = makeBinaryPrecedence();
 
 class ParserImpl {
 public:
   ParserImpl(Context &Ctx, std::string_view Text) : Ctx(Ctx), Text(Text) {}
 
   ParseResult run() {
-    const Expr *E = parseOr();
+    const Expr *E = parseBinary();
     if (!E)
       return makeError();
     skipSpace();
@@ -57,98 +99,64 @@ private:
   }
 
   void skipSpace() {
-    while (Pos < Text.size() && std::isspace((unsigned char)Text[Pos]))
+    while (Pos < Text.size() && is(Text[Pos], Space))
       ++Pos;
   }
 
-  bool peekIs(char C) {
-    skipSpace();
-    return Pos < Text.size() && Text[Pos] == C;
-  }
-
   bool consume(char C) {
-    if (!peekIs(C))
+    skipSpace();
+    if (Pos == Text.size() || Text[Pos] != C)
       return false;
     ++Pos;
     return true;
   }
 
-  // expr := xor ('|' xor)*
-  const Expr *parseOr() {
-    const Expr *L = parseXor();
-    if (!L)
-      return nullptr;
-    while (consume('|')) {
-      const Expr *R = parseXor();
-      if (!R)
-        return nullptr;
-      L = Ctx.getOr(L, R);
-    }
-    return L;
-  }
-
-  // xor := and ('^' and)*
-  const Expr *parseXor() {
-    const Expr *L = parseAnd();
-    if (!L)
-      return nullptr;
-    while (consume('^')) {
-      const Expr *R = parseAnd();
-      if (!R)
-        return nullptr;
-      L = Ctx.getXor(L, R);
-    }
-    return L;
-  }
-
-  // and := sum ('&' sum)*
-  const Expr *parseAnd() {
-    const Expr *L = parseSum();
-    if (!L)
-      return nullptr;
-    while (consume('&')) {
-      const Expr *R = parseSum();
-      if (!R)
-        return nullptr;
-      L = Ctx.getAnd(L, R);
-    }
-    return L;
-  }
-
-  // sum := product (('+' | '-') product)*
-  const Expr *parseSum() {
-    const Expr *L = parseProduct();
-    if (!L)
-      return nullptr;
-    for (;;) {
-      if (consume('+')) {
-        const Expr *R = parseProduct();
-        if (!R)
-          return nullptr;
-        L = Ctx.getAdd(L, R);
-      } else if (consume('-')) {
-        const Expr *R = parseProduct();
-        if (!R)
-          return nullptr;
-        L = Ctx.getSub(L, R);
-      } else {
-        return L;
-      }
+  const Expr *combine(char Op, const Expr *L, const Expr *R) {
+    switch (Op) {
+    case '|':
+      return Ctx.getOr(L, R);
+    case '^':
+      return Ctx.getXor(L, R);
+    case '&':
+      return Ctx.getAnd(L, R);
+    case '+':
+      return Ctx.getAdd(L, R);
+    case '-':
+      return Ctx.getSub(L, R);
+    default:
+      return Ctx.getMul(L, R);
     }
   }
 
-  // product := unary ('*' unary)*
-  const Expr *parseProduct() {
+  // expr := unary (binop unary)*, every binop left-associative.
+  //
+  // One precedence-climbing loop: operands wait on a stack with the
+  // operator that follows them, and an operator first combines every
+  // waiting operand whose operator binds at least as tightly. Nodes are
+  // built in the order the recursive grammar (expr > xor > and > sum >
+  // product > unary) would build them.
+  const Expr *parseBinary() {
+    // This call's operands sit above Base; a parenthesis nests a call.
+    size_t Base = Pending.size();
     const Expr *L = parseUnary();
     if (!L)
       return nullptr;
-    while (consume('*')) {
-      const Expr *R = parseUnary();
-      if (!R)
+    for (;;) {
+      skipSpace();
+      char Op = Pos < Text.size() ? Text[Pos] : 0;
+      uint8_t Prec = BinaryPrecedence[(unsigned char)Op];
+      while (Pending.size() > Base && Pending.back().Prec >= Prec) {
+        L = combine(Pending.back().Op, Pending.back().L, L);
+        Pending.pop_back();
+      }
+      if (!Prec)
+        return L;
+      ++Pos;
+      Pending.push_back({L, Op, Prec});
+      L = parseUnary();
+      if (!L)
         return nullptr;
-      L = Ctx.getMul(L, R);
     }
-    return L;
   }
 
   // unary := ('-' | '~')* primary
@@ -201,7 +209,7 @@ private:
     char C = Text[Pos];
     if (C == '(') {
       ++Pos;
-      const Expr *E = parseOr();
+      const Expr *E = parseBinary();
       if (!E)
         return nullptr;
       if (!consume(')')) {
@@ -210,61 +218,59 @@ private:
       }
       return E;
     }
-    if (std::isdigit((unsigned char)C))
+    if (is(C, Digit))
       return parseNumber();
-    if (std::isalpha((unsigned char)C) || C == '_')
+    if (is(C, Alpha))
       return parseIdent();
     fail(std::string("unexpected character '") + C + "'");
     return nullptr;
   }
 
   const Expr *parseNumber() {
-    size_t Start = Pos;
-    int Base = 10;
+    unsigned Base = 10;
     if (Text.size() - Pos > 2 && Text[Pos] == '0' &&
         (Text[Pos + 1] == 'x' || Text[Pos + 1] == 'X')) {
       Base = 16;
       Pos += 2;
-      Start = Pos;
-      if (Pos >= Text.size() || !std::isxdigit((unsigned char)Text[Pos])) {
+      if (!is(Text[Pos], Digit | HexLetter)) {
         fail("expected hex digits after 0x");
         return nullptr;
       }
     }
+    // Constants are defined modulo 2^w: a literal past 64 bits wraps and
+    // the context truncates it to the width.
     uint64_t Value = 0;
-    bool Overflow = false;
-    while (Pos < Text.size()) {
+    for (; Pos < Text.size(); ++Pos) {
       char D = Text[Pos];
-      int Digit;
-      if (D >= '0' && D <= '9')
-        Digit = D - '0';
-      else if (Base == 16 && D >= 'a' && D <= 'f')
-        Digit = D - 'a' + 10;
-      else if (Base == 16 && D >= 'A' && D <= 'F')
-        Digit = D - 'A' + 10;
+      unsigned V;
+      if (is(D, Digit))
+        V = D - '0';
+      else if (Base == 16 && is(D, HexLetter))
+        V = (D | 0x20) - 'a' + 10;
       else
         break;
-      uint64_t Next = Value * Base + Digit;
-      if (Next / Base != Value || Next % Base != (uint64_t)Digit)
-        Overflow = true; // wraps mod 2^64; still accepted, then truncated
-      Value = Next;
-      ++Pos;
+      Value = Value * Base + V;
     }
-    (void)Start;
-    (void)Overflow; // constants are defined modulo 2^w; wraparound is fine
     return Ctx.getConst(Value);
   }
 
   const Expr *parseIdent() {
     size_t Start = Pos;
-    while (Pos < Text.size() &&
-           (std::isalnum((unsigned char)Text[Pos]) || Text[Pos] == '_'))
+    while (Pos < Text.size() && is(Text[Pos], Alpha | Digit))
       ++Pos;
     return Ctx.getVar(Text.substr(Start, Pos - Start));
   }
 
+  /// A left operand waiting for its right one, with the operator between.
+  struct PendingOp {
+    const Expr *L;
+    char Op;
+    uint8_t Prec;
+  };
+
   Context &Ctx;
   std::string_view Text;
+  std::vector<PendingOp> Pending; ///< parseBinary's stack, shared by nesting
   size_t Pos = 0;
   unsigned Depth = 0; ///< parseUnary frames currently active
   std::string ErrorMsg;

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Recursive-descent parser for the surface syntax used by the paper and by
-/// the public MBA datasets (Python/C operator precedence):
+/// Parser for the surface syntax used by the paper and by the public MBA
+/// datasets (Python/C operator precedence). One precedence-climbing loop
+/// handles the binary levels of the grammar:
 ///
 ///   expr    := xor ('|' xor)*
 ///   xor     := and ('^' and)*

@@ -23,7 +23,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <functional>
 #include <unordered_map>
 
 using namespace mba;
@@ -164,6 +163,7 @@ const Expr *MBASolver::simplify(const Expr *E) {
   ResultMemo.clear();
   FactsMemo.clear();
   AltMemo.clear();
+  VarMemo.clear();
 
   bool Noting = noting();
   const Expr *R = E;
@@ -230,7 +230,7 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
   uint64_t NoteStart = noting() ? telemetry::nowNs() : 0;
   switch (classifyMBA(Ctx, E, FactsMemo)) {
   case MBAKind::Linear: {
-    std::vector<const Expr *> Vars = collectVariables(E);
+    std::vector<const Expr *> Vars = VarMemo.variables(E);
     if (Vars.size() <= Opts.MaxSignatureVars) {
       R = simplifyLinear(E, Vars);
       Rule = "linear-signature";
@@ -415,7 +415,7 @@ const Expr *MBASolver::simplifyPoly(const Expr *E, unsigned Depth) {
     if (!isPureBitwise(Ctx, N, FactsMemo))
       // Impure bitwise (only reachable from the non-poly path): opaque.
       return Polynomial::atom(Atoms.getOrCreate(N), Mask);
-    std::vector<const Expr *> Vars = collectVariables(N);
+    std::vector<const Expr *> Vars = VarMemo.variables(N);
     if (Vars.empty())
       return Polynomial::constant(
           evaluate(Ctx, N, std::span<const uint64_t>()), Mask);
@@ -434,8 +434,9 @@ const Expr *MBASolver::simplifyPoly(const Expr *E, unsigned Depth) {
   if (!P)
     // Expansion exceeded the term cap: fall back to simplifying operands.
     return rebuildWithSimplifiedChildren(E, Depth);
-  // Rough per-term footprint of the map-based polynomial representation.
-  Stats.TransientBytes += P->numTerms() * 64;
+  // Per-term footprint: one entry of the polynomial's term vector.
+  Stats.TransientBytes +=
+      P->numTerms() * sizeof(Polynomial::TermList::value_type);
   return polynomialToExpr(Ctx, *P, Atoms);
 }
 
@@ -458,87 +459,119 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
   std::unordered_map<const Expr *, const Expr *> BackSubst; // temp -> subexpr
   bool AbstractionFailed = false;
 
-  NodeMap<const Expr *> Memo;
-  std::function<const Expr *(const Expr *)> Abstract =
-      [&](const Expr *N) -> const Expr * {
-    if (const Expr *const *Done = Memo.find(N))
-      return *Done;
-    const Expr *R;
-    if (N->isLeaf()) {
-      R = N;
-    } else if (isBitwiseKind(N->kind())) {
-      auto DoOperand = [&](const Expr *O) -> const Expr * {
-        if (isPureBitwise(Ctx, O, FactsMemo))
-          return O;
-        if (isBitwiseKind(O->kind()))
-          return Abstract(O); // impure bitwise: abstract deeper inside
-        // Note that a plain constant mask (e.g. the 3 in x & 3) is
-        // abstracted like any arithmetic operand: the derived identity
-        // holds for every value of the temporary, in particular for the
-        // constant. Generality is lost (no constant-specific reasoning)
-        // but soundness is not.
-        const Expr *S = simplifyRec(O, Depth);
-        if (isPureBitwise(Ctx, S, FactsMemo))
-          return S; // simplification removed the arithmetic
-        // A linear operand whose signature is 0/1-valued *is* a bitwise
-        // function (Theorem 1 makes the corner agreement total): rewrite
-        // it as one instead of abstracting — e.g. -x-1 under & becomes
-        // ~x, letting the surrounding bitwise context normalize fully.
-        if (const Expr *Bitwise = recognizeBitwise(S))
-          return Bitwise;
-        if (!Opts.EnableCSE) {
-          AbstractionFailed = true;
-          return S;
-        }
-        auto [TIt, Inserted] = TempFor.emplace(S, nullptr);
-        if (Inserted) {
-          // Complement sharing: when S == ~S' for an already-abstracted
-          // S' (e.g. -x-y-1 alongside x+y), reuse ~t' instead of burning
-          // an unrelated temporary — the relation survives into the
-          // signature solve. Theorem 1 decides the equality exactly for
-          // (semantically) linear operands.
-          if (classifyMBA(Ctx, S, FactsMemo) == MBAKind::Linear &&
-              collectVariables(S).size() <= Opts.MaxSignatureVars) {
-            // Walk candidates in creation order, not map order: when S is
-            // the complement of several previous operands the first one
-            // must win deterministically, or the rebuilt form would vary
-            // run to run.
-            for (const Expr *Prev : TempOrder) {
-              const Expr *Temp = TempFor.at(Prev);
-              if (classifyMBA(Ctx, Prev, FactsMemo) != MBAKind::Linear)
-                continue;
-              if (collectVariables(Prev).size() > Opts.MaxSignatureVars)
-                continue;
-              if (linearMBAEquivalent(Ctx, S, Ctx.getNot(Prev))) {
-                const Expr *Shared = Ctx.getNot(Temp);
-                TempFor.erase(TIt);
-                return Shared;
-              }
-            }
-          }
-          const Expr *T = freshTempVar();
-          TIt->second = T;
-          TempOrder.push_back(S);
-          BackSubst.emplace(T, S);
-        }
-        return TIt->second;
-      };
-      if (N->isUnary())
-        R = Ctx.rebuild(N, DoOperand(N->operand()), nullptr);
-      else
-        R = Ctx.rebuild(N, DoOperand(N->lhs()), DoOperand(N->rhs()));
-    } else {
-      // Arithmetic spine: descend structurally.
-      if (N->isUnary())
-        R = Ctx.rebuild(N, Abstract(N->operand()), nullptr);
-      else
-        R = Ctx.rebuild(N, Abstract(N->lhs()), Abstract(N->rhs()));
+  // The abstraction of an operand of a bitwise node, unless that operand
+  // is itself an impure bitwise node (the walk below abstracts deeper
+  // inside those).
+  auto AbstractOperand = [&](const Expr *O) -> const Expr * {
+    if (isPureBitwise(Ctx, O, FactsMemo))
+      return O;
+    // Note that a plain constant mask (e.g. the 3 in x & 3) is
+    // abstracted like any arithmetic operand: the derived identity
+    // holds for every value of the temporary, in particular for the
+    // constant. Generality is lost (no constant-specific reasoning)
+    // but soundness is not.
+    const Expr *S = simplifyRec(O, Depth);
+    if (isPureBitwise(Ctx, S, FactsMemo))
+      return S; // simplification removed the arithmetic
+    // A linear operand whose signature is 0/1-valued *is* a bitwise
+    // function (Theorem 1 makes the corner agreement total): rewrite
+    // it as one instead of abstracting — e.g. -x-1 under & becomes
+    // ~x, letting the surrounding bitwise context normalize fully.
+    if (const Expr *Bitwise = recognizeBitwise(S))
+      return Bitwise;
+    if (!Opts.EnableCSE) {
+      AbstractionFailed = true;
+      return S;
     }
-    Memo.emplace(N, R);
-    return R;
+    auto [TIt, Inserted] = TempFor.emplace(S, nullptr);
+    if (Inserted) {
+      // Complement sharing: when S == ~S' for an already-abstracted
+      // S' (e.g. -x-y-1 alongside x+y), reuse ~t' instead of burning
+      // an unrelated temporary — the relation survives into the
+      // signature solve. Theorem 1 decides the equality exactly for
+      // (semantically) linear operands.
+      if (classifyMBA(Ctx, S, FactsMemo) == MBAKind::Linear &&
+          VarMemo.count(S) <= Opts.MaxSignatureVars) {
+        // Walk candidates in creation order, not map order: when S is
+        // the complement of several previous operands the first one
+        // must win deterministically, or the rebuilt form would vary
+        // run to run.
+        for (const Expr *Prev : TempOrder) {
+          const Expr *Temp = TempFor.at(Prev);
+          if (classifyMBA(Ctx, Prev, FactsMemo) != MBAKind::Linear)
+            continue;
+          if (VarMemo.count(Prev) > Opts.MaxSignatureVars)
+            continue;
+          if (isComplementOf(S, Prev)) {
+            const Expr *Shared = Ctx.getNot(Temp);
+            TempFor.erase(TIt);
+            return Shared;
+          }
+        }
+      }
+      const Expr *T = freshTempVar();
+      TIt->second = T;
+      TempOrder.push_back(S);
+      BackSubst.emplace(T, S);
+    }
+    return TIt->second;
   };
 
-  const Expr *EAbs = Abstract(E);
+  // The abstraction walk over an explicit stack, so a deep arithmetic
+  // spine cannot overflow the call stack. The arithmetic spine is rebuilt
+  // structurally; an impure bitwise operand of a bitwise node is walked
+  // in turn, any other one abstracted by AbstractOperand. A node's rhs
+  // operand is handled before its lhs one: temporaries are numbered in
+  // that order.
+  NodeMap<const Expr *> Memo;
+  struct Frame {
+    const Expr *N;
+    unsigned Done; ///< operands handled, rhs first
+    const Expr *Ops[2];
+  };
+  std::vector<Frame> Stack;
+  // The abstraction of N when it is memoized or a leaf; otherwise pushes
+  // N's frame and returns null.
+  auto Enter = [&](const Expr *N) -> const Expr * {
+    if (const Expr *const *Done = Memo.find(N))
+      return *Done;
+    if (N->isLeaf()) {
+      Memo.emplace(N, N);
+      return N;
+    }
+    Stack.push_back({N, 0, {nullptr, nullptr}});
+    return nullptr;
+  };
+  // Hands R to the top frame as its next operand (rhs first).
+  auto Fill = [&](const Expr *R) {
+    Frame &F = Stack.back();
+    F.Ops[F.N->numOperands() - 1 - F.Done++] = R;
+  };
+  const Expr *EAbs = Enter(E);
+  while (!Stack.empty()) {
+    const Frame &F = Stack.back();
+    unsigned NumOps = F.N->numOperands();
+    if (F.Done != NumOps) {
+      const Expr *O = F.N->getOperand(NumOps - 1 - F.Done);
+      const Expr *R;
+      if (!isBitwiseKind(F.N->kind()) ||
+          (isBitwiseKind(O->kind()) && !isPureBitwise(Ctx, O, FactsMemo)))
+        R = Enter(O);
+      else
+        R = AbstractOperand(O);
+      if (R)
+        Fill(R); // else O's frame is on top, and fills this slot when done
+      continue;
+    }
+    const Expr *R = Ctx.rebuild(F.N, F.Ops[0], F.Ops[1]);
+    Memo.emplace(F.N, R);
+    Stack.pop_back();
+    if (Stack.empty())
+      EAbs = R;
+    else
+      Fill(R);
+  }
+
   if (AbstractionFailed)
     return arithReduceOpaque(rebuildWithSimplifiedChildren(E, Depth));
 
@@ -547,7 +580,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
   const Expr *RAbs = EAbs;
   switch (classifyMBA(Ctx, EAbs, FactsMemo)) {
   case MBAKind::Linear: {
-    std::vector<const Expr *> Vars = collectVariables(EAbs);
+    std::vector<const Expr *> Vars = VarMemo.variables(EAbs);
     RAbs = Vars.size() <= Opts.MaxSignatureVars ? simplifyLinear(EAbs, Vars)
                                                 : simplifyPoly(EAbs, Depth);
     break;
@@ -576,7 +609,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
 const Expr *MBASolver::recognizeBitwise(const Expr *E) {
   if (classifyMBA(Ctx, E, FactsMemo) != MBAKind::Linear)
     return nullptr;
-  std::vector<const Expr *> Vars = collectVariables(E);
+  std::vector<const Expr *> Vars = VarMemo.variables(E);
   if (Vars.empty() || Vars.size() > Opts.MaxSignatureVars)
     return nullptr;
   std::vector<uint64_t> Sig = computeSignature(Ctx, E, Vars);
@@ -620,8 +653,23 @@ const Expr *MBASolver::rebuildWithSimplifiedChildren(const Expr *E,
     return E;
   if (E->isUnary())
     return Ctx.rebuild(E, simplifyRec(E->operand(), Depth), nullptr);
-  return Ctx.rebuild(E, simplifyRec(E->lhs(), Depth),
-                     simplifyRec(E->rhs(), Depth));
+  // The rhs first, as in the non-poly abstraction: the order in which
+  // operands are simplified is the order temporaries are numbered in.
+  const Expr *R = simplifyRec(E->rhs(), Depth);
+  return Ctx.rebuild(E, simplifyRec(E->lhs(), Depth), R);
+}
+
+bool MBASolver::isComplementOf(const Expr *S, const Expr *P) {
+  // Theorem 1 over the union of the two variable sets. Entry k of a
+  // signature is -E(corner_k), and -(~p) == p + 1, so sig(~P) is
+  // 1 - sig(P): no ~P node is built or walked.
+  std::vector<const Expr *> Vars = VarMemo.variables(S, P);
+  std::vector<uint64_t> SigS = computeSignature(Ctx, S, Vars);
+  std::vector<uint64_t> SigP = computeSignature(Ctx, P, Vars);
+  for (size_t K = 0; K != SigS.size(); ++K)
+    if (SigS[K] != ((1 - SigP[K]) & Ctx.mask()))
+      return false;
+  return true;
 }
 
 const Expr *MBASolver::arithReduceOpaque(const Expr *E) {
@@ -641,7 +689,7 @@ const Expr *MBASolver::finalOptimize(const Expr *E) {
   MBA_TRACE_SPAN("simplify.finalopt");
   if (classifyMBA(Ctx, E, FactsMemo) != MBAKind::Linear)
     return E;
-  std::vector<const Expr *> Vars = collectVariables(E);
+  std::vector<const Expr *> Vars = VarMemo.variables(E);
   if (Vars.empty())
     return Ctx.getConst(evaluate(Ctx, E, std::span<const uint64_t>()));
   unsigned T = (unsigned)Vars.size();

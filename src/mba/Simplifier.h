@@ -38,6 +38,7 @@
 #include "analysis/Prover.h"
 #include "ast/Context.h"
 #include "ast/Expr.h"
+#include "ast/ExprUtils.h"
 #include "ast/NodeMap.h"
 #include "mba/Basis.h"
 #include "mba/Metrics.h"
@@ -185,6 +186,9 @@ private:
   /// semantically a pure bitwise function (e.g. -x-1 == ~x) — returns that
   /// bitwise form; otherwise nullptr.
   const Expr *recognizeBitwise(const Expr *E);
+
+  /// Theorem 1 test of S == ~P for linear \p S and \p P.
+  bool isComplementOf(const Expr *S, const Expr *P);
   const Expr *arithReduceOpaque(const Expr *E);
   const Expr *finalOptimize(const Expr *E);
 
@@ -247,13 +251,15 @@ private:
   /// Memo of completed top-level rewrites, keyed on input node.
   NodeMap<const Expr *> ResultMemo;
 
-  /// Classification facts and alternation counts of the nodes analysed so
-  /// far in this call. simplifyRec and its helpers ask for them at every
-  /// node they visit; through these memos each distinct node is walked
-  /// once per call instead of once per question. Cleared with ResultMemo
-  /// on the next result-cache miss, so they hold at most one call's nodes.
+  /// Classification facts, alternation counts and variable sets of the
+  /// nodes analysed so far in this call. simplifyRec and its helpers ask
+  /// for them at every node they visit; through these memos each distinct
+  /// node is walked once per call instead of once per question. Cleared
+  /// with ResultMemo on the next result-cache miss, so they hold at most
+  /// one call's nodes.
   MBAFactsMemo FactsMemo;
   AlternationMemo AltMemo;
+  VariableMemo VarMemo;
 
   /// Temp-name state, reset at each public simplify() entry so temporary
   /// numbering depends only on the input expression — never on what else

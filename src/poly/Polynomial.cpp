@@ -6,110 +6,157 @@
 
 #include "poly/Polynomial.h"
 
+#include <algorithm>
+
 using namespace mba;
 
 Monomial Monomial::operator*(const Monomial &O) const {
   Monomial Result;
-  auto &Out = Result.Powers;
+  std::span<const Power> A = powers(), B = O.powers();
   size_t I = 0, J = 0;
-  while (I < Powers.size() && J < O.Powers.size()) {
-    if (Powers[I].first < O.Powers[J].first)
-      Out.push_back(Powers[I++]);
-    else if (Powers[I].first > O.Powers[J].first)
-      Out.push_back(O.Powers[J++]);
+  while (I < A.size() && J < B.size()) {
+    if (A[I].first < B[J].first)
+      Result.push(A[I++]);
+    else if (A[I].first > B[J].first)
+      Result.push(B[J++]);
     else {
-      Out.push_back({Powers[I].first, Powers[I].second + O.Powers[J].second});
+      Result.push({A[I].first, A[I].second + B[J].second});
       ++I;
       ++J;
     }
   }
-  while (I < Powers.size())
-    Out.push_back(Powers[I++]);
-  while (J < O.Powers.size())
-    Out.push_back(O.Powers[J++]);
+  while (I < A.size())
+    Result.push(A[I++]);
+  while (J < B.size())
+    Result.push(B[J++]);
+  Result.Degree = Degree + O.Degree;
   return Result;
 }
+
+namespace {
+
+/// The first term whose monomial is not below \p M.
+template <class TermListT>
+auto lowerBound(TermListT &Terms, const Monomial &M) {
+  return std::lower_bound(
+      Terms.begin(), Terms.end(), M,
+      [](const auto &T, const Monomial &Key) { return T.first < Key; });
+}
+
+} // namespace
 
 void Polynomial::addTerm(const Monomial &M, uint64_t Coeff) {
   Coeff &= Mask;
   if (!Coeff)
     return;
-  auto [It, Inserted] = Terms.emplace(M, Coeff);
-  if (Inserted)
+  auto It = lowerBound(Terms, M);
+  if (It == Terms.end() || M < It->first) {
+    Terms.insert(It, {M, Coeff});
     return;
+  }
   It->second = (It->second + Coeff) & Mask;
   if (!It->second)
     Terms.erase(It);
 }
 
-Polynomial Polynomial::operator+(const Polynomial &O) const {
+Polynomial Polynomial::merged(const Polynomial &O, bool Negate) const {
   assert(Mask == O.Mask && "width mismatch");
-  Polynomial R = *this;
-  for (auto &[M, C] : O.Terms)
-    R.addTerm(M, C);
+  Polynomial R(Mask);
+  R.Terms.reserve(Terms.size() + O.Terms.size());
+  auto Other = [&](uint64_t C) { return (Negate ? 0 - C : C) & Mask; };
+  size_t I = 0, J = 0;
+  while (I < Terms.size() && J < O.Terms.size()) {
+    const auto &[MA, CA] = Terms[I];
+    const auto &[MB, CB] = O.Terms[J];
+    if (MA < MB) {
+      R.Terms.push_back(Terms[I++]);
+    } else if (MB < MA) {
+      R.Terms.push_back({MB, Other(CB)});
+      ++J;
+    } else {
+      if (uint64_t C = (CA + Other(CB)) & Mask)
+        R.Terms.push_back({MA, C});
+      ++I;
+      ++J;
+    }
+  }
+  R.Terms.insert(R.Terms.end(), Terms.begin() + I, Terms.end());
+  for (; J < O.Terms.size(); ++J)
+    R.Terms.push_back({O.Terms[J].first, Other(O.Terms[J].second)});
   return R;
 }
 
+Polynomial Polynomial::operator+(const Polynomial &O) const {
+  return merged(O, /*Negate=*/false);
+}
+
 Polynomial Polynomial::operator-(const Polynomial &O) const {
-  assert(Mask == O.Mask && "width mismatch");
-  Polynomial R = *this;
-  for (auto &[M, C] : O.Terms)
-    R.addTerm(M, (0 - C) & Mask);
-  return R;
+  return merged(O, /*Negate=*/true);
 }
 
 Polynomial Polynomial::operator*(const Polynomial &O) const {
   assert(Mask == O.Mask && "width mismatch");
-  Polynomial R(Mask);
+  // Every product first, then one sort and one pass that sums the runs of
+  // equal monomials and drops the sums that cancel.
+  TermList Products;
+  Products.reserve(Terms.size() * O.Terms.size());
   for (auto &[MA, CA] : Terms)
     for (auto &[MB, CB] : O.Terms)
-      R.addTerm(MA * MB, (CA * CB) & Mask);
+      if (uint64_t C = (CA * CB) & Mask)
+        Products.push_back({MA * MB, C});
+  std::sort(Products.begin(), Products.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  Polynomial R(Mask);
+  for (size_t I = 0; I != Products.size();) {
+    uint64_t C = 0;
+    size_t J = I;
+    for (; J != Products.size() && Products[J].first == Products[I].first; ++J)
+      C += Products[J].second;
+    if (C & Mask)
+      R.Terms.push_back({std::move(Products[I].first), C & Mask});
+    I = J;
+  }
   return R;
 }
 
-Polynomial Polynomial::negated() const {
-  Polynomial R(Mask);
-  for (auto &[M, C] : Terms)
-    R.addTerm(M, (0 - C) & Mask);
-  return R;
-}
+Polynomial Polynomial::negated() const { return scaled(Mask); }
 
 Polynomial Polynomial::scaled(uint64_t C) const {
   Polynomial R(Mask);
+  R.Terms.reserve(Terms.size());
   for (auto &[M, Coeff] : Terms)
-    R.addTerm(M, (Coeff * C) & Mask);
+    if (uint64_t Scaled = (Coeff * C) & Mask)
+      R.Terms.push_back({M, Scaled});
   return R;
 }
 
 bool Polynomial::isLinear() const {
-  for (auto &[M, C] : Terms)
-    if (M.degree() > 1)
-      return false;
-  return true;
+  // Degree is the leading key of the term order.
+  return Terms.empty() || Terms.back().first.degree() <= 1;
 }
 
 unsigned Polynomial::degree() const {
-  unsigned D = 0;
-  for (auto &[M, C] : Terms)
-    D = std::max(D, M.degree());
-  return D;
+  return Terms.empty() ? 0 : Terms.back().first.degree();
 }
 
 uint64_t Polynomial::constantTerm() const {
-  auto It = Terms.find(Monomial());
-  return It == Terms.end() ? 0 : It->second;
+  // The constant monomial sorts first.
+  if (!Terms.empty() && Terms.front().first.isConstant())
+    return Terms.front().second;
+  return 0;
 }
 
 uint64_t Polynomial::linearCoefficient(AtomId Id) const {
-  auto It = Terms.find(Monomial::atom(Id));
-  return It == Terms.end() ? 0 : It->second;
+  Monomial M = Monomial::atom(Id);
+  auto It = lowerBound(Terms, M);
+  return It != Terms.end() && It->first == M ? It->second : 0;
 }
 
 std::optional<uint64_t> Polynomial::asConstant() const {
   if (Terms.empty())
     return 0;
-  if (Terms.size() == 1 && Terms.begin()->first.isConstant())
-    return Terms.begin()->second;
+  if (Terms.size() == 1 && Terms.front().first.isConstant())
+    return Terms.front().second;
   return std::nullopt;
 }
 

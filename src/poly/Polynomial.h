@@ -13,19 +13,21 @@
 ///
 ///   (x - x&y) * (y - x&y) + (x&y) * (x + y - x&y)  ==>  x*y
 ///
-/// Monomials are sorted exponent vectors; polynomials are coefficient maps
-/// keyed by monomial, so addition collects like terms and cancellation to
-/// zero is automatic in the ring Z/2^w.
+/// Monomials are sorted exponent vectors; a polynomial is one flat vector
+/// of (monomial, nonzero coefficient) terms sorted by monomial, so addition
+/// is a merge that collects like terms, and a term whose coefficient
+/// cancels to zero in the ring Z/2^w is dropped.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MBA_POLY_POLYNOMIAL_H
 #define MBA_POLY_POLYNOMIAL_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,15 +37,20 @@ namespace mba {
 using AtomId = uint32_t;
 
 /// A power product of atoms: sorted (atom, exponent) pairs with positive
-/// exponents. The empty monomial is the constant 1.
+/// exponents. The empty monomial is the constant 1. Up to InlinePowers
+/// distinct atoms are stored in the object, so the monomials of MBA
+/// expansions (rarely more than three factors) allocate nothing.
 class Monomial {
 public:
+  using Power = std::pair<AtomId, uint32_t>;
+
   Monomial() = default;
 
   /// The monomial consisting of a single atom to the first power.
   static Monomial atom(AtomId Id) {
     Monomial M;
-    M.Powers.push_back({Id, 1});
+    M.push({Id, 1});
+    M.Degree = 1;
     return M;
   }
 
@@ -51,44 +58,61 @@ public:
   Monomial operator*(const Monomial &O) const;
 
   /// Total degree (sum of exponents).
-  unsigned degree() const {
-    unsigned D = 0;
-    for (auto &[Id, E] : Powers)
-      D += E;
-    return D;
-  }
+  unsigned degree() const { return Degree; }
 
-  bool isConstant() const { return Powers.empty(); }
+  bool isConstant() const { return Size == 0; }
 
   /// Sole atom of a degree-1 monomial.
   AtomId linearAtom() const {
     assert(degree() == 1 && "not a degree-1 monomial");
-    return Powers.front().first;
+    return powers().front().first;
   }
 
-  const std::vector<std::pair<AtomId, uint32_t>> &powers() const {
-    return Powers;
+  /// The (atom, exponent) pairs, sorted by atom.
+  std::span<const Power> powers() const {
+    return {Size <= InlinePowers ? Inline : Spill.data(), Size};
   }
 
-  bool operator==(const Monomial &O) const { return Powers == O.Powers; }
+  bool operator==(const Monomial &O) const {
+    return Degree == O.Degree && std::ranges::equal(powers(), O.powers());
+  }
   bool operator<(const Monomial &O) const {
     // Order by total degree first so that iteration yields the constant
     // term, then linear terms, then higher-degree terms — the order in
     // which normalized MBA results are conventionally written.
-    unsigned DA = degree(), DB = O.degree();
-    if (DA != DB)
-      return DA < DB;
-    return Powers < O.Powers;
+    if (Degree != O.Degree)
+      return Degree < O.Degree;
+    return std::ranges::lexicographical_compare(powers(), O.powers());
   }
 
 private:
-  std::vector<std::pair<AtomId, uint32_t>> Powers;
+  static constexpr uint32_t InlinePowers = 3;
+
+  /// Appends \p P after every power already present.
+  void push(Power P) {
+    if (Size < InlinePowers) {
+      Inline[Size++] = P;
+      return;
+    }
+    if (Size == InlinePowers)
+      Spill.assign(Inline, Inline + InlinePowers);
+    Spill.push_back(P);
+    ++Size;
+  }
+
+  uint32_t Size = 0;   ///< number of distinct atoms
+  uint32_t Degree = 0; ///< sum of the exponents
+  Power Inline[InlinePowers] = {};
+  std::vector<Power> Spill; ///< all powers, once there are more than fit
 };
 
 /// A polynomial over atoms with coefficients in Z/2^w. All arithmetic wraps
 /// to the width selected by the mask provided at construction.
 class Polynomial {
 public:
+  /// The terms: nonzero coefficients, sorted by monomial, no monomial twice.
+  using TermList = std::vector<std::pair<Monomial, uint64_t>>;
+
   /// Creates the zero polynomial for words selected by \p Mask.
   explicit Polynomial(uint64_t Mask) : Mask(Mask) {}
 
@@ -143,11 +167,15 @@ public:
   std::optional<uint64_t> asConstant() const;
 
   /// Term iteration in the deterministic monomial order.
-  const std::map<Monomial, uint64_t> &terms() const { return Terms; }
+  const TermList &terms() const { return Terms; }
 
 private:
+  /// This polynomial plus \p O, or minus it when \p Negate: one merge of
+  /// the two sorted term lists.
+  Polynomial merged(const Polynomial &O, bool Negate) const;
+
   uint64_t Mask;
-  std::map<Monomial, uint64_t> Terms;
+  TermList Terms;
 };
 
 /// Upper bound on intermediate term counts during products; guards against

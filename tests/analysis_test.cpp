@@ -379,36 +379,100 @@ TEST(AbstractInterpTest, TransferOncePerNodeOnSharedDag) {
   EXPECT_EQ(transferCallsBottomUp(Ctx, E), countDagNodes(E));
 }
 
+/// foldAbstract's reference: a bottom-up rewrite that asks known bits,
+/// then parity, then intervals at every rebuilt node, each domain over a
+/// memo of its own.
+const Expr *foldAbstractReference(Context &Ctx, const Expr *E) {
+  KnownBitsDomain KBD(Ctx.mask());
+  ParityDomain PD(Ctx.width());
+  IntervalDomain ID(Ctx.mask());
+  NodeMap<KnownBits> KBMemo;
+  NodeMap<Parity> PMemo;
+  NodeMap<Interval> IMemo;
+  return rewriteBottomUp(Ctx, E, [&](const Expr *N) -> const Expr * {
+    if (N->isLeaf())
+      return N;
+    if (auto C = KBD.asConstant(computeAbstract(KBD, N, KBMemo)))
+      return Ctx.getConst(*C);
+    if (auto C = PD.asConstant(computeAbstract(PD, N, PMemo)))
+      return Ctx.getConst(*C);
+    if (auto C = ID.asConstant(computeAbstract(ID, N, IMemo)))
+      return Ctx.getConst(*C);
+    return N;
+  });
+}
+
+/// A random DAG: each new node takes its operands from everything built
+/// so far, so sub-DAGs are shared, and the constants lean towards the
+/// masks and small values that make the domains fold.
+const Expr *randomDag(Context &Ctx, RNG &Rng, unsigned Nodes) {
+  std::vector<const Expr *> Pool = {Ctx.getVar("x"), Ctx.getVar("y"),
+                                    Ctx.getVar("z")};
+  auto Leaf = [&]() -> const Expr * {
+    switch (Rng.below(4)) {
+    case 0:
+      return Ctx.getConst(Rng.below(4));
+    case 1:
+      return Ctx.getConst(Ctx.mask() - Rng.below(4));
+    case 2:
+      return Ctx.getConst(Rng.next());
+    default:
+      return Pool[Rng.below(3)];
+    }
+  };
+  auto Pick = [&]() -> const Expr * {
+    if (Rng.chance(1, 4))
+      return Leaf();
+    // Favour recent nodes, so the result is deep as well as shared.
+    size_t From = Pool.size() > 6 && Rng.chance(2, 3) ? Pool.size() - 6 : 0;
+    return Pool[From + Rng.below(Pool.size() - From)];
+  };
+  ExprKind Kinds[] = {ExprKind::Not, ExprKind::Neg, ExprKind::Add,
+                      ExprKind::Sub, ExprKind::Mul, ExprKind::And,
+                      ExprKind::Or,  ExprKind::Xor};
+  for (unsigned I = 0; I != Nodes; ++I) {
+    ExprKind K = Kinds[Rng.below(std::size(Kinds))];
+    const Expr *L = Pick();
+    if (isUnaryKind(K)) {
+      Pool.push_back(Ctx.getUnary(K, L));
+      continue;
+    }
+    const Expr *R = Rng.chance(1, 6) ? L : Pick(); // e op e folds often
+    Pool.push_back(Ctx.getBinary(K, L, R));
+  }
+  return Pool.back();
+}
+
 TEST(AbstractInterpTest, FoldAbstractMatchesPerDomainFolding) {
-  // foldAbstract runs the three domains over one memo. It must fold exactly
-  // as one memo per domain would, asking known bits, then parity, then
-  // intervals at every rebuilt node.
+  // foldAbstract runs the three domains in one walk over one memo of
+  // folded nodes and their values. It must fold exactly as the reference
+  // does: on random trees, on random DAGs (which share sub-DAGs and fold
+  // often) and on the paper corpus.
   for (unsigned Width : {3u, 8u, 64u}) {
     Context Ctx(Width);
     RNG Rng(4242 + Width);
     const Expr *Vars[] = {Ctx.getVar("x"), Ctx.getVar("y"), Ctx.getVar("z")};
-    KnownBitsDomain KBD(Ctx.mask());
-    ParityDomain PD(Ctx.width());
-    IntervalDomain ID(Ctx.mask());
     for (int Trial = 0; Trial < 200; ++Trial) {
       const Expr *E = randomExpr(Ctx, Rng, Vars, 5);
-      NodeMap<KnownBits> KBMemo;
-      NodeMap<Parity> PMemo;
-      NodeMap<Interval> IMemo;
-      const Expr *Reference =
-          rewriteBottomUp(Ctx, E, [&](const Expr *N) -> const Expr * {
-            if (N->isLeaf())
-              return N;
-            if (auto C = KBD.asConstant(computeAbstract(KBD, N, KBMemo)))
-              return Ctx.getConst(*C);
-            if (auto C = PD.asConstant(computeAbstract(PD, N, PMemo)))
-              return Ctx.getConst(*C);
-            if (auto C = ID.asConstant(computeAbstract(ID, N, IMemo)))
-              return Ctx.getConst(*C);
-            return N;
-          });
-      ASSERT_EQ(foldAbstract(Ctx, E), Reference) << printExpr(Ctx, E);
+      ASSERT_EQ(foldAbstract(Ctx, E), foldAbstractReference(Ctx, E))
+          << printExpr(Ctx, E);
     }
+    unsigned Folded = 0;
+    for (int Trial = 0; Trial < 400; ++Trial) {
+      const Expr *E = randomDag(Ctx, Rng, 4 + (unsigned)Rng.below(40));
+      const Expr *Reference = foldAbstractReference(Ctx, E);
+      ASSERT_EQ(foldAbstract(Ctx, E), Reference) << printExpr(Ctx, E);
+      Folded += Reference != E;
+    }
+    // The DAGs exercise folding, not just the unchanged path.
+    EXPECT_GT(Folded, 100u) << "width " << Width;
+    CorpusOptions Opts;
+    Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 300;
+    Opts.Seed = 1;
+    for (const CorpusEntry &Entry : generateCorpus(Ctx, Opts))
+      for (const Expr *E : {Entry.Obfuscated, Entry.Ground})
+        ASSERT_EQ(foldAbstract(Ctx, E), foldAbstractReference(Ctx, E))
+            << printExpr(Ctx, E);
   }
 }
 

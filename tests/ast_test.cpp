@@ -503,6 +503,85 @@ TEST(Parser, ErrorsAreReported) {
   EXPECT_EQ(R.ErrorPos, 4u);
 }
 
+// Every diagnostic of the parser, pinned by message and byte offset. An
+// empty message marks an input that must parse.
+TEST(Parser, DiagnosticsTable) {
+  struct Row {
+    std::string In;
+    const char *Error;
+    size_t Pos;
+  };
+  const Row Rows[] = {
+      {"", "unexpected end of input", 0},
+      {"   ", "unexpected end of input", 3},
+      {"x +", "unexpected end of input", 3},
+      {"x + ", "unexpected end of input", 4},
+      {"(x", "expected ')'", 2},
+      {"( x ", "expected ')'", 4},
+      {"x $ y", "unexpected trailing input", 2},
+      {"x y", "unexpected trailing input", 2},
+      {"x + $", "unexpected character '$'", 4},
+      {")", "unexpected character ')'", 0},
+      {"x)", "unexpected trailing input", 1},
+      {"()", "unexpected character ')'", 1},
+      {"(x))", "unexpected trailing input", 3},
+      {"0x", "unexpected trailing input", 1},
+      {"0xg", "expected hex digits after 0x", 2},
+      {"0x ", "expected hex digits after 0x", 2},
+      {"0X", "unexpected trailing input", 1},
+      {"0x1g", "unexpected trailing input", 3},
+      {"x ^^ y", "unexpected character '^'", 3},
+      {"-", "unexpected end of input", 1},
+      {"~", "unexpected end of input", 1},
+      {"- ", "unexpected end of input", 2},
+      {"x * * y", "unexpected character '*'", 4},
+      {"x ** y", "unexpected character '*'", 3},
+      {"x &", "unexpected end of input", 3},
+      {"x |", "unexpected end of input", 3},
+      {"x | | y", "unexpected character '|'", 4},
+      {"x - ", "unexpected end of input", 4},
+      {"1 2", "unexpected trailing input", 2},
+      {"12 x", "unexpected trailing input", 3},
+      {"x\t+\n$", "unexpected character '$'", 4},
+      {"((x)", "expected ')'", 4},
+      {"(x+y", "expected ')'", 4},
+      {"   (   x   +   y  ", "expected ')'", 18},
+      {"x+y)", "unexpected trailing input", 3},
+      {"x + (y * )", "unexpected character ')'", 9},
+      {"-(x + )", "unexpected character ')'", 6},
+      {"~(", "unexpected end of input", 2},
+      {"9abc", "unexpected trailing input", 1},
+      {"a.b", "unexpected trailing input", 1},
+      {"x @", "unexpected trailing input", 2},
+      {"x // y", "unexpected trailing input", 2},
+      {"x < y", "unexpected trailing input", 2},
+      {"x != y", "unexpected trailing input", 2},
+      {"x + \xC3\xA9", "unexpected character '\xC3'", 4},
+      {"x\v+\fy", "", 0},
+      // The nesting cap: 2048 levels of parentheses and prefix operators
+      // together parse, the next level is the diagnostic.
+      {std::string(2048, '(') + "x" + std::string(2048, ')'),
+       "nesting deeper than 2048 levels", 2048},
+      {std::string(2047, '(') + "x" + std::string(2047, ')'), "", 0},
+      {std::string(2048, '~') + "x", "nesting deeper than 2048 levels", 2048},
+      {std::string(2047, '~') + "x", "", 0},
+      {"y + " + std::string(2047, '-') + "(x)",
+       "nesting deeper than 2048 levels", 2052},
+      {"y + " + std::string(2046, '-') + "(x)", "", 0},
+      {std::string(1000, '(') + " " + std::string(1048, '~') + " x" +
+           std::string(1000, ')'),
+       "nesting deeper than 2048 levels", 2049},
+  };
+  for (const Row &R : Rows) {
+    Context Ctx(64);
+    ParseResult P = parseExpr(Ctx, R.In);
+    std::string Shown = R.In.size() > 40 ? R.In.substr(0, 40) + "..." : R.In;
+    EXPECT_EQ(P.ok(), !*R.Error) << Shown;
+    EXPECT_EQ(P.Error, R.Error) << Shown;
+    EXPECT_EQ(P.ErrorPos, R.Pos) << Shown;
+  }
+}
+
 TEST(Parser, NestingBeyondTheCapIsADiagnostic) {
   Context Ctx(64);
   // 100k levels used to overflow the recursive descent's stack.

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 using namespace mba;
 
 namespace {
@@ -76,6 +79,89 @@ TEST(Polynomial, ScaledAndNegated) {
   EXPECT_EQ(X.scaled(0).numTerms(), 0u);
 }
 
+/// The coefficient map Polynomial was first written as: every operation is
+/// a sequence of addTerm calls into a std::map ordered by Monomial's
+/// operator<. The flat representation must agree with it term for term,
+/// in iteration order.
+class MapPolynomial {
+public:
+  explicit MapPolynomial(uint64_t Mask) : Mask(Mask) {}
+
+  void addTerm(const Monomial &M, uint64_t Coeff) {
+    Coeff &= Mask;
+    if (!Coeff)
+      return;
+    auto [It, Inserted] = Terms.emplace(M, Coeff);
+    if (Inserted)
+      return;
+    It->second = (It->second + Coeff) & Mask;
+    if (!It->second)
+      Terms.erase(It);
+  }
+  MapPolynomial plus(const MapPolynomial &O, bool Minus) const {
+    MapPolynomial R = *this;
+    for (auto &[M, C] : O.Terms)
+      R.addTerm(M, Minus ? 0 - C : C);
+    return R;
+  }
+  MapPolynomial times(const MapPolynomial &O) const {
+    MapPolynomial R(Mask);
+    for (auto &[MA, CA] : Terms)
+      for (auto &[MB, CB] : O.Terms)
+        R.addTerm(MA * MB, CA * CB);
+    return R;
+  }
+  MapPolynomial scaled(uint64_t C) const {
+    MapPolynomial R(Mask);
+    for (auto &[M, Coeff] : Terms)
+      R.addTerm(M, Coeff * C);
+    return R;
+  }
+
+  uint64_t Mask;
+  std::map<Monomial, uint64_t> Terms;
+};
+
+std::vector<std::pair<Monomial, uint64_t>> termsOf(const Polynomial &P) {
+  std::vector<std::pair<Monomial, uint64_t>> Out;
+  for (auto &[M, C] : P.terms())
+    Out.push_back({M, C});
+  return Out;
+}
+
+std::vector<std::pair<Monomial, uint64_t>> termsOf(const MapPolynomial &P) {
+  return {P.Terms.begin(), P.Terms.end()};
+}
+
+/// Checks every observer of \p P against the reference \p Ref.
+void expectSame(const Polynomial &P, const MapPolynomial &Ref,
+                unsigned MaxAtom) {
+  ASSERT_EQ(termsOf(P), termsOf(Ref));
+  EXPECT_EQ(P.numTerms(), Ref.Terms.size());
+  EXPECT_EQ(P.isZero(), Ref.Terms.empty());
+  auto Find = [&](const Monomial &M) -> uint64_t {
+    auto It = Ref.Terms.find(M);
+    return It == Ref.Terms.end() ? 0 : It->second;
+  };
+  EXPECT_EQ(P.constantTerm(), Find(Monomial()));
+  for (AtomId A = 0; A <= MaxAtom; ++A)
+    EXPECT_EQ(P.linearCoefficient(A), Find(Monomial::atom(A)));
+  unsigned Degree = 0;
+  bool Linear = true;
+  for (auto &[M, C] : Ref.Terms) {
+    Degree = std::max(Degree, M.degree());
+    Linear &= M.degree() <= 1;
+  }
+  EXPECT_EQ(P.degree(), Degree);
+  EXPECT_EQ(P.isLinear(), Linear);
+  std::optional<uint64_t> Const;
+  if (Ref.Terms.empty())
+    Const = 0;
+  else if (Ref.Terms.size() == 1 && Ref.Terms.begin()->first.isConstant())
+    Const = Ref.Terms.begin()->second;
+  EXPECT_EQ(P.asConstant(), Const);
+}
+
 TEST(Polynomial, TryMulRespectsCap) {
   // Product of polynomials with many distinct atoms each exceeds the cap
   // only when the term count explodes; small products succeed.
@@ -87,6 +173,85 @@ TEST(Polynomial, TryMulRespectsCap) {
   auto P = tryMul(A, B);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->numTerms(), 100u);
+
+  // 128 x 128 distinct linear terms make exactly MaxPolynomialTerms
+  // products and pass; one more term on either side exceeds the cap.
+  Polynomial C(Mask64), D(Mask64);
+  MapPolynomial RC(Mask64), RD(Mask64);
+  for (AtomId I = 0; I < 128; ++I) {
+    C.addTerm(Monomial::atom(I), I + 1);
+    RC.addTerm(Monomial::atom(I), I + 1);
+    D.addTerm(Monomial::atom(1000 + I), 3 * I + 2);
+    RD.addTerm(Monomial::atom(1000 + I), 3 * I + 2);
+  }
+  P = tryMul(C, D);
+  ASSERT_TRUE(P.has_value());
+  EXPECT_EQ(P->numTerms(), MaxPolynomialTerms);
+  EXPECT_EQ(termsOf(*P), termsOf(RC.times(RD)));
+  C.addTerm(Monomial(), 7);
+  EXPECT_FALSE(tryMul(C, D).has_value());
+  EXPECT_FALSE(tryMul(D, C).has_value());
+}
+
+TEST(Polynomial, MatchesTheMapReferenceOnRandomArithmetic) {
+  constexpr unsigned MaxAtom = 4;
+  for (unsigned Width : {3u, 8u, 64u}) {
+    uint64_t Mask = Width == 64 ? ~0ULL : (1ULL << Width) - 1;
+    RNG Rng(99 + Width);
+    // Coefficients that cancel often: small values, their negations and
+    // multiples of high powers of two, which vanish under scaling.
+    auto Coeff = [&]() -> uint64_t {
+      switch (Rng.below(4)) {
+      case 0:
+        return 1 + Rng.below(3);
+      case 1:
+        return 0 - (1 + Rng.below(3));
+      case 2:
+        return 1ULL << Rng.below(Width);
+      default:
+        return Rng.next();
+      }
+    };
+    auto RandomMonomial = [&] {
+      Monomial M;
+      for (unsigned D = (unsigned)Rng.below(4); D; --D)
+        M = M * Monomial::atom((AtomId)Rng.below(MaxAtom + 1));
+      return M;
+    };
+    auto Random = [&](Polynomial &P, MapPolynomial &Ref) {
+      for (unsigned N = (unsigned)Rng.below(12); N; --N) {
+        Monomial M = RandomMonomial();
+        uint64_t C = Coeff();
+        P.addTerm(M, C);
+        Ref.addTerm(M, C);
+      }
+    };
+    for (int Trial = 0; Trial < 300; ++Trial) {
+      Polynomial A(Mask), B(Mask);
+      MapPolynomial RA(Mask), RB(Mask);
+      Random(A, RA);
+      Random(B, RB);
+      // Share some terms so that sums and differences cancel.
+      if (Rng.chance(1, 2))
+        for (auto &[M, C] : termsOf(RA)) {
+          B.addTerm(M, 0 - C);
+          RB.addTerm(M, 0 - C);
+        }
+      expectSame(A, RA, MaxAtom);
+      expectSame(B, RB, MaxAtom);
+      expectSame(A + B, RA.plus(RB, false), MaxAtom);
+      expectSame(A - B, RA.plus(RB, true), MaxAtom);
+      expectSame(A - A, MapPolynomial(Mask), MaxAtom);
+      expectSame(A * B, RA.times(RB), MaxAtom);
+      expectSame(A.negated(), RA.scaled(Mask), MaxAtom);
+      uint64_t C = Coeff();
+      expectSame(A.scaled(C), RA.scaled(C), MaxAtom);
+      expectSame(A.scaled(0), MapPolynomial(Mask), MaxAtom);
+      std::optional<Polynomial> P = tryMul(A, B);
+      ASSERT_TRUE(P.has_value());
+      expectSame(*P, RA.times(RB), MaxAtom);
+    }
+  }
 }
 
 TEST(PolyExpr, PaperSection44Cancellation) {

@@ -13,9 +13,13 @@
 
 #include "ast/Parser.h"
 #include "ast/Printer.h"
+#include "gen/Corpus.h"
 #include "mba/Simplifier.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 using namespace mba;
 
@@ -95,5 +99,43 @@ INSTANTIATE_TEST_SUITE_P(
         Golden{"~(60 + 3)", "-64"},
         Golden{"x & -1", "x"},
         Golden{"x | 0", "x"}));
+
+/// FNV-1a digest of the printed simplify output of both sides of every
+/// entry of the paper corpus (1000 entries per category, seed 1) at
+/// \p Width, one line per output, through one default-configured solver.
+/// Also reports how many outputs went into it.
+uint64_t corpusOutputDigest(unsigned Width, size_t &Outputs) {
+  Context Ctx(Width);
+  CorpusOptions Opts;
+  Opts.Seed = 1;
+  std::vector<CorpusEntry> Corpus = generateCorpus(Ctx, Opts);
+  MBASolver Solver(Ctx);
+  uint64_t H = 0xcbf29ce484222325ULL;
+  Outputs = 0;
+  for (const CorpusEntry &Entry : Corpus) {
+    for (const Expr *In : {Entry.Obfuscated, Entry.Ground}) {
+      for (char C : printExpr(Ctx, Solver.simplify(In)) + "\n")
+        H = (H ^ (uint8_t)C) * 0x100000001b3ULL;
+      ++Outputs;
+    }
+  }
+  return H;
+}
+
+// The whole corpus's simplified text, pinned: any change to an output of
+// the default pipeline changes the digest. Recorded before the fused
+// abstract fold, the flat polynomials, the per-call variable sets and the
+// one-loop parser, which all had to leave every output as it was.
+TEST(CorpusGolden, Width64OutputsAreStable) {
+  size_t Outputs = 0;
+  EXPECT_EQ(corpusOutputDigest(64, Outputs), 0xd503f24e26e17b19ULL);
+  EXPECT_EQ(Outputs, 6000u);
+}
+
+TEST(CorpusGolden, Width3OutputsAreStable) {
+  size_t Outputs = 0;
+  EXPECT_EQ(corpusOutputDigest(3, Outputs), 0x1f758118f603abc9ULL);
+  EXPECT_EQ(Outputs, 6000u);
+}
 
 } // namespace

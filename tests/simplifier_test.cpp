@@ -277,6 +277,18 @@ TEST(SimplifyNonPoly, NoTempVariablesLeak) {
 // Options and ablations
 //===----------------------------------------------------------------------===//
 
+TEST(SimplifyNonPoly, HundredThousandLevelChainDoesNotOverflowTheStack) {
+  // ((x+y)&z) + 1 + 1 + ... : the abstraction walks a 100k-deep arithmetic
+  // spine down to the one bitwise node.
+  Context Ctx(64);
+  const Expr *E = Ctx.getAnd(Ctx.getAdd(Ctx.getVar("x"), Ctx.getVar("y")),
+                             Ctx.getVar("z"));
+  for (int I = 0; I < 100000; ++I)
+    E = Ctx.getAdd(E, Ctx.getOne());
+  MBASolver Solver(Ctx);
+  EXPECT_EQ(printExpr(Ctx, Solver.simplify(E)), "(x+y&z)+100000");
+}
+
 TEST(SimplifyOptionsTest, DisjunctionBasisIsEquivalent) {
   Context Ctx(64);
   SimplifyOptions Opts;
@@ -509,6 +521,62 @@ TEST(AnalysisMemoTest, MemoOverloadsAgreeWithSingleShotForms) {
           Root, [&](const Expr *N) { Check(N, DownFacts, DownAlt); });
     }
   EXPECT_GT(Checked, 3 * 600u);
+}
+
+TEST(AnalysisMemoTest, VariableMemoMatchesCollectVariables) {
+  // Like the memos above: one memo filled bottom-up over the corpus, one
+  // asked for each root before its sub-nodes; every answer must be
+  // collectVariables's name-sorted list.
+  Context Ctx(64);
+  CorpusOptions Opts;
+  Opts.Seed = 1;
+  std::vector<CorpusEntry> Corpus = generateCorpus(Ctx, Opts);
+  VariableMemo Up, Down;
+  size_t Checked = 0;
+  auto Check = [&](const Expr *N, VariableMemo &Memo) {
+    std::vector<const Expr *> Vars = collectVariables(N);
+    ASSERT_EQ(Memo.variables(N), Vars) << printExpr(Ctx, N);
+    ASSERT_EQ(Memo.count(N), Vars.size()) << printExpr(Ctx, N);
+    ++Checked;
+  };
+  for (const CorpusEntry &Entry : Corpus) {
+    for (const Expr *Root : {Entry.Obfuscated, Entry.Ground}) {
+      forEachNodePostOrder(Root, [&](const Expr *N) { Check(N, Up); });
+      Check(Root, Down);
+      forEachNodePostOrder(Root, [&](const Expr *N) { Check(N, Down); });
+    }
+    std::vector<const Expr *> Union = collectVariables(
+        Ctx.getAdd(Entry.Obfuscated, Entry.Ground));
+    ASSERT_EQ(Up.variables(Entry.Obfuscated, Entry.Ground), Union);
+  }
+  EXPECT_GT(Checked, 3 * 6000u);
+
+  // A hundred variables, so most indices are past the 64-bit mask, named
+  // so that name order is not creation order.
+  Context Wide(64);
+  std::vector<const Expr *> Vars;
+  for (unsigned I = 0; I != 100; ++I)
+    Vars.push_back(Wide.getVar("v" + std::to_string(I * 37 % 100)));
+  RNG Rng(100);
+  VariableMemo Memo;
+  std::vector<const Expr *> Pool = Vars;
+  for (int I = 0; I < 400; ++I) {
+    const Expr *A = Pool[Rng.below(Pool.size())];
+    const Expr *B = Pool[Rng.below(Pool.size())];
+    const Expr *N = Rng.chance(1, 2) ? Wide.getAdd(A, B) : Wide.getAnd(A, B);
+    Pool.push_back(Rng.chance(1, 8) ? Wide.getNot(N) : N);
+    ASSERT_EQ(Memo.variables(Pool.back()), collectVariables(Pool.back()));
+    ASSERT_EQ(Memo.variables(A, B), collectVariables(N));
+  }
+  const Expr *All = Vars[0];
+  for (unsigned I = 1; I != 100; ++I)
+    All = Wide.getXor(All, Vars[I]);
+  std::vector<const Expr *> Sorted = collectVariables(All);
+  ASSERT_EQ(Sorted.size(), 100u);
+  EXPECT_EQ(Memo.variables(All), Sorted);
+  EXPECT_EQ(Memo.count(All), 100u);
+  Memo.clear();
+  EXPECT_EQ(Memo.variables(All), Sorted);
 }
 
 } // namespace
