@@ -38,13 +38,14 @@ VariableMemo::Set VariableMemo::walk(const Expr *E) {
   forEachUnseenPostOrder(E, Sets, [&](const Expr *N) {
     Set S;
     if (N->isVar()) {
-      unsigned I = N->varIndex();
+      // The memo visits each node once, so a variable is new here.
+      uint32_t I = (uint32_t)Vars.size();
+      Vars.push_back(N);
       if (I < 64) {
-        LowVars[I] = N;
         S.Low = 1ULL << I;
       } else {
         S.High = (uint32_t)HighLists.size();
-        HighLists.push_back({N});
+        HighLists.push_back({I});
       }
     } else if (N->isUnary()) {
       S = Sets.at(N->operand());
@@ -64,14 +65,11 @@ VariableMemo::Set VariableMemo::unite(Set A, Set B) {
   }
   if (!B.High)
     return R;
-  const std::vector<const Expr *> &LA = HighLists[A.High];
-  const std::vector<const Expr *> &LB = HighLists[B.High];
-  std::vector<const Expr *> Merged;
+  const std::vector<uint32_t> &LA = HighLists[A.High];
+  const std::vector<uint32_t> &LB = HighLists[B.High];
+  std::vector<uint32_t> Merged;
   std::set_union(LA.begin(), LA.end(), LB.begin(), LB.end(),
-                 std::back_inserter(Merged),
-                 [](const Expr *X, const Expr *Y) {
-                   return X->varIndex() < Y->varIndex();
-                 });
+                 std::back_inserter(Merged));
   // A superset of both keeps its list instead of copying it.
   if (Merged.size() == LA.size())
     return R;
@@ -85,14 +83,15 @@ VariableMemo::Set VariableMemo::unite(Set A, Set B) {
 }
 
 std::vector<const Expr *> VariableMemo::expand(Set S) const {
-  const std::vector<const Expr *> &High = HighLists[S.High];
-  std::vector<const Expr *> Vars;
-  Vars.reserve((size_t)std::popcount(S.Low) + High.size());
+  const std::vector<uint32_t> &High = HighLists[S.High];
+  std::vector<const Expr *> Result;
+  Result.reserve((size_t)std::popcount(S.Low) + High.size());
   for (uint64_t Bits = S.Low; Bits; Bits &= Bits - 1)
-    Vars.push_back(LowVars[std::countr_zero(Bits)]);
-  Vars.insert(Vars.end(), High.begin(), High.end());
-  sortByName(Vars);
-  return Vars;
+    Result.push_back(Vars[std::countr_zero(Bits)]);
+  for (uint32_t I : High)
+    Result.push_back(Vars[I]);
+  sortByName(Result);
+  return Result;
 }
 
 std::vector<const Expr *> VariableMemo::variables(const Expr *E) {
@@ -112,6 +111,7 @@ size_t VariableMemo::count(const Expr *E) {
 
 void VariableMemo::clear() {
   Sets.clear();
+  Vars.clear();
   HighLists.resize(1);
 }
 

@@ -18,7 +18,6 @@
 #include "ast/Expr.h"
 #include "ast/NodeMap.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -33,10 +32,11 @@ namespace mba {
 std::vector<const Expr *> collectVariables(const Expr *E);
 
 /// collectVariables for many nodes of one DAG: a memo of every node's
-/// variable set, filled by one walk of the nodes it has not seen. A set is
-/// a bitmask of variable indices below 64 plus, for larger indices, a
-/// shared index-sorted side list, so a node's set is the union of its
-/// operands' sets and asking for a node already walked costs no walk.
+/// variable set, filled by one walk of the nodes it has not seen. Each
+/// variable gets a local index the first time the memo meets it; a set is a
+/// bitmask of the local indices below 64 plus, for larger ones, a shared
+/// sorted side list, so a node's set is the union of its operands' sets and
+/// asking for a node already walked costs no walk.
 class VariableMemo {
 public:
   /// Exactly collectVariables(E).
@@ -48,12 +48,13 @@ public:
   /// variables(E).size(), without building the list.
   size_t count(const Expr *E);
 
-  /// Forgets every node (keeping the storage, like NodeMap::clear).
+  /// Forgets every node and every local index (keeping the storage, like
+  /// NodeMap::clear).
   void clear();
 
 private:
   struct Set {
-    uint64_t Low = 0;  ///< bit I: the variable of index I < 64 occurs
+    uint64_t Low = 0;  ///< bit I: the variable of local index I < 64 occurs
     uint32_t High = 0; ///< HighLists index of the others; 0 = none
   };
 
@@ -62,11 +63,12 @@ private:
   std::vector<const Expr *> expand(Set S) const;
 
   NodeMap<Set> Sets;
-  /// The variable node of each index below 64 met so far.
-  const Expr *LowVars[64] = {};
-  /// Variables of index 64 and above, each list sorted by index; entry 0
-  /// is the empty list.
-  std::vector<std::vector<const Expr *>> HighLists{{}};
+  /// The variables met since clear(), in the order met: a variable's
+  /// position here is its local index.
+  std::vector<const Expr *> Vars;
+  /// Local indices of 64 and above, each list sorted; entry 0 is the empty
+  /// list.
+  std::vector<std::vector<uint32_t>> HighLists{{}};
 };
 
 /// Returns true if \p Sub occurs as a subexpression of \p E (pointer
@@ -86,49 +88,6 @@ size_t countTreeNodes(const Expr *E);
 const Expr *substitute(Context &Ctx, const Expr *E,
                        const std::unordered_map<const Expr *, const Expr *> &Map);
 
-namespace detail {
-
-/// The explicit stack of forEachUnseenPostOrder: node pointers whose low
-/// bit marks "operands already pushed" (nodes are word-aligned). The first
-/// InlineEntries entries live in the object, so walking an ordinary
-/// expression allocates nothing; a deep one spills to the heap.
-class WalkStack {
-public:
-  WalkStack() = default;
-  WalkStack(const WalkStack &) = delete;
-  WalkStack &operator=(const WalkStack &) = delete;
-
-  bool empty() const { return Size == 0; }
-  void push(const Expr *N, bool Expanded) {
-    if (Size == Capacity)
-      grow();
-    Data[Size++] = (uintptr_t)N | (uintptr_t)Expanded;
-  }
-  std::pair<const Expr *, bool> pop() {
-    uintptr_t Top = Data[--Size];
-    return {(const Expr *)(Top & ~(uintptr_t)1), (bool)(Top & 1)};
-  }
-
-private:
-  static constexpr size_t InlineEntries = 64;
-
-  void grow() {
-    Heap.resize(2 * Capacity);
-    if (Data == Inline)
-      std::copy(Inline, Inline + Size, Heap.begin());
-    Data = Heap.data();
-    Capacity = Heap.size();
-  }
-
-  uintptr_t Inline[InlineEntries]; // entries at or past Size are never read
-  std::vector<uintptr_t> Heap;
-  uintptr_t *Data = Inline;
-  size_t Size = 0;
-  size_t Capacity = InlineEntries;
-};
-
-} // namespace detail
-
 /// Applies \p Visit, in post-order, to every node of \p E absent from
 /// \p Seen, without descending below nodes \p Seen already holds. \p Seen is
 /// a memo the caller owns (anything with `contains(const Expr *)`), and
@@ -145,10 +104,12 @@ void forEachUnseenPostOrder(const Expr *E, const SeenSet &Seen,
                             VisitFn &&Visit) {
   if (Seen.contains(E))
     return;
-  detail::WalkStack Stack;
-  Stack.push(E, false);
+  // Each entry is a node and whether its operands were already pushed.
+  std::vector<std::pair<const Expr *, bool>> Stack;
+  Stack.push_back({E, false});
   while (!Stack.empty()) {
-    auto [N, Expanded] = Stack.pop();
+    auto [N, Expanded] = Stack.back();
+    Stack.pop_back();
     if (Expanded) {
       Visit(N);
       assert(Seen.contains(N) && "the visitor must memoize its node");
@@ -156,9 +117,9 @@ void forEachUnseenPostOrder(const Expr *E, const SeenSet &Seen,
     }
     if (Seen.contains(N))
       continue; // memoized before, or reached again through sharing
-    Stack.push(N, true);
+    Stack.push_back({N, true});
     for (unsigned I = 0, NumOps = N->numOperands(); I != NumOps; ++I)
-      Stack.push(N->getOperand(I), false);
+      Stack.push_back({N->getOperand(I), false});
   }
 }
 

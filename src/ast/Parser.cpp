@@ -13,16 +13,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 using namespace mba;
 
 namespace {
 
 /// Deepest nesting of parentheses and prefix operators parseExpr accepts.
-/// The parser recurses once per level (four frames per parenthesis), so
-/// without a cap a deeply nested input overflows the stack. Generated and
-/// published MBA expressions nest a few dozen levels.
+/// The parser recurses once per level (at most nine frames per parenthesis:
+/// parseUnary, its body and parsePrimary, plus one parseBinary frame and one
+/// more per rise in operator precedence), so without a cap a deeply nested
+/// input overflows the stack. Generated and published MBA expressions nest
+/// a few dozen levels.
 constexpr unsigned MaxNestingDepth = 2048;
 
 /// Byte classes of the grammar, as the C locale's <cctype> has them.
@@ -130,14 +131,11 @@ private:
 
   // expr := unary (binop unary)*, every binop left-associative.
   //
-  // One precedence-climbing loop: operands wait on a stack with the
-  // operator that follows them, and an operator first combines every
-  // waiting operand whose operator binds at least as tightly. Nodes are
-  // built in the order the recursive grammar (expr > xor > and > sum >
-  // product > unary) would build them.
-  const Expr *parseBinary() {
-    // This call's operands sit above Base; a parenthesis nests a call.
-    size_t Base = Pending.size();
+  // Precedence climbing: parses operands joined by operators that bind at
+  // least as tightly as \p MinPrec, and recurses only where precedence
+  // rises. Nodes are built in the order the recursive grammar (expr > xor >
+  // and > sum > product > unary) would build them.
+  const Expr *parseBinary(uint8_t MinPrec = 1) {
     const Expr *L = parseUnary();
     if (!L)
       return nullptr;
@@ -145,17 +143,13 @@ private:
       skipSpace();
       char Op = Pos < Text.size() ? Text[Pos] : 0;
       uint8_t Prec = BinaryPrecedence[(unsigned char)Op];
-      while (Pending.size() > Base && Pending.back().Prec >= Prec) {
-        L = combine(Pending.back().Op, Pending.back().L, L);
-        Pending.pop_back();
-      }
-      if (!Prec)
+      if (Prec < MinPrec) // also the end of the expression: Prec is 0
         return L;
       ++Pos;
-      Pending.push_back({L, Op, Prec});
-      L = parseUnary();
-      if (!L)
+      const Expr *R = parseBinary(Prec + 1);
+      if (!R)
         return nullptr;
+      L = combine(Op, L, R);
     }
   }
 
@@ -261,16 +255,8 @@ private:
     return Ctx.getVar(Text.substr(Start, Pos - Start));
   }
 
-  /// A left operand waiting for its right one, with the operator between.
-  struct PendingOp {
-    const Expr *L;
-    char Op;
-    uint8_t Prec;
-  };
-
   Context &Ctx;
   std::string_view Text;
-  std::vector<PendingOp> Pending; ///< parseBinary's stack, shared by nesting
   size_t Pos = 0;
   unsigned Depth = 0; ///< parseUnary frames currently active
   std::string ErrorMsg;

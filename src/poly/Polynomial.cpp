@@ -12,23 +12,22 @@ using namespace mba;
 
 Monomial Monomial::operator*(const Monomial &O) const {
   Monomial Result;
-  std::span<const Power> A = powers(), B = O.powers();
+  const std::vector<Power> &A = Powers, &B = O.Powers;
+  Result.Powers.reserve(A.size() + B.size());
   size_t I = 0, J = 0;
   while (I < A.size() && J < B.size()) {
     if (A[I].first < B[J].first)
-      Result.push(A[I++]);
+      Result.Powers.push_back(A[I++]);
     else if (A[I].first > B[J].first)
-      Result.push(B[J++]);
+      Result.Powers.push_back(B[J++]);
     else {
-      Result.push({A[I].first, A[I].second + B[J].second});
+      Result.Powers.push_back({A[I].first, A[I].second + B[J].second});
       ++I;
       ++J;
     }
   }
-  while (I < A.size())
-    Result.push(A[I++]);
-  while (J < B.size())
-    Result.push(B[J++]);
+  Result.Powers.insert(Result.Powers.end(), A.begin() + I, A.end());
+  Result.Powers.insert(Result.Powers.end(), B.begin() + J, B.end());
   Result.Degree = Degree + O.Degree;
   return Result;
 }

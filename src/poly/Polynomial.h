@@ -23,11 +23,9 @@
 #ifndef MBA_POLY_POLYNOMIAL_H
 #define MBA_POLY_POLYNOMIAL_H
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,9 +35,7 @@ namespace mba {
 using AtomId = uint32_t;
 
 /// A power product of atoms: sorted (atom, exponent) pairs with positive
-/// exponents. The empty monomial is the constant 1. Up to InlinePowers
-/// distinct atoms are stored in the object, so the monomials of MBA
-/// expansions (rarely more than three factors) allocate nothing.
+/// exponents. The empty monomial is the constant 1.
 class Monomial {
 public:
   using Power = std::pair<AtomId, uint32_t>;
@@ -49,7 +45,7 @@ public:
   /// The monomial consisting of a single atom to the first power.
   static Monomial atom(AtomId Id) {
     Monomial M;
-    M.push({Id, 1});
+    M.Powers.push_back({Id, 1});
     M.Degree = 1;
     return M;
   }
@@ -60,50 +56,30 @@ public:
   /// Total degree (sum of exponents).
   unsigned degree() const { return Degree; }
 
-  bool isConstant() const { return Size == 0; }
+  bool isConstant() const { return Powers.empty(); }
 
   /// Sole atom of a degree-1 monomial.
   AtomId linearAtom() const {
     assert(degree() == 1 && "not a degree-1 monomial");
-    return powers().front().first;
+    return Powers.front().first;
   }
 
   /// The (atom, exponent) pairs, sorted by atom.
-  std::span<const Power> powers() const {
-    return {Size <= InlinePowers ? Inline : Spill.data(), Size};
-  }
+  const std::vector<Power> &powers() const { return Powers; }
 
-  bool operator==(const Monomial &O) const {
-    return Degree == O.Degree && std::ranges::equal(powers(), O.powers());
-  }
+  bool operator==(const Monomial &O) const { return Powers == O.Powers; }
   bool operator<(const Monomial &O) const {
     // Order by total degree first so that iteration yields the constant
     // term, then linear terms, then higher-degree terms — the order in
     // which normalized MBA results are conventionally written.
     if (Degree != O.Degree)
       return Degree < O.Degree;
-    return std::ranges::lexicographical_compare(powers(), O.powers());
+    return Powers < O.Powers;
   }
 
 private:
-  static constexpr uint32_t InlinePowers = 3;
-
-  /// Appends \p P after every power already present.
-  void push(Power P) {
-    if (Size < InlinePowers) {
-      Inline[Size++] = P;
-      return;
-    }
-    if (Size == InlinePowers)
-      Spill.assign(Inline, Inline + InlinePowers);
-    Spill.push_back(P);
-    ++Size;
-  }
-
-  uint32_t Size = 0;   ///< number of distinct atoms
+  std::vector<Power> Powers;
   uint32_t Degree = 0; ///< sum of the exponents
-  Power Inline[InlinePowers] = {};
-  std::vector<Power> Spill; ///< all powers, once there are more than fit
 };
 
 /// A polynomial over atoms with coefficients in Z/2^w. All arithmetic wraps

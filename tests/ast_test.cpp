@@ -609,6 +609,20 @@ TEST(Parser, ThousandLevelsStillParse) {
   EXPECT_EQ(countDagNodes(R.E), 1001u);
 }
 
+TEST(Parser, CapDepthWithEveryPrecedenceRiseParses) {
+  // Each level climbs through all five operator precedences before its
+  // parenthesis: the most stack one level takes, at the deepest level the
+  // cap admits.
+  Context Ctx(64);
+  std::string Text;
+  for (int I = 0; I < 2047; ++I)
+    Text += "a|b^c&d+e*(";
+  Text += "x" + std::string(2047, ')');
+  ParseResult R = parseExpr(Ctx, Text);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(countDagNodes(R.E), 6u + 5u * 2047u); // 6 leaves, 5 ops a level
+}
+
 TEST(Printer, ConstantsPrintSigned) {
   Context Ctx(64);
   EXPECT_EQ(printExpr(Ctx, Ctx.getAllOnes()), "-1");

@@ -551,8 +551,8 @@ TEST(AnalysisMemoTest, VariableMemoMatchesCollectVariables) {
   }
   EXPECT_GT(Checked, 3 * 6000u);
 
-  // A hundred variables, so most indices are past the 64-bit mask, named
-  // so that name order is not creation order.
+  // A hundred variables, so most local indices are past the 64-bit mask,
+  // named so that name order is not creation order.
   Context Wide(64);
   std::vector<const Expr *> Vars;
   for (unsigned I = 0; I != 100; ++I)
