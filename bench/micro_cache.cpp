@@ -14,10 +14,16 @@
 ///    uncached (BM_SimplifyCorpusColdShared vs BM_SimplifyCorpusNoCache) —
 ///    the all-miss overhead is hashing plus one store clone per insert.
 ///
+/// BM_SimplifyResultHit times one result-cache hit alone, in the shape of
+/// the warm_replay workload: one context and one solver for the whole run,
+/// inputs parsed once, so neither a context nor a clone-in is measured.
+///
 //===----------------------------------------------------------------------===//
 
 #include "ast/Context.h"
 #include "ast/ExprUtils.h"
+#include "ast/Parser.h"
+#include "ast/Printer.h"
 #include "gen/Corpus.h"
 #include "mba/Basis.h"
 #include "mba/Simplifier.h"
@@ -90,6 +96,30 @@ void BM_SimplifyCorpusWarmShared(benchmark::State &State) {
     simplifyPass(&Shared, &Basis);
 }
 BENCHMARK(BM_SimplifyCorpusWarmShared);
+
+void BM_SimplifyResultHit(benchmark::State &State) {
+  // One MBASolver::simplify call per iteration, each a result-cache hit.
+  CorpusFixture &F = fixture();
+  Context Ctx(64);
+  std::vector<const Expr *> Inputs;
+  for (const Expr *E : F.Exprs)
+    Inputs.push_back(parseOrDie(Ctx, printExpr(F.Master, E)));
+  SimplifyCache Shared(64);
+  BasisCache Basis;
+  SimplifyOptions Opts;
+  Opts.SharedCache = &Shared;
+  Opts.SharedBasisCache = &Basis;
+  MBASolver Solver(Ctx, Opts);
+  for (const Expr *E : Inputs)
+    Solver.simplify(E);
+  uint64_t MissesBefore = Shared.resultStats().Misses;
+  size_t I = 0;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Solver.simplify(Inputs[I++ % Inputs.size()]));
+  if (Shared.resultStats().Misses != MissesBefore)
+    State.SkipWithError("a timed call missed the result cache");
+}
+BENCHMARK(BM_SimplifyResultHit);
 
 void BM_ShardedCacheLookupHit(benchmark::State &State) {
   ShardedCache<uint64_t> Cache(1 << 16);

@@ -21,6 +21,7 @@
 #include "support/Stopwatch.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <unordered_map>
@@ -123,20 +124,6 @@ const Expr *MBASolver::simplify(const Expr *E) {
     QR->num("cache_misses", Stats.CacheMisses - CacheMissesBefore);
   };
 
-  // Per-call state: temp numbering restarts at zero and may only avoid the
-  // *input's* variable names, and the rewrite memo is scoped to this call.
-  // Both make the output a function of the input expression alone — a
-  // solver that processed other expressions first (a reused serial solver,
-  // a thread-pool worker with its private memo) produces the same form a
-  // fresh solver would, which is what lets the parallel study and the
-  // shared caches promise bit-identical expressions, not just verdicts.
-  // (Cross-call reuse isn't lost: the schedule-independent semantic caches
-  // below replace what the cross-call memo used to provide.)
-  NextTempId = 0;
-  ReservedNames.clear();
-  for (const Expr *V : collectVariables(E))
-    ReservedNames.insert(V->varName());
-
   // Structural result layer of the shared cache: keyed on the input's
   // fingerprint (not its semantics — the alternation guard below makes the
   // output depend on the input's *form*, so semantic keying would break
@@ -160,10 +147,21 @@ const Expr *MBASolver::simplify(const Expr *E) {
       return Hit;
     }
   }
+  // Per-call state, built only on a miss: temp numbering restarts at zero
+  // and may only avoid the *input's* variable names, and the rewrite memo
+  // is scoped to this call. Both make the output a function of the input
+  // expression alone — a solver that processed other expressions first (a
+  // reused serial solver, a thread-pool worker with its private memo)
+  // produces the same form a fresh solver would, which is what lets the
+  // parallel study and the shared caches promise bit-identical expressions,
+  // not just verdicts. (Cross-call reuse isn't lost: the schedule-independent
+  // semantic caches below replace what the cross-call memo used to provide.)
+  NextTempId = 0;
   ResultMemo.clear();
   FactsMemo.clear();
   AltMemo.clear();
   VarMemo.clear();
+  InputVars = VarMemo.variables(E);
 
   bool Noting = noting();
   const Expr *R = E;
@@ -766,11 +764,13 @@ const Expr *MBASolver::freshTempVar() {
   // before _t9 and reshuffle terms depending on how many temps a call
   // needed. Collisions are checked against the input's variables only —
   // probing the whole context (hasVar) would tie the numbering to which
-  // expressions the context happened to see earlier.
+  // expressions the context happened to see earlier. Names are interned: a
+  // taken name is an input variable's own node, which getVar returns.
   for (;;) {
     char Name[16];
     std::snprintf(Name, sizeof(Name), "_t%04u", NextTempId++);
-    if (!ReservedNames.count(Name))
-      return Ctx.getVar(Name);
+    const Expr *V = Ctx.getVar(Name);
+    if (std::find(InputVars.begin(), InputVars.end(), V) == InputVars.end())
+      return V;
   }
 }

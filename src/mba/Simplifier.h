@@ -45,8 +45,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace mba {
@@ -204,7 +202,7 @@ private:
   /// then shorter, then fewer DAG nodes).
   const Expr *pickBetter(const Expr *A, const Expr *B);
 
-  /// A fresh variable not used anywhere in the context yet.
+  /// The next temporary variable whose name is not one of the input's.
   const Expr *freshTempVar();
 
   /// True when any observer wants per-rule records — the audit trail, the
@@ -261,12 +259,12 @@ private:
   AlternationMemo AltMemo;
   VariableMemo VarMemo;
 
-  /// Temp-name state, reset at each public simplify() entry so temporary
+  /// Temp-name state, reset on each result-cache miss so temporary
   /// numbering depends only on the input expression — never on what else
   /// the context or other corpus entries have allocated. That makes
   /// simplified *expressions* (not just verdicts) identical across job
   /// counts and cache configurations.
-  std::unordered_set<std::string> ReservedNames; ///< input variable names
+  std::vector<const Expr *> InputVars; ///< from VarMemo; temps skip these
   unsigned NextTempId = 0;
 };
 

@@ -22,7 +22,7 @@
 ///    input form*), so whole-expression memoization must key on structure
 ///    to keep cached and uncached runs bit-identical. This layer is the
 ///    warm-run fast path: a hit replaces a full pipeline pass with a hash
-///    and a clone.
+///    and a clone; MBASolver::simplify asks it before walking the input.
 ///
 /// Values are expressions. The cache owns a private store Context; inserts
 /// clone the value into the store under the store mutex, lookups clone the

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <unordered_map>
@@ -621,6 +622,106 @@ TEST(Parser, CapDepthWithEveryPrecedenceRiseParses) {
   ParseResult R = parseExpr(Ctx, Text);
   ASSERT_TRUE(R.ok()) << R.Error;
   EXPECT_EQ(countDagNodes(R.E), 6u + 5u * 2047u); // 6 leaves, 5 ops a level
+}
+
+/// Checks one (possibly malformed) text against the parser's contract: a
+/// rejected text gets a diagnostic at an offset inside it (its end counts,
+/// for "unexpected end of input"), and an accepted text prints to a text
+/// that parses back to the same function. Only the function is compared:
+/// the printer drops the parentheses of right-nested associative operators,
+/// so the re-parsed tree may differ.
+void expectParserContract(Context &Ctx, const std::string &Text, RNG &Rng) {
+  std::string Shown = Text.size() > 60 ? Text.substr(0, 60) + "..." : Text;
+  ParseResult P = parseExpr(Ctx, Text);
+  if (!P.ok()) {
+    EXPECT_FALSE(P.Error.empty()) << Shown;
+    EXPECT_LE(P.ErrorPos, Text.size()) << Shown << ": " << P.Error;
+    return;
+  }
+  EXPECT_TRUE(P.Error.empty()) << Shown;
+  std::string Printed = printExpr(Ctx, P.E);
+  ParseResult Q = parseExpr(Ctx, Printed);
+  ASSERT_TRUE(Q.ok()) << Shown << " printed as " << Printed << ": "
+                      << Q.Error;
+  std::vector<const Expr *> Vars = collectVariables(P.E);
+  for (const Expr *V : collectVariables(Q.E))
+    if (std::find(Vars.begin(), Vars.end(), V) == Vars.end())
+      Vars.push_back(V);
+  std::vector<uint64_t> Vals(Ctx.numVars());
+  auto Agree = [&] {
+    EXPECT_EQ(evaluate(Ctx, P.E, Vals), evaluate(Ctx, Q.E, Vals))
+        << Shown << " printed as " << Printed;
+  };
+  // The corners (each variable 0 or all ones), then seeded points.
+  unsigned T = (unsigned)std::min<size_t>(Vars.size(), 8);
+  for (unsigned K = 0; K != (1u << T); ++K) {
+    std::fill(Vals.begin(), Vals.end(), 0);
+    for (unsigned I = 0; I != T; ++I)
+      if (K >> I & 1)
+        Vals[Vars[I]->varIndex()] = Ctx.mask();
+    Agree();
+  }
+  for (int I = 0; I != 8; ++I) {
+    for (uint64_t &V : Vals)
+      V = Rng.next() & Ctx.mask();
+    Agree();
+  }
+}
+
+// Randomized mutations of seed-1 corpus texts, with fixed seeds: every
+// truncation, single-byte flips and insertions, nesting around the
+// 2048-level cap, and constants far wider than a machine word. The parser
+// must never crash, and each result must keep expectParserContract.
+TEST(Parser, MutatedCorpusTextsKeepTheContract) {
+  Context Gen(64);
+  CorpusOptions Opts;
+  Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 2;
+  Opts.Seed = 1;
+  Opts.IncludeSeedIdentities = false;
+  std::vector<std::string> Samples;
+  for (const CorpusEntry &E : generateCorpus(Gen, Opts))
+    Samples.push_back(printExpr(Gen, E.Obfuscated));
+  ASSERT_GE(Samples.size(), 6u);
+
+  Context Ctx(64);
+  RNG Rng(1);
+  const std::string Alphabet = "()+-*&|^~ x_09aF\t\n$\xff";
+  for (const std::string &S : Samples) {
+    for (size_t Len = 0; Len <= S.size(); ++Len)
+      expectParserContract(Ctx, S.substr(0, Len), Rng);
+    for (size_t I = 0; I != S.size(); ++I) {
+      std::string Flipped = S;
+      Flipped[I] = (char)(Flipped[I] ^ (1u << Rng.below(8)));
+      expectParserContract(Ctx, Flipped, Rng);
+      std::string Inserted = S;
+      Inserted.insert(I, 1, Alphabet[Rng.below(Alphabet.size())]);
+      expectParserContract(Ctx, Inserted, Rng);
+    }
+  }
+
+  for (size_t Depth : {2047, 2048, 2049}) {
+    std::string Open(Depth, '('), Close(Depth, ')');
+    expectParserContract(Ctx, Open + "x" + Close, Rng);
+    expectParserContract(Ctx, Open + Samples[0] + Close, Rng);
+    expectParserContract(Ctx, std::string(Depth, '~') + "x", Rng);
+    expectParserContract(Ctx, std::string(Depth, '-') + "(x)", Rng);
+  }
+
+  const std::string Huge[] = {
+      "1234567890123456789012345678901234567890",
+      "0x" + std::string(40, 'f'),
+      "0x1" + std::string(39, '0'),
+      "0xFEDCBA9876543210FEDCBA9876543210FEDCBA98",
+  };
+  for (unsigned Width : {64u, 8u}) {
+    Context Narrow(Width);
+    for (const std::string &C : Huge) {
+      expectParserContract(Narrow, C, Rng);
+      expectParserContract(Narrow, "-" + C, Rng);
+      expectParserContract(Narrow, Samples[1] + "+" + C, Rng);
+      expectParserContract(Narrow, C + "*(" + Samples[2] + ")", Rng);
+    }
+  }
 }
 
 TEST(Printer, ConstantsPrintSigned) {

@@ -273,6 +273,68 @@ TEST(SimplifyNonPoly, NoTempVariablesLeak) {
     EXPECT_NE(V->varName()[0], '_') << printExpr(Ctx, R);
 }
 
+TEST(SimplifyNonPoly, TempNamesSkipInputVariables) {
+  // The abstraction names its temporaries _t0000, _t0001, ...; inputs that
+  // already use those names must push the temporaries past them. Every
+  // input but the first also uses a colliding variable outside the
+  // abstracted operands, so a temporary that aliased it would change the
+  // result: the second would become 2*_t0000-2*y+z. Each text was recorded
+  // before the reserved names moved behind the result-cache lookup.
+  struct Case {
+    const char *Input;
+    const char *Expected;
+  };
+  const Case Cases[] = {
+      {"((_t0000-y)|z) + ((_t0000-y)&z)", "_t0000-y+z"},
+      {"((_t0000-y)|z) + ((_t0000-y)&z) + _t0000", "2*_t0000-y+z"},
+      {"((_t0000*y)|_t0001) + ((_t0000*y)&_t0001) - _t0000",
+       "-_t0000+_t0001+_t0000*y"},
+      {"((_t0000-_t0001)|(_t0001*z)) + ((_t0000-_t0001)&(_t0001*z))"
+       " + _t0000 + _t0001",
+       "2*_t0000+_t0001*z"},
+      {"~(_t0000-1) + _t0000", "0"},
+      {"((_t0001-y)|(_t0000*z)) + ((_t0001-y)&(_t0000*z)) - 2*_t0001",
+       "-_t0001-y+_t0000*z"},
+  };
+
+  // A fresh solver per input: the recorded text, equivalent to the input.
+  for (const Case &C : Cases) {
+    Context Ctx(64);
+    MBASolver Solver(Ctx);
+    const Expr *E = parseOrDie(Ctx, C.Input);
+    const Expr *R = Solver.simplify(E);
+    expectEquivalent(Ctx, E, R);
+    EXPECT_EQ(printExpr(Ctx, R), C.Expected) << C.Input;
+  }
+
+  // One solver reused across inputs, after a call that already created
+  // temporaries in its context.
+  {
+    Context Ctx(64);
+    MBASolver Solver(Ctx);
+    Solver.simplify(parseOrDie(Ctx, "((x-y)|z) + ((x-y)&z)"));
+    for (int Round = 0; Round != 2; ++Round)
+      for (const Case &C : Cases)
+        EXPECT_EQ(printExpr(Ctx, Solver.simplify(parseOrDie(Ctx, C.Input))),
+                  C.Expected)
+            << "round " << Round << ", input " << C.Input;
+  }
+
+  // A shared cache filled in one context and hit from a second one.
+  SimplifyCache Shared(64);
+  SimplifyOptions Opts;
+  Opts.SharedCache = &Shared;
+  for (int Round = 0; Round != 2; ++Round) {
+    Context Ctx(64);
+    MBASolver Solver(Ctx, Opts);
+    for (const Case &C : Cases)
+      EXPECT_EQ(printExpr(Ctx, Solver.simplify(parseOrDie(Ctx, C.Input))),
+                C.Expected)
+          << "round " << Round << ", input " << C.Input;
+  }
+  EXPECT_EQ(Shared.resultStats().Hits, std::size(Cases));
+}
+
 //===----------------------------------------------------------------------===//
 // Options and ablations
 //===----------------------------------------------------------------------===//
