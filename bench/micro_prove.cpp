@@ -8,8 +8,8 @@
 /// latency and hit-rate on raw and simplified query pairs (the same
 /// queries Tables 2 and 6 pose to solvers, and the width-3 raw queries of
 /// perfbench's raw_bitblast workload), the solver wall-clock the
-/// discharged queries save, the saturate-and-extract pre-pass, and the
-/// one-time cost of certifying the shipped rule table. Hit-rates are
+/// discharged queries save, and the one-time cost of certifying the
+/// shipped rule table. Hit-rates are
 /// reported as benchmark counters: `proved`, `refuted`, `unknown` are the
 /// per-corpus splits, `solver_s_saved` is the measured BlastBV time on the
 /// queries the prover discharges.
@@ -174,18 +174,6 @@ void BM_ProveMismatchedPairs(benchmark::State &State) {
   reportSplit(State, Ctx, Pairs);
 }
 BENCHMARK(BM_ProveMismatchedPairs)->Arg(10);
-
-void BM_SaturateAndExtract(benchmark::State &State) {
-  // The simplifier's optional saturation pre-pass on obfuscated inputs.
-  Context Ctx(64);
-  auto Corpus = makeCorpus(Ctx, (unsigned)State.range(0));
-  Prover P(Ctx);
-  for (auto _ : State)
-    for (const CorpusEntry &E : Corpus)
-      benchmark::DoNotOptimize(P.saturateAndExtract(E.Obfuscated));
-  State.SetItemsProcessed(State.iterations() * Corpus.size());
-}
-BENCHMARK(BM_SaturateAndExtract)->Arg(10);
 
 void BM_CertifyRules(benchmark::State &State) {
   // One-time startup cost: prove the whole shipped rule table sound for

@@ -28,7 +28,7 @@
 ///  * refuteEquivalence() — a static soundness check for rewrites: when the
 ///    abstract values of `e` and `e'` are disjoint in some domain, the
 ///    rewrite `e -> e'` provably changes semantics (on every input), without
-///    ever calling an SMT solver. Used by the rewrite auditor.
+///    ever calling an SMT solver. Stage 0 (analysis/Prover.h) uses it.
 ///
 //===----------------------------------------------------------------------===//
 

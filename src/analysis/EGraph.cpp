@@ -9,7 +9,6 @@
 #include "ast/ExprUtils.h"
 
 #include <algorithm>
-#include <limits>
 #include <tuple>
 
 using namespace mba;
@@ -272,85 +271,4 @@ size_t EGraph::numClasses() const {
     if (find(Id) == Id)
       ++N;
   return N;
-}
-
-const Expr *EGraph::extract(EClassId Root) const {
-  Root = find(Root);
-  const size_t Inf = std::numeric_limits<size_t>::max();
-  // Minimal tree-size cost per class, to a fixpoint (bottom-up; the e-graph
-  // may contain cycles through merged classes, which simply never relax).
-  std::unordered_map<EClassId, std::pair<size_t, ENode>> Best;
-  bool Changed = true;
-  auto CostOf = [&](EClassId Id) -> size_t {
-    auto It = Best.find(find(Id));
-    return It == Best.end() ? Inf : It->second.first;
-  };
-  std::vector<EClassId> Live = canonicalClasses();
-  while (Changed) {
-    Changed = false;
-    for (EClassId Id : Live) {
-      for (const ENode &N : Classes[Id].Nodes) {
-        size_t Cost;
-        if (N.Kind == ExprKind::Var || N.Kind == ExprKind::Const) {
-          Cost = 1;
-        } else if (isUnaryKind(N.Kind)) {
-          size_t C = CostOf(N.Lhs);
-          Cost = C == Inf ? Inf : C + 1;
-        } else {
-          size_t CL = CostOf(N.Lhs), CR = CostOf(N.Rhs);
-          Cost = (CL == Inf || CR == Inf ||
-                  CL + CR >= Inf - 1)
-                     ? Inf
-                     : CL + CR + 1;
-        }
-        if (Cost < CostOf(Id)) {
-          Best[Id] = {Cost, N};
-          Changed = true;
-        }
-      }
-    }
-  }
-  if (Best.find(Root) == Best.end())
-    return nullptr;
-  // Build the chosen representatives bottom-up (memoized per class), the
-  // rhs operand's class before the lhs one's, as forEachUnseenPostOrder
-  // orders operands. The chosen nodes form a DAG: each operand's cost is
-  // below its user's.
-  std::unordered_map<EClassId, const Expr *> Built;
-  auto BuiltOf = [&](EClassId Id) { return Built.at(find(Id)); };
-  // Each entry is a class and whether its operands were already pushed.
-  std::vector<std::pair<EClassId, bool>> Stack{{Root, false}};
-  while (!Stack.empty()) {
-    auto [Id, Expanded] = Stack.back();
-    Stack.pop_back();
-    if (Built.contains(Id))
-      continue;
-    const ENode &N = Best.at(Id).second;
-    if (!Expanded) {
-      Stack.push_back({Id, true});
-      if (isUnaryKind(N.Kind) || isBinaryKind(N.Kind))
-        Stack.push_back({find(N.Lhs), false});
-      if (isBinaryKind(N.Kind))
-        Stack.push_back({find(N.Rhs), false});
-      continue;
-    }
-    const Expr *E;
-    switch (N.Kind) {
-    case ExprKind::Var:
-      E = Ctx.getVarByIndex((unsigned)N.Aux);
-      break;
-    case ExprKind::Const:
-      E = Ctx.getConst(N.Aux);
-      break;
-    case ExprKind::Not:
-    case ExprKind::Neg:
-      E = Ctx.getUnary(N.Kind, BuiltOf(N.Lhs));
-      break;
-    default:
-      E = Ctx.getBinary(N.Kind, BuiltOf(N.Lhs), BuiltOf(N.Rhs));
-      break;
-    }
-    Built.emplace(Id, E);
-  }
-  return Built.at(Root);
 }

@@ -64,7 +64,7 @@ struct ENode {
 
 /// An e-graph over the expression language of one Context. The context
 /// supplies the bit width (constants are folded modulo its mask) and the
-/// variable numbering; extraction builds result expressions in it.
+/// variable numbering.
 class EGraph {
 public:
   explicit EGraph(Context &Ctx);
@@ -109,13 +109,6 @@ public:
   /// The contiguous run of nodesOf(Id) whose kind is \p K, in stored
   /// order. Valid only after rebuild() (see the sorted-node invariant).
   std::span<const ENode> nodesOfKind(EClassId Id, ExprKind K) const;
-
-  /// Extracts a minimal-size expression of \p Id's class into the context
-  /// (cost = tree node count, ties broken by first discovery). Returns
-  /// nullptr only for classes poisoned by extraction cycles, which cannot
-  /// happen for classes reachable from addExpr() roots. Iterative, so deep
-  /// expressions cannot overflow the stack.
-  const Expr *extract(EClassId Id) const;
 
   /// All canonical class ids (live classes), for match loops.
   std::vector<EClassId> canonicalClasses() const;

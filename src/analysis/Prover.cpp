@@ -162,8 +162,7 @@ bool saturateRound(EGraph &G, const RuleSet &Rules, const ProveBudget &Budget,
   // Per-rule attribution (flight recorder + rule-attribution registry):
   // e-matching dominates saturation cost, so time each rule's match pass
   // and count the environments it produced. Only rules that matched are
-  // recorded — unmatched rules' time stays in the egraph-saturate stage
-  // aggregate. Gated so the undisturbed pipeline pays one relaxed load.
+  // recorded — unmatched rules' time stays in the stage-0 aggregate. Gated so the undisturbed pipeline pays one relaxed load.
   bool Attribute = telemetry::metricsEnabled() || querylog::active() != nullptr;
   for (const EqualityRule &R : Rules.rules()) {
     if (R.Certified == CertMethod::Uncertified)
@@ -246,21 +245,6 @@ ProveResult Prover::prove(const Expr *A, const Expr *B,
   Result.Detail = "budget exhausted";
   fillStats(G, Result.Stats);
   return Result;
-}
-
-const Expr *Prover::saturateAndExtract(const Expr *E,
-                                       const ProveBudget &Budget) {
-  MBA_TRACE_SPAN("prover.saturate");
-  EGraph G(Ctx);
-  EClassId Root = G.addExpr(E);
-  G.rebuild();
-  ProveStats Stats;
-  for (unsigned Iter = 0; Iter != Budget.MaxIterations; ++Iter)
-    if (!saturateRound(G, *Rules, Budget, Stats) ||
-        G.numNodes() >= Budget.MaxENodes)
-      break;
-  const Expr *Best = G.extract(Root);
-  return Best ? Best : E;
 }
 
 ProveResult mba::proveEquivalence(Context &Ctx, const Expr *A, const Expr *B,

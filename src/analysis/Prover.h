@@ -21,8 +21,7 @@
 ///    the caller falls back to a real solver.
 ///
 /// Proved/Refuted are sound, never heuristic: the prover is safe to
-/// short-circuit an SMT query (stage 0 of solvers/EquivalenceChecker) and
-/// to feed simplification (the saturate-and-extract pre-pass).
+/// short-circuit an SMT query (stage 0 of solvers/EquivalenceChecker).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,12 +83,6 @@ public:
   /// Decides A == B within \p Budget.
   ProveResult prove(const Expr *A, const Expr *B,
                     const ProveBudget &Budget = ProveBudget());
-
-  /// Saturation as a simplification pre-pass: saturates the e-graph of
-  /// \p E and extracts the smallest equivalent expression discovered
-  /// (possibly \p E itself).
-  const Expr *saturateAndExtract(const Expr *E,
-                                 const ProveBudget &Budget = ProveBudget());
 
 private:
   Context &Ctx;

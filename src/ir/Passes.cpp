@@ -667,8 +667,8 @@ unsigned mba::rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
         CheckResult CR = Checker->check(Ctx, Flat, Simp,
                                         Opts.VerifyTimeout);
         if (CR.Outcome == Verdict::NotEquivalent) {
-          // An unsound simplification candidate (only possible with a
-          // custom ExperimentalRule): blocked, never installed.
+          // An unsound simplification candidate (only possible with an
+          // unsound SynthFallback): blocked, never installed.
           unsoundBlockedCounter().add();
           if (Report)
             ++Report->UnsoundBlocked;

@@ -105,7 +105,7 @@ struct FunctionReport {
   size_t PhisSimplified = 0;
   size_t InstsRemoved = 0;
   /// Rewrite candidates the checker proved NotEquivalent — blocked, never
-  /// applied. Nonzero only when a custom ExperimentalRule is unsound.
+  /// applied. Nonzero only when a custom SynthFallback is unsound.
   size_t UnsoundBlocked = 0;
   std::vector<RegionInfo> Regions;
 

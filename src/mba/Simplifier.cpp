@@ -30,6 +30,9 @@ using namespace mba;
 
 namespace {
 
+/// Recursion budget for re-simplification of substituted results.
+constexpr unsigned MaxDepth = 16;
+
 /// Folds every option that can change the simplifier's output into one
 /// word, so differently-configured solvers sharing a SimplifyCache can
 /// never alias each other's result-layer entries.
@@ -42,12 +45,6 @@ uint64_t optionsFingerprint(const SimplifyOptions &O) {
   Add(O.EnableCSE);
   Add(O.EnableFinalOpt);
   Add(O.EnableKnownBits);
-  Add(O.EnableSaturation);
-  Add(O.SaturationBudget.MaxIterations);
-  Add(O.SaturationBudget.MaxENodes);
-  Add(O.SaturationBudget.MaxMatchesPerRule);
-  Add(O.MaxFinalOptVars);
-  Add(O.MaxDepth);
   Add((bool)O.SynthFallback);
   return H;
 }
@@ -58,18 +55,16 @@ MBASolver::MBASolver(Context &Ctx, SimplifyOptions Opts)
     : Ctx(Ctx), Opts(Opts), OptionsFp(optionsFingerprint(this->Opts)) {}
 
 bool MBASolver::noting() const {
-  return Opts.Trail || telemetry::metricsEnabled() || querylog::active();
+  return telemetry::metricsEnabled() || querylog::active();
 }
 
 void MBASolver::note(const char *Rule, const Expr *Before, const Expr *After,
                      uint64_t Ns) {
-  if (Opts.Trail)
-    Opts.Trail->record(Rule, Before, After);
   // Rule attribution counts actual fires — a pass that ran but returned
   // its input is stage time, not a rule application.
   if (Before == After || !*Rule)
     return;
-  if (telemetry::metricsEnabled() || querylog::active())
+  if (noting())
     querylog::noteRule(Rule, 1, Ns, countDagNodes(Before),
                        countDagNodes(After));
 }
@@ -127,12 +122,10 @@ const Expr *MBASolver::simplify(const Expr *E) {
   // Structural result layer of the shared cache: keyed on the input's
   // fingerprint (not its semantics — the alternation guard below makes the
   // output depend on the input's *form*, so semantic keying would break
-  // bit-identity). Suspended while a trail or experimental rule is
-  // attached: a hit would skip the steps they are meant to observe.
-  SimplifyCache *SC = Opts.EnableCache && Opts.SharedCache && !Opts.Trail &&
-                              !Opts.ExperimentalRule && !Opts.SynthFallback
-                          ? Opts.SharedCache
-                          : nullptr;
+  // bit-identity). Suspended while a synthesis fallback is attached (see
+  // SimplifyOptions::SharedCache).
+  SimplifyCache *SC =
+      Opts.EnableCache && !Opts.SynthFallback ? Opts.SharedCache : nullptr;
   uint64_t ResultKey = 0;
   if (SC) {
     ResultKey = hashCombine64(hashCombine64(hashMix64(Ctx.mask()), OptionsFp),
@@ -173,24 +166,6 @@ const Expr *MBASolver::simplify(const Expr *E) {
     R = foldAbstract(Ctx, R);
     note("abstract-fold", E, R, Noting ? telemetry::nowNs() - T0 : 0);
   }
-  if (Opts.EnableSaturation) {
-    // Equality saturation with the certified rule table; extraction picks
-    // the smallest discovered form. pickBetter guards against extraction
-    // trading alternation for size.
-    querylog::StageTimer Stage("egraph-saturate");
-    const Expr *Before = R;
-    uint64_t T0 = Noting ? telemetry::nowNs() : 0;
-    R = pickBetter(Prover(Ctx).saturateAndExtract(R, Opts.SaturationBudget),
-                   R);
-    note("egraph-saturate", Before, R, Noting ? telemetry::nowNs() - T0 : 0);
-  }
-  if (Opts.ExperimentalRule) {
-    querylog::StageTimer Stage("experimental-rule");
-    const Expr *Before = R;
-    uint64_t T0 = Noting ? telemetry::nowNs() : 0;
-    R = Opts.ExperimentalRule(Ctx, R);
-    note("experimental-rule", Before, R, Noting ? telemetry::nowNs() - T0 : 0);
-  }
   R = simplifyRec(R, 0);
   if (Opts.EnableFinalOpt) {
     querylog::StageTimer Stage("final-opt");
@@ -218,7 +193,7 @@ const Expr *MBASolver::simplify(const Expr *E) {
 const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
   if (E->isLeaf())
     return E;
-  if (Depth > Opts.MaxDepth)
+  if (Depth > MaxDepth)
     return E;
   if (const Expr *const *Done = ResultMemo.find(E))
     return *Done;
@@ -261,7 +236,7 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
     // instead of strash-collapsing.
     if (Opts.SynthFallback && mbaAlternation(R, AltMemo) > 0) {
       if (const Expr *S = Opts.SynthFallback(Ctx, R)) {
-        if (Depth < Opts.MaxDepth)
+        if (Depth < MaxDepth)
           S = simplifyRec(S, Depth + 1);
         const Expr *P = pickBetter(S, R);
         bool Installed = P != R;
@@ -599,7 +574,7 @@ const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
   // paper's example collapses to the linear x - y + z) or another round of
   // abstraction (e.g. a remaining -z under &). Iterate while progress is
   // made, bounded by the depth budget.
-  if (R != E && Depth < Opts.MaxDepth)
+  if (R != E && Depth < MaxDepth)
     R = simplifyRec(R, Depth + 1);
   return R;
 }
@@ -691,7 +666,7 @@ const Expr *MBASolver::finalOptimize(const Expr *E) {
   if (Vars.empty())
     return Ctx.getConst(evaluate(Ctx, E, std::span<const uint64_t>()));
   unsigned T = (unsigned)Vars.size();
-  if (T > Opts.MaxFinalOptVars || T > MaxBooleanMinVars)
+  if (T > MaxBooleanMinVars)
     return E;
 
   uint64_t Mask = Ctx.mask();

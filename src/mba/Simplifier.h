@@ -34,8 +34,6 @@
 #ifndef MBA_MBA_SIMPLIFIER_H
 #define MBA_MBA_SIMPLIFIER_H
 
-#include "analysis/Audit.h"
-#include "analysis/Prover.h"
 #include "ast/Context.h"
 #include "ast/Expr.h"
 #include "ast/ExprUtils.h"
@@ -80,39 +78,13 @@ struct SimplifyOptions {
   /// (x*2) & 1 == 0 or (x+x) & 1 == 0.
   bool EnableKnownBits = true;
 
-  /// Run the e-graph equality-saturation pre-pass (analysis/Prover.h):
-  /// saturate with the certified rewrite-rule table and extract the
-  /// smallest equivalent form before the signature pipeline. Off by
-  /// default — the signature machinery subsumes it on the paper corpus —
-  /// but it pays off on rule-shaped inputs (Table 5 compositions) and
-  /// every extracted form is certified-sound, so enabling it can never
-  /// change semantics.
-  bool EnableSaturation = false;
-
-  /// Budget for the saturation pre-pass when EnableSaturation is set.
-  ProveBudget SaturationBudget;
-
-  /// Opt-in rewrite audit trail: when set, every top-level rewrite step
-  /// (rule id, before/after nodes) is recorded here; replay it with
-  /// auditTrail() (analysis/Audit.h) to cross-check the run. The trail is
-  /// never cleared by the simplifier and must outlive it.
-  RewriteTrail *Trail = nullptr;
-
-  /// Extension point for custom rewrite rules, applied to the whole
-  /// expression after the folding pre-pass. Recorded in the audit trail as
-  /// rule "experimental-rule", so unsound candidate rules are caught by the
-  /// auditor before they can corrupt results. Must return a valid
-  /// expression in the same context (possibly its argument).
-  std::function<const Expr *(Context &, const Expr *)> ExperimentalRule;
-
   /// Fallback for non-polynomial residue the abstraction path cannot
   /// reduce: called with each simplified non-poly sub-result that still
-  /// has MBA alternation, it may return a proved-equivalent replacement
-  /// (or null to decline). Installed only when pickBetter judges it an
-  /// improvement; recorded in the audit trail as rule "synth-fallback".
-  /// Wire synth::Synthesizer::fallbackHook() here — its results are gated
-  /// by the staged equivalence checker, so the hook cannot change
-  /// semantics, unlike ExperimentalRule.
+  /// has MBA alternation, it may return a replacement (or null to
+  /// decline). Installed only when pickBetter judges it an improvement;
+  /// recorded in the query log as rule "synth-fallback". The simplifier
+  /// trusts the replacement: wire synth::Synthesizer::fallbackHook() here,
+  /// whose results are proved by the staged equivalence checker first.
   std::function<const Expr *(Context &, const Expr *)> SynthFallback;
 
   /// Memoize signature -> normalized combination (the look-up table of
@@ -123,22 +95,14 @@ struct SimplifyOptions {
   /// a semantic layer at the linear rebuild plus a structural whole-result
   /// layer. Shared between solver instances; null keeps the solver
   /// self-contained. Cached and uncached runs produce bit-identical
-  /// output. The result layer is suspended while Trail, ExperimentalRule
-  /// or SynthFallback is set (a cache hit would skip the recorded/extended
-  /// pipeline, and two distinct hooks would alias one fingerprint).
+  /// output. The result layer is suspended while SynthFallback is set:
+  /// two distinct hooks would alias one fingerprint.
   SimplifyCache *SharedCache = nullptr;
 
   /// Cross-call, cross-thread basis-solve cache (mba/Basis.h). When null,
   /// the solver uses a private BasisCache, preserving the per-instance
   /// lookup-table behaviour. Only consulted when EnableCache is set.
   BasisCache *SharedBasisCache = nullptr;
-
-  /// Maximum variable count for the final-step optimization (function
-  /// enumeration is exponential in 2^t).
-  unsigned MaxFinalOptVars = 3;
-
-  /// Recursion budget for re-simplification of substituted results.
-  unsigned MaxDepth = 16;
 };
 
 /// Cumulative statistics across simplify() calls.
@@ -205,15 +169,15 @@ private:
   /// The next temporary variable whose name is not one of the input's.
   const Expr *freshTempVar();
 
-  /// True when any observer wants per-rule records — the audit trail, the
-  /// metrics registry (rule attribution), or an active query-log record.
-  /// Callers use it to gate the timing/node-counting work around a step.
+  /// True when any observer wants per-rule records — the metrics registry
+  /// (rule attribution) or an active query-log record. Callers use it to
+  /// gate the timing/node-counting work around a step.
   bool noting() const;
 
-  /// Records a rewrite step into the opt-in audit trail and, when metrics
-  /// or the query log are on, into the rule-attribution registry and the
-  /// active flight-recorder record (fires / ns / node delta). \p Ns is the
-  /// step's wall time when the caller measured one (gated on noting()).
+  /// Records a rewrite step, when metrics or the query log are on, into
+  /// the rule-attribution registry and the active flight-recorder record
+  /// (fires / ns / node delta). \p Ns is the step's wall time when the
+  /// caller measured one (gated on noting()).
   void note(const char *Rule, const Expr *Before, const Expr *After,
             uint64_t Ns = 0);
 

@@ -33,9 +33,8 @@
 #include "ast/Parser.h"
 #include "ast/Printer.h"
 
-// Soundness auditing: IR verifier, abstract domains, rewrite audit trail.
+// Soundness checking: IR verifier and abstract domains.
 #include "analysis/AbstractInterp.h"
-#include "analysis/Audit.h"
 #include "analysis/KnownBits.h"
 #include "analysis/Verifier.h"
 

@@ -7,16 +7,18 @@
 #include "solvers/SmtLibParser.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <optional>
+#include <utility>
+#include <unordered_set>
 #include <vector>
 
 using namespace mba;
 
 namespace {
 
-/// Deepest list nesting the s-expression reader accepts. parseOne, the
-/// SExpr destructor and TermReader::read each recurse once per level, so
-/// without a cap a deeply nested script overflows the stack. Exported MBA
+/// Deepest list nesting the s-expression reader accepts. parseOne and the
+/// SExpr destructor each recurse once per level, so without a cap a deeply
+/// nested script overflows the stack. Exported MBA
 /// queries nest a few dozen levels.
 constexpr unsigned MaxNestingDepth = 2048;
 
@@ -108,70 +110,202 @@ private:
   size_t Pos = 0;
 };
 
-/// Term translation context.
+/// Reads \p Digits, every one a digit of \p Base (2, 10 or 16), into
+/// \p Value. False on an empty string, any other byte or a value of 2^64
+/// or more.
+bool readDigits(std::string_view Digits, unsigned Base, uint64_t &Value) {
+  if (Digits.empty())
+    return false;
+  Value = 0;
+  for (char C : Digits) {
+    unsigned D;
+    if (C >= '0' && C <= '9')
+      D = (unsigned)(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      D = (unsigned)(C - 'a') + 10;
+    else if (C >= 'A' && C <= 'F')
+      D = (unsigned)(C - 'A') + 10;
+    else
+      return false;
+    if (D >= Base || Value > (UINT64_MAX - D) / Base)
+      return false;
+    Value = Value * Base + D;
+  }
+  return true;
+}
+
+/// True for an SMT-LIB simple symbol: letters, digits and
+/// ~!@$%^&*_-+=<>.?/, not starting with a digit.
+bool isSimpleSymbol(std::string_view Name) {
+  if (Name.empty() || std::isdigit((unsigned char)Name[0]))
+    return false;
+  for (char C : Name)
+    if (!std::isalnum((unsigned char)C) &&
+        std::string_view("~!@$%^&*_-+=<>.?/").find(C) == std::string_view::npos)
+      return false;
+  return true;
+}
+
+/// Term translation context. Every literal must denote a value of the
+/// context's width, which declarations have already matched to the
+/// script's width; every symbol must be declared.
 struct TermReader {
   Context &Ctx;
   std::string &Error;
+  std::unordered_set<std::string> Declared;
 
-  const Expr *read(const SExpr &S) {
-    if (S.isAtom()) {
-      // A declared constant (variable) or a plain decimal numeral.
-      if (std::isdigit((unsigned char)S.Atom[0]))
-        return Ctx.getConst(std::strtoull(S.Atom.c_str(), nullptr, 10));
-      if (S.Atom.rfind("#x", 0) == 0)
-        return Ctx.getConst(std::strtoull(S.Atom.c_str() + 2, nullptr, 16));
-      return Ctx.getVar(S.Atom);
-    }
-    // (_ bvN w) literal?
-    if (S.Items.size() == 3 && S.Items[0].Atom == "_" &&
-        S.Items[1].Atom.rfind("bv", 0) == 0) {
-      return Ctx.getConst(
-          std::strtoull(S.Items[1].Atom.c_str() + 2, nullptr, 10));
-    }
-    if (S.Items.empty() || !S.Items[0].isAtom()) {
-      Error = "malformed term";
+  /// A constant of value \p V, or null with a diagnostic when \p V does
+  /// not fit the width.
+  const Expr *literal(const std::string &Text, uint64_t V) {
+    if (V & ~Ctx.mask()) {
+      Error = "literal '" + Text + "' does not fit in " +
+              std::to_string(Ctx.width()) + " bits";
       return nullptr;
     }
+    return Ctx.getConst(V);
+  }
+
+  /// A #b/#x literal, whose digit count fixes its width.
+  const Expr *bitLiteral(const std::string &Atom) {
+    if (Atom.size() < 2 || (Atom[1] != 'b' && Atom[1] != 'x')) {
+      Error = "unsupported literal '" + Atom + "'";
+      return nullptr;
+    }
+    unsigned Base = Atom[1] == 'b' ? 2 : 16;
+    unsigned BitsPerDigit = Base == 2 ? 1 : 4;
+    std::string_view Digits = std::string_view(Atom).substr(2);
+    uint64_t V;
+    if (Digits.size() * BitsPerDigit != Ctx.width()) {
+      Error = "literal '" + Atom + "' has " +
+              std::to_string(Digits.size() * BitsPerDigit) +
+              " bits, the script width is " + std::to_string(Ctx.width());
+      return nullptr;
+    }
+    if (!readDigits(Digits, Base, V)) {
+      Error = "malformed literal '" + Atom + "'";
+      return nullptr;
+    }
+    return Ctx.getConst(V);
+  }
+
+  /// A leaf term: a declared constant (variable), a #b/#x literal or a
+  /// plain decimal numeral.
+  const Expr *atom(const std::string &Atom) {
+    if (std::isdigit((unsigned char)Atom[0])) {
+      uint64_t V;
+      if (!readDigits(Atom, 10, V)) {
+        Error = "malformed numeral '" + Atom + "'";
+        return nullptr;
+      }
+      return literal(Atom, V);
+    }
+    if (Atom[0] == '#')
+      return bitLiteral(Atom);
+    if (!Declared.count(Atom)) {
+      Error = "undeclared symbol '" + Atom + "'";
+      return nullptr;
+    }
+    return Ctx.getVar(Atom);
+  }
+
+  /// A (_ bvN w) literal.
+  const Expr *bvLiteral(const SExpr &S) {
+    const std::string &Value = S.Items[1].Atom;
+    uint64_t V, W;
+    if (!readDigits(std::string_view(Value).substr(2), 10, V) ||
+        !readDigits(S.Items[2].Atom, 10, W)) {
+      Error = "malformed literal (_ " + Value + " " + S.Items[2].Atom + ")";
+      return nullptr;
+    }
+    if (W != Ctx.width()) {
+      Error = "literal (_ " + Value + " " + S.Items[2].Atom +
+              ") does not have the script width " +
+              std::to_string(Ctx.width());
+      return nullptr;
+    }
+    return literal(Value, V);
+  }
+
+  /// The operator of application \p S, checked against its operand count.
+  std::optional<ExprKind> application(const SExpr &S) {
+    if (S.Items.empty() || !S.Items[0].isAtom()) {
+      Error = "malformed term";
+      return std::nullopt;
+    }
+    static const std::pair<const char *, ExprKind> Ops[] = {
+        {"bvnot", ExprKind::Not}, {"bvneg", ExprKind::Neg},
+        {"bvadd", ExprKind::Add}, {"bvsub", ExprKind::Sub},
+        {"bvmul", ExprKind::Mul}, {"bvand", ExprKind::And},
+        {"bvor", ExprKind::Or},   {"bvxor", ExprKind::Xor}};
     const std::string &Op = S.Items[0].Atom;
-    auto Unary = [&](ExprKind K) -> const Expr * {
-      if (S.Items.size() != 2) {
+    for (auto [Name, K] : Ops) {
+      if (Op != Name)
+        continue;
+      if (isUnaryKind(K) && S.Items.size() != 2) {
         Error = Op + " expects one operand";
-        return nullptr;
+        return std::nullopt;
       }
-      const Expr *A = read(S.Items[1]);
-      return A ? Ctx.getUnary(K, A) : nullptr;
-    };
-    // SMT-LIB bv operators are left-associative n-ary; fold pairwise.
-    auto Nary = [&](ExprKind K) -> const Expr * {
-      if (S.Items.size() < 3) {
+      if (!isUnaryKind(K) && S.Items.size() < 3) {
         Error = Op + " expects at least two operands";
-        return nullptr;
+        return std::nullopt;
       }
-      const Expr *Acc = read(S.Items[1]);
-      for (size_t I = 2; Acc && I != S.Items.size(); ++I) {
-        const Expr *B = read(S.Items[I]);
-        Acc = B ? Ctx.getBinary(K, Acc, B) : nullptr;
-      }
-      return Acc;
-    };
-    if (Op == "bvnot")
-      return Unary(ExprKind::Not);
-    if (Op == "bvneg")
-      return Unary(ExprKind::Neg);
-    if (Op == "bvadd")
-      return Nary(ExprKind::Add);
-    if (Op == "bvsub")
-      return Nary(ExprKind::Sub);
-    if (Op == "bvmul")
-      return Nary(ExprKind::Mul);
-    if (Op == "bvand")
-      return Nary(ExprKind::And);
-    if (Op == "bvor")
-      return Nary(ExprKind::Or);
-    if (Op == "bvxor")
-      return Nary(ExprKind::Xor);
+      return K;
+    }
     Error = "unsupported operator '" + Op + "'";
-    return nullptr;
+    return std::nullopt;
+  }
+
+  /// The term \p Root denotes, or null with a diagnostic. Operands are
+  /// read left to right over an explicit stack, so the depth a term may
+  /// nest to is the s-expression reader's cap, not the call stack's.
+  const Expr *read(const SExpr &Root) {
+    struct Frame {
+      const SExpr *S;
+      ExprKind Kind;
+      size_t Next;       ///< index of the next operand in S->Items
+      const Expr *Acc;   ///< operands folded so far
+    };
+    std::vector<Frame> Stack;
+    // Reads leaf \p S into Leaf, or pushes the frame of application S and
+    // clears Leaf. False on error.
+    const Expr *Leaf = nullptr;
+    auto Enter = [&](const SExpr &S) {
+      Leaf = nullptr;
+      if (S.isAtom())
+        return (Leaf = atom(S.Atom)) != nullptr;
+      if (S.Items.size() == 3 && S.Items[0].Atom == "_" &&
+          S.Items[1].Atom.rfind("bv", 0) == 0)
+        return (Leaf = bvLiteral(S)) != nullptr;
+      std::optional<ExprKind> K = application(S);
+      if (K)
+        Stack.push_back({&S, *K, 1, nullptr});
+      return K.has_value();
+    };
+    if (!Enter(Root))
+      return nullptr;
+    while (!Stack.empty()) {
+      Frame &F = Stack.back();
+      if (F.Next != F.S->Items.size()) {
+        if (!Enter(F.S->Items[F.Next]))
+          return nullptr;
+        if (!Leaf)
+          continue; // the operand's frame is on top
+      } else {
+        Leaf = F.Acc;
+        Stack.pop_back();
+        if (Stack.empty())
+          break;
+      }
+      // Fold Leaf into the innermost open application. SMT-LIB bv
+      // operators are left-associative n-ary; fold pairwise.
+      Frame &G = Stack.back();
+      if (isUnaryKind(G.Kind))
+        G.Acc = Ctx.getUnary(G.Kind, Leaf);
+      else
+        G.Acc = G.Acc ? Ctx.getBinary(G.Kind, G.Acc, Leaf) : Leaf;
+      ++G.Next;
+    }
+    return Leaf;
   }
 };
 
@@ -194,7 +328,7 @@ std::optional<SmtLibQuery> mba::parseSmtLibQuery(Context &Ctx,
 
   SmtLibQuery Query;
   bool SawAssert = false;
-  TermReader Reader{Ctx, Err};
+  TermReader Reader{Ctx, Err, {}};
 
   for (const SExpr &S : *Top) {
     if (S.isAtom() || S.Items.empty() || !S.Items[0].isAtom())
@@ -213,18 +347,23 @@ std::optional<SmtLibQuery> mba::parseSmtLibQuery(Context &Ctx,
                !S.Items[2].isAtom() && S.Items[2].Items.empty())
         Sort = &S.Items[3];
       if (!Sort || Sort->isAtom() || Sort->Items.size() != 3 ||
-          Sort->Items[1].Atom != "BitVec")
+          Sort->Items[0].Atom != "_" || Sort->Items[1].Atom != "BitVec")
         return Fail("unsupported declaration (expect (_ BitVec w))");
-      unsigned W =
-          (unsigned)std::strtoul(Sort->Items[2].Atom.c_str(), nullptr, 10);
+      uint64_t W;
+      if (!readDigits(Sort->Items[2].Atom, 10, W))
+        return Fail("malformed bit-vector width '" + Sort->Items[2].Atom +
+                    "'");
       if (Query.Width && Query.Width != W)
         return Fail("mixed bit-vector widths are not supported");
-      Query.Width = W;
       if (W != Ctx.width())
         return Fail("script width " + std::to_string(W) +
                     " does not match context width " +
                     std::to_string(Ctx.width()));
-      Ctx.getVar(S.Items[1].Atom);
+      Query.Width = (unsigned)W;
+      const std::string &Name = S.Items[1].Atom;
+      if (!isSimpleSymbol(Name))
+        return Fail("unsupported symbol name '" + Name + "'");
+      Reader.Declared.insert(Name);
       continue;
     }
     if (Head == "assert") {

@@ -8,8 +8,11 @@
 /// Reader for the QF_BV SMT-LIB2 subset that MBA equivalence benchmarks
 /// use (and that toSmtLibQuery emits): bit-vector constant declarations,
 /// the operators bvadd/bvsub/bvmul/bvand/bvor/bvxor/bvnot/bvneg, `(_ bvN
-/// w)` literals, and one asserted (dis)equality. This allows external MBA
-/// datasets shipped as .smt2 files to be pulled into the library.
+/// w)`, `#b`, `#x` and decimal literals, and one asserted (dis)equality.
+/// This allows external MBA datasets shipped as .smt2 files to be pulled
+/// into the library. Scripts come from outside the program, so anything
+/// else is rejected rather than guessed at: undeclared symbols, literals
+/// whose width is not the script's, and values that do not fit it.
 ///
 //===----------------------------------------------------------------------===//
 

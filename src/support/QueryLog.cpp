@@ -364,6 +364,9 @@ namespace {
 struct AttributionRegistry {
   Mutex Mu;
   std::map<std::string, RuleStats, std::less<>> Stats MBA_GUARDED_BY(Mu);
+  /// The telemetry source mirroring Stats; set once, by the first
+  /// ensureAttributionSource call, and kept for the process.
+  telemetry::SourceHandle Source;
 };
 
 AttributionRegistry &attribution() {
@@ -380,7 +383,7 @@ void ensureAttributionSource() {
   static std::atomic<bool> Registered{false};
   if (Registered.exchange(true, std::memory_order_acq_rel))
     return;
-  static telemetry::SourceHandle *Handle = new telemetry::SourceHandle(
+  attribution().Source =
       telemetry::registerSource([](telemetry::MetricsSink &S) {
         for (const auto &[Name, RS] : ruleAttribution()) {
           std::string Prefix = "rule." + Name;
@@ -393,8 +396,7 @@ void ensureAttributionSource() {
             S.value(Prefix + ".rejects", RS.Rejects);
           }
         }
-      }));
-  (void)Handle; // leaked: the source lives for the process
+      });
 }
 
 } // namespace

@@ -25,9 +25,8 @@
 ///     8-way parallel study produces interleaved but individually intact
 ///     JSON lines (pinned by tests/querylog_test.cpp).
 ///  3. **Behavior-neutral.** Opening a log must not change verdicts or
-///     simplified output: recording never toggles SimplifyOptions (in
-///     particular not `Trail`, which suspends the result cache), it only
-///     observes. Pinned bit-identical by harness_test.
+///     simplified output: recording never toggles SimplifyOptions, it
+///     only observes. Pinned bit-identical by harness_test.
 ///
 /// Usage — one ambient scope per query, contributions from anywhere below:
 ///

@@ -269,24 +269,6 @@ TEST(FuzzProver, AgreesWithConcreteEvaluator) {
   EXPECT_GT(NumRefuted, 0u);
 }
 
-TEST(FuzzProver, SaturateAndExtractIsSoundAndVerified) {
-  // The simplification pre-pass: every extracted expression must satisfy
-  // the IR invariants and agree with its input everywhere (checked by the
-  // same sampler the other fuzz invariants use).
-  Context Ctx(32);
-  RNG Rng(0xE66);
-  Prover P(Ctx);
-  ProveBudget Budget;
-  Budget.MaxIterations = 3; // keep the fuzz loop brisk
-  Budget.MaxENodes = 1024;
-  const Expr *Vars[] = {Ctx.getVar("x"), Ctx.getVar("y"), Ctx.getVar("z")};
-  for (int Trial = 0; Trial < 60; ++Trial) {
-    const Expr *E = randomExpr(Ctx, Rng, Vars, 2 + (unsigned)Rng.below(3));
-    const Expr *S = P.saturateAndExtract(E, Budget);
-    expectAgreement(Ctx, E, S, Rng, "saturate-extract");
-  }
-}
-
 TEST(FuzzEdge, WidthOneIsTheBooleanRing) {
   // At width 1, arithmetic degenerates: + and - are XOR, * is AND, -1 == 1,
   // and every identity must still hold.

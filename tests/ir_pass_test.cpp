@@ -173,16 +173,17 @@ TEST(IRRegion, RewritesLinearMBARegion) {
   expectSemantics(Ctx, F, Ground);
 }
 
-TEST(IRRegion, UnsoundExperimentalRuleIsBlocked) {
-  // A deliberately wrong rule rewrites everything to 0. The verifier must
-  // refute the candidate and the pass must keep the original code.
+TEST(IRRegion, UnsoundSynthFallbackIsBlocked) {
+  // x*(x+1) is even, so t == y. With the abstract fold off the low-bit term
+  // stays as non-poly residue, which reaches the synthesis fallback; this
+  // one answers the wrong constant 1. The verifier must refute the
+  // candidate and the pass must keep the original code.
   Context Ctx(64);
   Function F = parseOne(
-      Ctx, "func @u(x, y) {\nentry:\n  t = (x & y) + (x | y)\n  ret t\n}\n");
+      Ctx, "func @u(x, y) {\nentry:\n  t = y + ((x*(x+1)) & 1)\n  ret t\n}\n");
   SimplifyOptions Bad;
-  Bad.ExperimentalRule = [](Context &C, const Expr *) {
-    return C.getZero();
-  };
+  Bad.EnableKnownBits = false;
+  Bad.SynthFallback = [](Context &C, const Expr *) { return C.getConst(1); };
   MBASolver Solver(Ctx, Bad);
   auto Checker = makeRegionVerifier(Ctx);
   PassOptions Opts;
@@ -192,8 +193,7 @@ TEST(IRRegion, UnsoundExperimentalRuleIsBlocked) {
   EXPECT_GE(Report.RegionsFound, 1u);
   EXPECT_EQ(Report.RegionsRewritten, 0u);
   EXPECT_GE(Report.UnsoundBlocked, 1u);
-  expectSemantics(Ctx, F,
-                  Ctx.getAdd(Ctx.getVar("x"), Ctx.getVar("y")));
+  expectSemantics(Ctx, F, Ctx.getVar("y"));
 }
 
 TEST(IRPipeline, DeobfuscatesOpaqueDemoEndToEnd) {
