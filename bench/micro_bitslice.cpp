@@ -10,6 +10,8 @@
 ///    the plain Evaluator) — the hot loop of classification and
 ///    simplification, and the headline ">= 10x at 3 variables / width 64"
 ///    number in docs/PERF.md;
+///  * the corner traffic of the paper corpus (BM_SignatureCorpusNodes):
+///    every 1-6-variable node the simplifier meets, one corner block each;
 ///  * batch point evaluation (BitslicedExpr vs evaluate) — the
 ///    sampling-refutation, fuzz-agreement and Syntia-oracle workload;
 ///  * the raw 64x64 bit-matrix transpose primitive;
@@ -34,6 +36,7 @@
 #include "gen/Corpus.h"
 #include "linalg/TruthTable.h"
 #include "mba/Signature.h"
+#include "mba/Simplifier.h"
 #include "support/Bitslice.h"
 #include "support/RNG.h"
 
@@ -42,6 +45,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h> // NOLINT(mba-isa-outside-seam): __rdtsc cycle counter, not SIMD dispatch
 #endif
@@ -164,6 +168,74 @@ void BM_Signature8VarBitsliced(benchmark::State &State) {
     benchmark::DoNotOptimize(computeSignature(Ctx, E, Vars));
 }
 BENCHMARK(BM_Signature8VarBitsliced);
+
+// The corner traffic of paper_simplify: every distinct non-leaf node with
+// 1-6 variables in the seed-1, width-64 paper corpus — inputs, grounds and
+// their simplified outputs — evaluated at its 2^t truth-table corners, one
+// block of at most 64 lanes each. Compiling and mask setup happen once,
+// outside the timed loop, so the time is the interpreter's alone.
+struct CornerBlock {
+  const BitslicedExpr *Compiled;
+  std::vector<uint64_t> Masks;
+  unsigned Lanes;
+};
+
+const std::vector<CornerBlock> &corpusCornerBlocks() {
+  static Context Ctx(64); // owns the programs the blocks point to
+  static const std::vector<CornerBlock> Blocks = [] {
+    CorpusOptions Opts;
+    Opts.LinearCount = Opts.PolyCount = Opts.NonPolyCount = 1000;
+    Opts.Seed = 1;
+    std::vector<const Expr *> Stack;
+    MBASolver Solver(Ctx);
+    for (const CorpusEntry &E : generateCorpus(Ctx, Opts))
+      for (const Expr *R : {E.Obfuscated, E.Ground})
+        Stack.insert(Stack.end(), {R, Solver.simplify(R)});
+    std::unordered_set<const Expr *> Seen;
+    VariableMemo Memo;
+    std::vector<CornerBlock> Out;
+    while (!Stack.empty()) {
+      const Expr *N = Stack.back();
+      Stack.pop_back();
+      if (N->numOperands() == 0 || !Seen.insert(N).second)
+        continue;
+      for (unsigned I = 0; I != N->numOperands(); ++I)
+        Stack.push_back(N->getOperand(I));
+      std::vector<const Expr *> Vars = Memo.variables(N);
+      const unsigned T = (unsigned)Vars.size();
+      if (T == 0 || T > 6)
+        continue;
+      CornerBlock B{&Ctx.getBitsliced(N), {}, 1u << T};
+      for (unsigned I = 0; I != T; ++I) {
+        if (B.Masks.size() <= Vars[I]->varIndex())
+          B.Masks.resize(Vars[I]->varIndex() + 1);
+        B.Masks[Vars[I]->varIndex()] = bitslice::cornerMask(T - 1 - I, 0);
+      }
+      Out.push_back(std::move(B));
+    }
+    return Out;
+  }();
+  return Blocks;
+}
+
+void BM_SignatureCorpusNodes(benchmark::State &State) {
+  const std::vector<CornerBlock> &Blocks = corpusCornerBlocks();
+  uint64_t Out[64];
+  for (auto _ : State) {
+    for (const CornerBlock &B : Blocks) {
+      B.Compiled->evaluateCorners(B.Masks, B.Lanes, Out);
+      benchmark::DoNotOptimize(&Out[0]);
+    }
+    benchmark::ClobberMemory();
+  }
+  size_t Insts = 0;
+  for (const CornerBlock &B : Blocks)
+    Insts += B.Compiled->size();
+  State.counters["nodes"] = (double)Blocks.size();
+  State.counters["insts"] = (double)Insts;
+  State.SetItemsProcessed(State.iterations() * (int64_t)Blocks.size());
+}
+BENCHMARK(BM_SignatureCorpusNodes)->Unit(benchmark::kMillisecond);
 
 // Batch evaluation of 4096 random points (the sampling/fuzz workload).
 constexpr size_t BatchPoints = 4096;

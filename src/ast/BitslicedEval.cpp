@@ -73,10 +73,9 @@ BitslicedExpr::BitslicedExpr(const Context &Ctx, const Expr *E)
     Program.push_back(I);
   }
 
-  // Liveness-based slot assignment for the wide path (see the header): a
-  // register's slot is recycled after its last reader, but a destination
-  // never takes a slot freed by its own sources, so no kernel ever runs
-  // in place.
+  // Liveness-based slot assignment (see the header): a register's slot is
+  // recycled after its last reader, but a destination never takes a slot
+  // freed by its own sources, so no kernel ever runs in place.
   const uint32_t P = (uint32_t)Program.size();
   std::vector<uint32_t> LastUse(P);
   for (uint32_t I = 0; I != P; ++I) {
@@ -98,13 +97,12 @@ BitslicedExpr::BitslicedExpr(const Context &Ctx, const Expr *E)
   }
   if (P)
     LastUse[P - 1] = P; // the root is read by the epilogue
-  SlotOf.resize(P);
   std::vector<uint32_t> Free;
   for (uint32_t I = 0; I != P; ++I) {
     if (Free.empty()) {
-      SlotOf[I] = NumSlots++;
+      Program[I].Slot = NumSlots++;
     } else {
-      SlotOf[I] = Free.back();
+      Program[I].Slot = Free.back();
       Free.pop_back();
     }
     const Inst &Ins = Program[I];
@@ -115,365 +113,28 @@ BitslicedExpr::BitslicedExpr(const Context &Ctx, const Expr *E)
     case Op::Not:
     case Op::Neg:
       if (LastUse[Ins.A] == I)
-        Free.push_back(SlotOf[Ins.A]);
+        Free.push_back(Program[Ins.A].Slot);
       break;
     default:
       if (LastUse[Ins.A] == I)
-        Free.push_back(SlotOf[Ins.A]);
+        Free.push_back(Program[Ins.A].Slot);
       if (Ins.B != Ins.A && LastUse[Ins.B] == I)
-        Free.push_back(SlotOf[Ins.B]);
+        Free.push_back(Program[Ins.B].Slot);
       break;
     }
-  }
-}
-
-uint64_t *BitslicedExpr::slot(uint32_t Reg) const {
-  return Slots + (size_t)Reg * 64;
-}
-
-const uint64_t *BitslicedExpr::slicesOf(uint32_t Reg, uint64_t *Tmp) const {
-  switch (RepOf[Reg]) {
-  case Rep::Sliced:
-    return Slots + (size_t)Reg * 64;
-  case Rep::Splat:
-    bitslice::sliceBroadcast(Width, Word[Reg], Tmp);
-    return Tmp;
-  default: // Uniform/Lanes never occur in sliced mode
-    for (unsigned B = 0; B != Width; ++B)
-      Tmp[B] = Word[Reg];
-    return Tmp;
-  }
-}
-
-const uint64_t *BitslicedExpr::lanesOf(uint32_t Reg, uint64_t *Tmp,
-                                       unsigned NumLanes) const {
-  switch (RepOf[Reg]) {
-  case Rep::Lanes:
-    return Slots + (size_t)Reg * 64;
-  case Rep::Uniform: {
-    uint64_t M = Word[Reg];
-    for (unsigned J = 0; J != NumLanes; ++J)
-      Tmp[J] = (M >> J & 1) ? Mask : 0;
-    return Tmp;
-  }
-  default: // Splat (Sliced never occurs in lane mode)
-    for (unsigned J = 0; J != NumLanes; ++J)
-      Tmp[J] = Word[Reg];
-    return Tmp;
-  }
-}
-
-/// Lane mode: values are kept per point. Arithmetic is NumLanes independent
-/// word operations per node — vectorizable, no carry ripple, and only the
-/// live lanes of a partial block are touched.
-void BitslicedExpr::runLanes(unsigned NumLanes) const {
-  const unsigned N = NumLanes;
-  uint64_t TmpA[64], TmpB[64];
-  for (size_t I = 0, P = Program.size(); I != P; ++I) {
-    const Inst &Ins = Program[I];
-    const uint32_t A = Ins.A, B = Ins.B;
-    switch (Ins.Opcode) {
-    case Op::LoadVar:
-      if (CornerMode) {
-        RepOf[I] = Rep::Uniform;
-        Word[I] = A < CornerMasks.size() ? CornerMasks[A] : 0;
-      } else {
-        const uint64_t *Lanes =
-            A < LaneInputs.size() ? LaneInputs[A] : nullptr;
-        if (!Lanes) {
-          RepOf[I] = Rep::Splat;
-          Word[I] = 0;
-        } else {
-          RepOf[I] = Rep::Lanes;
-          uint64_t *S = slot((uint32_t)I);
-          for (unsigned J = 0; J != N; ++J)
-            S[J] = Lanes[J] & Mask;
-        }
-      }
-      break;
-    case Op::LoadConst:
-      RepOf[I] = Rep::Splat;
-      Word[I] = Ins.Imm & Mask;
-      break;
-    case Op::Not:
-      RepOf[I] = RepOf[A];
-      if (RepOf[A] == Rep::Splat)
-        Word[I] = ~Word[A] & Mask;
-      else if (RepOf[A] == Rep::Uniform)
-        Word[I] = ~Word[A];
-      else {
-        const uint64_t *SA = Slots + (size_t)A * 64;
-        uint64_t *S = slot((uint32_t)I);
-        for (unsigned J = 0; J != N; ++J)
-          S[J] = ~SA[J] & Mask;
-      }
-      break;
-    case Op::Neg:
-      if (RepOf[A] == Rep::Splat) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = (0 - Word[A]) & Mask;
-      } else if (RepOf[A] == Rep::Uniform) {
-        // Per-lane value 0 or -1; negation gives 0 or 1.
-        RepOf[I] = Rep::Lanes;
-        uint64_t M = Word[A];
-        uint64_t *S = slot((uint32_t)I);
-        for (unsigned J = 0; J != N; ++J)
-          S[J] = (M >> J) & 1;
-      } else {
-        RepOf[I] = Rep::Lanes;
-        const uint64_t *SA = Slots + (size_t)A * 64;
-        uint64_t *S = slot((uint32_t)I);
-        for (unsigned J = 0; J != N; ++J)
-          S[J] = (0 - SA[J]) & Mask;
-      }
-      break;
-    case Op::And:
-    case Op::Or:
-    case Op::Xor: {
-      Rep RA = RepOf[A], RB = RepOf[B];
-      if ((RA == Rep::Splat && RB == Rep::Splat) ||
-          (RA == Rep::Uniform && RB == Rep::Uniform)) {
-        // Splat stays Splat; Uniform stays Uniform — the corner-evaluation
-        // fast path, one word op per bitwise node for the whole block.
-        RepOf[I] = RA;
-        Word[I] = Ins.Opcode == Op::And   ? Word[A] & Word[B]
-                  : Ins.Opcode == Op::Or ? Word[A] | Word[B]
-                                          : Word[A] ^ Word[B];
-      } else {
-        RepOf[I] = Rep::Lanes;
-        const uint64_t *SA = lanesOf(A, TmpA, N);
-        const uint64_t *SB = lanesOf(B, TmpB, N);
-        uint64_t *S = slot((uint32_t)I);
-        if (Ins.Opcode == Op::And)
-          for (unsigned J = 0; J != N; ++J)
-            S[J] = SA[J] & SB[J];
-        else if (Ins.Opcode == Op::Or)
-          for (unsigned J = 0; J != N; ++J)
-            S[J] = SA[J] | SB[J];
-        else
-          for (unsigned J = 0; J != N; ++J)
-            S[J] = SA[J] ^ SB[J];
-      }
-      break;
-    }
-    case Op::Add:
-    case Op::Sub: {
-      Rep RA = RepOf[A], RB = RepOf[B];
-      bool IsAdd = Ins.Opcode == Op::Add;
-      if (RA == Rep::Splat && RB == Rep::Splat) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = (IsAdd ? Word[A] + Word[B] : Word[A] - Word[B]) & Mask;
-      } else {
-        RepOf[I] = Rep::Lanes;
-        const uint64_t *SA = lanesOf(A, TmpA, N);
-        const uint64_t *SB = lanesOf(B, TmpB, N);
-        uint64_t *S = slot((uint32_t)I);
-        if (IsAdd)
-          for (unsigned J = 0; J != N; ++J)
-            S[J] = (SA[J] + SB[J]) & Mask;
-        else
-          for (unsigned J = 0; J != N; ++J)
-            S[J] = (SA[J] - SB[J]) & Mask;
-      }
-      break;
-    }
-    case Op::Mul: {
-      Rep RA = RepOf[A], RB = RepOf[B];
-      if (RA == Rep::Splat && RB == Rep::Splat) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = (Word[A] * Word[B]) & Mask;
-      } else if ((RA == Rep::Splat && RB == Rep::Uniform) ||
-                 (RA == Rep::Uniform && RB == Rep::Splat)) {
-        // Coefficient times bitwise term (the backbone of linear MBA):
-        // lanes valued -1 select -C, lanes valued 0 select 0.
-        uint64_t C = RA == Rep::Splat ? Word[A] : Word[B];
-        uint64_t M = RA == Rep::Splat ? Word[B] : Word[A];
-        uint64_t NC = (0 - C) & Mask;
-        RepOf[I] = Rep::Lanes;
-        uint64_t *S = slot((uint32_t)I);
-        for (unsigned J = 0; J != N; ++J)
-          S[J] = (M >> J & 1) ? NC : 0;
-      } else if (RA == Rep::Uniform && RB == Rep::Uniform) {
-        // (-1) * (-1) = 1, anything else 0.
-        RepOf[I] = Rep::Lanes;
-        uint64_t M = Word[A] & Word[B];
-        uint64_t *S = slot((uint32_t)I);
-        for (unsigned J = 0; J != N; ++J)
-          S[J] = (M >> J) & 1;
-      } else {
-        RepOf[I] = Rep::Lanes;
-        const uint64_t *SA = lanesOf(A, TmpA, N);
-        const uint64_t *SB = lanesOf(B, TmpB, N);
-        uint64_t *S = slot((uint32_t)I);
-        for (unsigned J = 0; J != N; ++J)
-          S[J] = (SA[J] * SB[J]) & Mask;
-      }
-      break;
-    }
-    }
-  }
-}
-
-/// Sliced mode (narrow widths, point inputs): values are transposed, w slice
-/// words cover all 64 points, so a full block costs w ops per bitwise node
-/// no matter how many points are live. Registers here are Splat or Sliced
-/// only (Uniform arises from corner inputs, which always use lane mode).
-void BitslicedExpr::runSliced(unsigned NumLanes) const {
-  const unsigned W = Width;
-  uint64_t TmpA[64], TmpB[64];
-  for (size_t I = 0, P = Program.size(); I != P; ++I) {
-    const Inst &Ins = Program[I];
-    const uint32_t A = Ins.A, B = Ins.B;
-    switch (Ins.Opcode) {
-    case Op::LoadVar: {
-      const uint64_t *Lanes =
-          A < LaneInputs.size() ? LaneInputs[A] : nullptr;
-      if (!Lanes) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = 0;
-      } else {
-        RepOf[I] = Rep::Sliced;
-        bitslice::lanesToSlices(Lanes, NumLanes, W, slot((uint32_t)I));
-      }
-      break;
-    }
-    case Op::LoadConst:
-      RepOf[I] = Rep::Splat;
-      Word[I] = Ins.Imm & Mask;
-      break;
-    case Op::Not:
-      if (RepOf[A] == Rep::Splat) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = ~Word[A] & Mask;
-      } else {
-        RepOf[I] = Rep::Sliced;
-        bitslice::sliceNot(W, Slots + (size_t)A * 64,
-                           slot((uint32_t)I));
-      }
-      break;
-    case Op::Neg:
-      if (RepOf[A] == Rep::Splat) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = (0 - Word[A]) & Mask;
-      } else {
-        RepOf[I] = Rep::Sliced;
-        bitslice::sliceNeg(W, Slots + (size_t)A * 64,
-                           slot((uint32_t)I));
-      }
-      break;
-    case Op::And:
-    case Op::Or:
-    case Op::Xor: {
-      if (RepOf[A] == Rep::Splat && RepOf[B] == Rep::Splat) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = Ins.Opcode == Op::And   ? Word[A] & Word[B]
-                  : Ins.Opcode == Op::Or ? Word[A] | Word[B]
-                                          : Word[A] ^ Word[B];
-      } else {
-        RepOf[I] = Rep::Sliced;
-        const uint64_t *SA = slicesOf(A, TmpA);
-        const uint64_t *SB = slicesOf(B, TmpB);
-        uint64_t *S = slot((uint32_t)I);
-        if (Ins.Opcode == Op::And)
-          bitslice::sliceAnd(W, SA, SB, S);
-        else if (Ins.Opcode == Op::Or)
-          bitslice::sliceOr(W, SA, SB, S);
-        else
-          bitslice::sliceXor(W, SA, SB, S);
-      }
-      break;
-    }
-    case Op::Add:
-    case Op::Sub: {
-      bool IsAdd = Ins.Opcode == Op::Add;
-      if (RepOf[A] == Rep::Splat && RepOf[B] == Rep::Splat) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = (IsAdd ? Word[A] + Word[B] : Word[A] - Word[B]) & Mask;
-      } else {
-        RepOf[I] = Rep::Sliced;
-        const uint64_t *SA = slicesOf(A, TmpA);
-        const uint64_t *SB = slicesOf(B, TmpB);
-        uint64_t *S = slot((uint32_t)I);
-        if (IsAdd)
-          bitslice::sliceAdd(W, SA, SB, S);
-        else
-          bitslice::sliceSub(W, SA, SB, S);
-      }
-      break;
-    }
-    case Op::Mul: {
-      if (RepOf[A] == Rep::Splat && RepOf[B] == Rep::Splat) {
-        RepOf[I] = Rep::Splat;
-        Word[I] = (Word[A] * Word[B]) & Mask;
-      } else {
-        RepOf[I] = Rep::Sliced;
-        const uint64_t *SA = slicesOf(A, TmpA);
-        const uint64_t *SB = slicesOf(B, TmpB);
-        bitslice::sliceMul(W, SA, SB, slot((uint32_t)I));
-      }
-      break;
-    }
-    }
-  }
-}
-
-void BitslicedExpr::run(unsigned NumLanes, uint64_t *Out) const {
-  assert(NumLanes <= bitslice::LanesPerBlock && "block too large");
-  if (Program.empty()) {
-    for (unsigned J = 0; J != NumLanes; ++J)
-      Out[J] = 0;
-    return;
-  }
-  // Carve this run's register file out of the context's shared scratch:
-  // P 64-word slots, P mask/splat words, and P representation tags.
-  size_t P = Program.size();
-  uint64_t *S = Ctx->evalScratch(P * 65 + (P + 7) / 8);
-  Slots = S;
-  Word = S + P * 64;
-  RepOf = reinterpret_cast<Rep *>(Word + P);
-  // Corner inputs are uniform (the whole point); point inputs use slices
-  // only below the width where w slice ops beat 64 lane ops.
-  if (CornerMode || Width > bitslice::kSchoolbookMulMaxWidth)
-    runLanes(NumLanes);
-  else
-    runSliced(NumLanes);
-
-  // Expand the root register into per-lane values.
-  uint32_t Root = (uint32_t)Program.size() - 1;
-  switch (RepOf[Root]) {
-  case Rep::Uniform: {
-    uint64_t M = Word[Root];
-    for (unsigned J = 0; J != NumLanes; ++J)
-      Out[J] = (M >> J & 1) ? Mask : 0;
-    break;
-  }
-  case Rep::Splat:
-    for (unsigned J = 0; J != NumLanes; ++J)
-      Out[J] = Word[Root];
-    break;
-  case Rep::Lanes: {
-    const uint64_t *S = Slots + (size_t)Root * 64;
-    for (unsigned J = 0; J != NumLanes; ++J)
-      Out[J] = S[J];
-    break;
-  }
-  case Rep::Sliced:
-    bitslice::slicesToLanes(Slots + (size_t)Root * 64, Width, NumLanes,
-                            Out);
-    break;
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Wide-block path: > 64 lanes per block on the runtime-dispatched SIMD
-// back end. Same representation lattice as run()/runLanes()/runSliced();
-// every per-lane loop is a WideKernels call compiled with the back end's
-// ISA flags. A Uniform register's mask occupies the first BlockWords words
-// of its (64 * BlockWords)-word slot; Word[] carries Splat values only.
+// The interpreter: one representation lattice, every per-lane loop a
+// WideKernels call compiled with the chosen back end's ISA flags. Blocks
+// hold up to 64 x Words lanes. A Uniform register's mask occupies the first
+// BlockWords words of its (64 * BlockWords)-word slot; Word[] carries Splat
+// values only.
 //===----------------------------------------------------------------------===//
 
 uint64_t *BitslicedExpr::wideSlot(uint32_t Reg) const {
-  return Slots + (size_t)SlotOf[Reg] * BlockWords * 64;
+  return Slots + (size_t)Program[Reg].Slot * BlockWords * 64;
 }
 
 const uint64_t *BitslicedExpr::wideSlicesOf(const bitslice::WideKernels &WK,
@@ -844,13 +505,9 @@ void BitslicedExpr::runWideSliced(const bitslice::WideKernels &WK,
 void BitslicedExpr::runWide(const bitslice::WideKernels &WK,
                             unsigned NumLanes, uint64_t *Out) const {
   assert(NumLanes <= WK.Words * 64 && "block too large for back end");
-  if (Program.empty()) {
-    for (unsigned J = 0; J != NumLanes; ++J)
-      Out[J] = 0;
-    return;
-  }
-  // Same carving as run(), but with (64 * Words)-word slots, only NumSlots
-  // of them (liveness reuse), and a lane-data pointer per register.
+  // Carve this run's register file out of the context's shared scratch:
+  // NumSlots (64 * Words)-word slots (liveness reuse), then per register a
+  // Splat word, a lane-data pointer and a representation tag.
   size_t P = Program.size();
   size_t BW = (size_t)WK.Words * 64;
   uint64_t *S = Ctx->evalScratch((size_t)NumSlots * BW + 2 * P + (P + 7) / 8);
@@ -859,6 +516,8 @@ void BitslicedExpr::runWide(const bitslice::WideKernels &WK,
   LanePtr = reinterpret_cast<const uint64_t **>(Word + P);
   RepOf = reinterpret_cast<Rep *>(Word + 2 * P);
   BlockWords = WK.Words;
+  // Corner inputs are uniform (the whole point); point inputs use slices
+  // only up to the width where w slice ops beat one op per lane.
   if (CornerMode || Width > bitslice::kSchoolbookMulMaxWidth)
     runWideLanes(WK, NumLanes, Out);
   else
@@ -884,22 +543,19 @@ void BitslicedExpr::runWide(const bitslice::WideKernels &WK,
   }
 }
 
-void BitslicedExpr::evaluateCorners(std::span<const uint64_t> VarMasks,
+void BitslicedExpr::evaluateCorners(std::span<const uint64_t> VarMaskWords,
                                     unsigned NumLanes, uint64_t *Out) const {
-  CornerMode = true;
-  CornerMasks = VarMasks;
-  CornerMaskWords = 1;
-  LaneInputs = {};
-  run(NumLanes, Out);
-}
-
-void BitslicedExpr::evaluateCornersWide(std::span<const uint64_t> VarMaskWords,
-                                        unsigned NumLanes,
-                                        uint64_t *Out) const {
-  const bitslice::WideKernels &WK = bitslice::activeKernels();
+  // Corner blocks of at most 64 lanes run on the scalar table: over every
+  // 1-6-variable node of the seed-1 paper corpus it beat both vector
+  // tables (BM_SignatureCorpusNodes, docs/PERF.md §1), which only add
+  // masked-off lanes below one 64-lane word.
+  const bitslice::WideKernels &WK =
+      NumLanes <= bitslice::LanesPerBlock
+          ? bitslice::kernelsFor(bitslice::Isa::Scalar)
+          : bitslice::activeKernels();
   CornerMode = true;
   CornerMasks = VarMaskWords;
-  CornerMaskWords = WK.Words;
+  CornerMaskWords = (NumLanes + 63) / 64;
   LaneInputs = {};
   runWide(WK, NumLanes, Out);
 }
@@ -909,17 +565,10 @@ void BitslicedExpr::evaluateBlock(std::span<const uint64_t *const> VarLanes,
   CornerMode = false;
   CornerMasks = {};
   LaneInputs = VarLanes;
-  // Point-mode input layout is identical either way. Small blocks keep the
-  // original in-line path on the scalar back end (the guaranteed
-  // fallback); any SIMD back end takes every block through its kernels —
-  // lane counts below a full wide block still vectorize (a 64-lane pass
-  // is 16 ymm / 8 zmm iterations), and the per-register working set stays
-  // L1-resident.
-  const bitslice::WideKernels &WK = bitslice::activeKernels();
-  if (NumLanes <= bitslice::LanesPerBlock && WK.IsaTag == bitslice::Isa::Scalar)
-    run(NumLanes, Out);
-  else
-    runWide(WK, NumLanes, Out);
+  // Every point block runs on the active back end: lane counts below a
+  // full wide block still vectorize (a 64-lane pass is 16 ymm / 8 zmm
+  // iterations), and the per-register working set stays L1-resident.
+  runWide(bitslice::activeKernels(), NumLanes, Out);
 }
 
 std::vector<uint64_t>

@@ -75,7 +75,7 @@ private:
       MaxIndex = std::max(MaxIndex, V->varIndex());
 
     // Stage 1: sampling refutation (random + all corners for <= 12 vars),
-    // batched 64 points per block through the bitsliced evaluator. The
+    // batched one block at a time through the bitsliced evaluator. The
     // compiled programs are cached on the context, so re-checking either
     // side against a new partner recompiles nothing.
     const BitslicedExpr &CA = Ctx.getBitsliced(A);
@@ -99,32 +99,23 @@ private:
     if (T <= 12) {
       // Corner k sets variable I to all-ones iff bit I of k is set (note:
       // the opposite bit order from computeSignature's truthBit). The
-      // sweep runs one SIMD-wide block at a time — up to 512 corners per
-      // evaluation on AVX-512 — with per-64-lane-word masks.
+      // sweep runs one block at a time — up to 512 corners per evaluation
+      // on AVX-512 — with ceil(block/64) mask words per variable.
       const size_t Corners = (size_t)1 << T;
-      // One-word-per-var masks (the legacy path) while everything fits a
-      // 64-lane block; per-64-lane-word masks for the wide engine above.
-      const unsigned Words = Corners <= bitslice::LanesPerBlock
-                                 ? 1
-                                 : BitslicedExpr::wideLanes() / 64;
-      const size_t BlockLanes = (size_t)Words * 64;
+      const size_t BlockLanes =
+          std::min<size_t>(Corners, BitslicedExpr::wideLanes());
+      const size_t Words = (BlockLanes + 63) / 64;
       std::vector<uint64_t> Masks(((size_t)MaxIndex + 1) * Words, 0);
       uint64_t CornA[bitslice::MaxWideLanes], CornB[bitslice::MaxWideLanes];
       for (size_t Base = 0; Base < Corners; Base += BlockLanes) {
-        unsigned N =
-            (unsigned)std::min<size_t>(BlockLanes, Corners - Base);
         for (unsigned I = 0; I != T; ++I) {
           uint64_t *M = Masks.data() + (size_t)Vars[I]->varIndex() * Words;
-          for (unsigned W = 0; W != Words; ++W)
+          for (size_t W = 0; W != Words; ++W)
             M[W] = bitslice::cornerMask(I, Base + 64 * W);
         }
-        if (Corners <= bitslice::LanesPerBlock) {
-          CA.evaluateCorners({Masks.data(), (size_t)MaxIndex + 1}, N, CornA);
-          CB.evaluateCorners({Masks.data(), (size_t)MaxIndex + 1}, N, CornB);
-        } else {
-          CA.evaluateCornersWide(Masks, N, CornA);
-          CB.evaluateCornersWide(Masks, N, CornB);
-        }
+        const unsigned N = (unsigned)BlockLanes;
+        CA.evaluateCorners(Masks, N, CornA);
+        CB.evaluateCorners(Masks, N, CornB);
         if (!std::equal(CornA, CornA + N, CornB))
           return Verdict::NotEquivalent;
       }

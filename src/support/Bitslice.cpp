@@ -1,4 +1,4 @@
-//===- support/Bitslice.cpp - Transposed 64-lane word kernels -------------===//
+//===- support/Bitslice.cpp - Bitsliced word kernels and ISA dispatch -----===//
 //
 // Part of the MBA-Solver reproduction. MIT license.
 //
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace mba::bitslice;
 
@@ -26,99 +25,6 @@ void mba::bitslice::transpose64(uint64_t M[64]) {
       M[K + J] ^= T >> J;
     }
   }
-}
-
-void mba::bitslice::lanesToSlices(const uint64_t *Lanes, unsigned NumLanes,
-                                  unsigned Width, uint64_t *Slices) {
-  uint64_t M[64];
-  unsigned N = NumLanes < 64 ? NumLanes : 64;
-  std::memcpy(M, Lanes, N * sizeof(uint64_t));
-  if (N < 64)
-    std::memset(M + N, 0, (64 - N) * sizeof(uint64_t));
-  transpose64(M);
-  std::memcpy(Slices, M, Width * sizeof(uint64_t));
-}
-
-void mba::bitslice::slicesToLanes(const uint64_t *Slices, unsigned Width,
-                                  unsigned NumLanes, uint64_t *Lanes) {
-  uint64_t M[64];
-  std::memcpy(M, Slices, Width * sizeof(uint64_t));
-  if (Width < 64)
-    std::memset(M + Width, 0, (64 - Width) * sizeof(uint64_t));
-  transpose64(M);
-  unsigned N = NumLanes < 64 ? NumLanes : 64;
-  std::memcpy(Lanes, M, N * sizeof(uint64_t));
-}
-
-void mba::bitslice::sliceBroadcast(unsigned Width, uint64_t Value,
-                                   uint64_t *Out) {
-  for (unsigned B = 0; B != Width; ++B)
-    Out[B] = (Value >> B & 1) ? ~0ULL : 0;
-}
-
-void mba::bitslice::sliceAdd(unsigned Width, const uint64_t *A,
-                             const uint64_t *B, uint64_t *Out) {
-  uint64_t Carry = 0;
-  for (unsigned I = 0; I != Width; ++I) {
-    uint64_t X = A[I], Y = B[I];
-    uint64_t Sum = X ^ Y ^ Carry;
-    Carry = (X & Y) | (Carry & (X ^ Y));
-    Out[I] = Sum;
-  }
-}
-
-void mba::bitslice::sliceSub(unsigned Width, const uint64_t *A,
-                             const uint64_t *B, uint64_t *Out) {
-  // A - B == A + ~B + 1: seed the ripple with a carry-in of 1.
-  uint64_t Carry = ~0ULL;
-  for (unsigned I = 0; I != Width; ++I) {
-    uint64_t X = A[I], Y = ~B[I];
-    uint64_t Sum = X ^ Y ^ Carry;
-    Carry = (X & Y) | (Carry & (X ^ Y));
-    Out[I] = Sum;
-  }
-}
-
-void mba::bitslice::sliceNeg(unsigned Width, const uint64_t *A,
-                             uint64_t *Out) {
-  // -A == ~A + 1.
-  uint64_t Carry = ~0ULL;
-  for (unsigned I = 0; I != Width; ++I) {
-    uint64_t X = ~A[I];
-    Out[I] = X ^ Carry;
-    Carry = X & Carry;
-  }
-}
-
-void mba::bitslice::sliceMul(unsigned Width, const uint64_t *A,
-                             const uint64_t *B, uint64_t *Out) {
-  if (Width <= kSchoolbookMulMaxWidth) {
-    // Schoolbook shift-and-add: for each multiplier bit k, add A << k into
-    // the accumulator on the lanes where bit k of B is set. ~2.5 * Width^2
-    // word ops; cheaper than two transposes below ~16 bits.
-    for (unsigned I = 0; I != Width; ++I)
-      Out[I] = 0;
-    for (unsigned K = 0; K != Width; ++K) {
-      uint64_t Sel = B[K];
-      if (!Sel)
-        continue;
-      uint64_t Carry = 0;
-      for (unsigned I = K; I != Width; ++I) {
-        uint64_t X = Out[I], Y = A[I - K] & Sel;
-        Out[I] = X ^ Y ^ Carry;
-        Carry = (X & Y) | (Carry & (X ^ Y));
-      }
-    }
-    return;
-  }
-  // Wide multiply: transpose both operands back to lane space, multiply
-  // per lane with the hardware multiplier, and re-transpose the product.
-  uint64_t LA[64], LB[64];
-  slicesToLanes(A, Width, 64, LA);
-  slicesToLanes(B, Width, 64, LB);
-  for (unsigned J = 0; J != 64; ++J)
-    LA[J] *= LB[J];
-  lanesToSlices(LA, 64, Width, Out);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,41 +1,40 @@
-//===- support/Bitslice.h - Transposed 64-lane word kernels -----*- C++ -*-===//
+//===- support/Bitslice.h - Bitsliced kernels and ISA dispatch --*- C++ -*-===//
 //
 // Part of the MBA-Solver reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Bitsliced (transposed) evaluation kernels: 64 evaluation points are packed
+/// Bitsliced (transposed) evaluation kernels: evaluation points are packed
 /// one-per-bit into uint64_t "slice" words, so one word operation advances
-/// all 64 points at once. A w-bit value batch is stored as w slices, where
-/// bit j of Slices[b] is bit b of point j's value.
+/// 64 points at once. A w-bit value batch is stored as w slices, where bit
+/// j of slice b is bit b of point j's value.
 ///
-/// The kernels below are pure word arithmetic with no AST dependencies (this
-/// is the bottom of the library layering); the DAG compiler/evaluator that
+/// The kernels are pure word arithmetic with no AST dependencies (this is
+/// the bottom of the library layering); the DAG compiler/evaluator that
 /// drives them lives in ast/BitslicedEval.h. Motivation and layout details
 /// are documented in docs/PERF.md.
 ///
-/// Besides the fixed 64-lane kernels, this header is the single ISA seam of
-/// the repository: a lane-templated wide engine (WideKernels) processes
-/// blocks of Words x 64 lanes per call, with back ends compiled per ISA
-/// from one kernel source (BitsliceKernels.h) — scalar (1 word / 64
-/// lanes, always available), AVX2 (4 words / 256 lanes) and AVX-512
-/// (8 words / 512 lanes) — selected by runtime CPU-feature dispatch.
-/// `MBA_FORCE_ISA=scalar|avx2|avx512` (or forceIsa()) overrides the
-/// selection for testing; forcing an ISA the CPU or build lacks clamps to
-/// the best supported one. Every back end computes bit-identical results —
-/// the determinism tests compare them lane for lane. All intrinsics and
-/// `__AVX*__` conditionals in the tree live behind this seam
-/// (src/support/Bitslice*); mba-tidy flags them anywhere else.
+/// This header is the single ISA seam of the repository: the wide engine
+/// (WideKernels) processes blocks of Words x 64 lanes per call, with back
+/// ends compiled per ISA from one kernel source (BitsliceKernels.h) —
+/// scalar (1 word / 64 lanes, always available), AVX2 (4 words / 256
+/// lanes) and AVX-512 (8 words / 512 lanes) — selected by runtime
+/// CPU-feature dispatch. `MBA_FORCE_ISA=scalar|avx2|avx512` (or
+/// forceIsa()) overrides the selection for testing; forcing an ISA the CPU
+/// or build lacks clamps to the best supported one. Every back end computes
+/// bit-identical results — the determinism tests compare them lane for
+/// lane. All intrinsics and `__AVX*__` conditionals in the tree live behind
+/// this seam (src/support/Bitslice*); mba-tidy flags them anywhere else.
 ///
-/// Operation costs per 64-point batch at width w:
+/// Operation costs per 64 points at width w:
 ///  * bitwise (&, |, ^, ~): w word ops — 1 op per point at w = 64, and
 ///    w/64 ops per point below that (an 8x op-count win at w = 8);
 ///  * add/sub/neg: a ripple-carry over the w slices, ~5w word ops (the
 ///    carry chain is the only loop-carried dependency);
-///  * mul: schoolbook shift-and-add in slice space for small widths, or a
-///    transpose round-trip to lane space (64 scalar multiplies) above
-///    kSchoolbookMulMaxWidth, whichever is cheaper.
+///  * mul: schoolbook shift-and-add in slice space, for widths up to
+///    kSchoolbookMulMaxWidth only; wider values stay in lane space, where
+///    the hardware multiplier is cheaper.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,11 +46,12 @@
 
 namespace mba::bitslice {
 
-/// Points per slice block: one evaluation point per bit of a uint64_t.
+/// Points per slice word: one evaluation point per bit of a uint64_t.
 inline constexpr unsigned LanesPerBlock = 64;
 
-/// Widths up to this use the schoolbook slice-space multiplier; wider
-/// multiplies round-trip through lane space (see sliceMul).
+/// The widest values kept in slice space: the schoolbook slice-space
+/// multiplier (SliceMul) only accepts widths up to this, and point blocks
+/// of wider values are evaluated in lane space instead.
 inline constexpr unsigned kSchoolbookMulMaxWidth = 16;
 
 /// Truth-table corner mask for a block of 64 consecutive corner indices
@@ -67,65 +67,9 @@ inline uint64_t cornerMask(unsigned Bit, uint64_t Base) {
 }
 
 /// In-place transpose of the 64x64 bit matrix \p M (row i, bit j) -> (row j,
-/// bit i). This is the lane<->slice conversion primitive: treating rows as
-/// lanes gives slices and vice versa.
+/// bit i), in the classic Hacker's Delight 7-3 form: the reference the
+/// wide engine's TransposeBlocks is tested against.
 void transpose64(uint64_t M[64]);
-
-/// Transposes \p NumLanes lane values (each a \p Width-bit word) into
-/// \p Width slice words. Lanes beyond NumLanes read as 0; bits of Slices
-/// beyond NumLanes are zero.
-void lanesToSlices(const uint64_t *Lanes, unsigned NumLanes, unsigned Width,
-                   uint64_t *Slices);
-
-/// Inverse of lanesToSlices: expands \p Width slices back into \p NumLanes
-/// per-point values (masked to the width).
-void slicesToLanes(const uint64_t *Slices, unsigned Width, unsigned NumLanes,
-                   uint64_t *Lanes);
-
-/// Broadcasts the \p Width-bit constant \p Value to every lane: slice b is
-/// all-ones when bit b of Value is set, else zero.
-void sliceBroadcast(unsigned Width, uint64_t Value, uint64_t *Out);
-
-inline void sliceNot(unsigned Width, const uint64_t *A, uint64_t *Out) {
-  for (unsigned B = 0; B != Width; ++B)
-    Out[B] = ~A[B];
-}
-
-inline void sliceAnd(unsigned Width, const uint64_t *A, const uint64_t *B,
-                     uint64_t *Out) {
-  for (unsigned I = 0; I != Width; ++I)
-    Out[I] = A[I] & B[I];
-}
-
-inline void sliceOr(unsigned Width, const uint64_t *A, const uint64_t *B,
-                    uint64_t *Out) {
-  for (unsigned I = 0; I != Width; ++I)
-    Out[I] = A[I] | B[I];
-}
-
-inline void sliceXor(unsigned Width, const uint64_t *A, const uint64_t *B,
-                     uint64_t *Out) {
-  for (unsigned I = 0; I != Width; ++I)
-    Out[I] = A[I] ^ B[I];
-}
-
-/// Out = A + B per lane, mod 2^Width (ripple-carry across slices). Aliasing
-/// Out with A or B is allowed.
-void sliceAdd(unsigned Width, const uint64_t *A, const uint64_t *B,
-              uint64_t *Out);
-
-/// Out = A - B per lane, mod 2^Width. Aliasing allowed.
-void sliceSub(unsigned Width, const uint64_t *A, const uint64_t *B,
-              uint64_t *Out);
-
-/// Out = -A per lane, mod 2^Width. Aliasing allowed.
-void sliceNeg(unsigned Width, const uint64_t *A, uint64_t *Out);
-
-/// Out = A * B per lane, mod 2^Width. Uses the schoolbook slice-space
-/// method up to kSchoolbookMulMaxWidth and a lane-space round-trip above
-/// it. \p Out must not alias A or B.
-void sliceMul(unsigned Width, const uint64_t *A, const uint64_t *B,
-              uint64_t *Out);
 
 //===----------------------------------------------------------------------===//
 // Wide engine: lane-templated kernels behind runtime ISA dispatch
@@ -156,7 +100,8 @@ struct WideKernels {
   unsigned Words = 1; ///< 64-bit words per slice; lanes per block = 64*Words
 
   // Slice space (Width slices x Words words). Aliasing Out with an input
-  // is allowed everywhere except SliceMul.
+  // is allowed everywhere except SliceMul, which also requires
+  // Width <= kSchoolbookMulMaxWidth.
   void (*SliceNot)(unsigned Width, const uint64_t *A, uint64_t *Out);
   void (*SliceAnd)(unsigned Width, const uint64_t *A, const uint64_t *B,
                    uint64_t *Out);
@@ -175,8 +120,10 @@ struct WideKernels {
 
   /// \p Blocks consecutive in-place 64x64 bit-matrix transposes.
   void (*TransposeBlocks)(uint64_t *M, unsigned Blocks);
-  /// Wide lanesToSlices/slicesToLanes (NumLanes <= Words*64); lanes beyond
-  /// NumLanes read/write as 0.
+  /// Lane <-> slice conversion (NumLanes <= Words*64): LanesToSlices
+  /// transposes NumLanes Width-bit lane values into Width slices, reading
+  /// lanes beyond NumLanes as 0; SlicesToLanes is its inverse and writes
+  /// only the first NumLanes lanes.
   void (*LanesToSlices)(const uint64_t *Lanes, unsigned NumLanes,
                         unsigned Width, uint64_t *Slices);
   void (*SlicesToLanes)(const uint64_t *Slices, unsigned Width,

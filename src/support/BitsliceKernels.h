@@ -35,6 +35,7 @@
 
 #include "support/Bitslice.h"
 
+#include <cassert>
 #include <cstring>
 
 namespace {
@@ -62,8 +63,6 @@ inline void transposeOne(uint64_t *M) {
 /// Slice arrays are slice-major: slice b occupies words
 /// [b*WordsV, (b+1)*WordsV). Lane arrays are one word per point.
 template <unsigned WordsV> struct Impl {
-  static constexpr unsigned Lanes = WordsV * 64;
-
   //===--------------------------------------------------------------------===//
   // Slice space
   //===--------------------------------------------------------------------===//
@@ -147,38 +146,30 @@ template <unsigned WordsV> struct Impl {
 
   static void sliceMul(unsigned Width, const uint64_t *A, const uint64_t *B,
                        uint64_t *Out) {
-    if (Width <= mba::bitslice::kSchoolbookMulMaxWidth) {
-      // Schoolbook shift-and-add, WordsV carry chains side by side.
-      for (unsigned I = 0, N = Width * WordsV; I != N; ++I)
-        Out[I] = 0;
-      for (unsigned K = 0; K != Width; ++K) {
-        const uint64_t *Sel = B + (size_t)K * WordsV;
-        uint64_t Any = 0;
-        for (unsigned W = 0; W != WordsV; ++W)
-          Any |= Sel[W];
-        if (!Any)
-          continue;
-        uint64_t Carry[WordsV] = {};
-        for (unsigned I = K; I != Width; ++I) {
-          uint64_t *O = Out + (size_t)I * WordsV;
-          const uint64_t *X = A + (size_t)(I - K) * WordsV;
-          for (unsigned W = 0; W != WordsV; ++W) {
-            uint64_t Xv = O[W], Yv = X[W] & Sel[W];
-            O[W] = Xv ^ Yv ^ Carry[W];
-            Carry[W] = (Xv & Yv) | (Carry[W] & (Xv ^ Yv));
-          }
+    // Schoolbook shift-and-add, WordsV carry chains side by side. The
+    // interpreter keeps wider values in lane space, so none reach here.
+    assert(Width <= mba::bitslice::kSchoolbookMulMaxWidth &&
+           "slice-space multiply of a wide value");
+    for (unsigned I = 0, N = Width * WordsV; I != N; ++I)
+      Out[I] = 0;
+    for (unsigned K = 0; K != Width; ++K) {
+      const uint64_t *Sel = B + (size_t)K * WordsV;
+      uint64_t Any = 0;
+      for (unsigned W = 0; W != WordsV; ++W)
+        Any |= Sel[W];
+      if (!Any)
+        continue;
+      uint64_t Carry[WordsV] = {};
+      for (unsigned I = K; I != Width; ++I) {
+        uint64_t *O = Out + (size_t)I * WordsV;
+        const uint64_t *X = A + (size_t)(I - K) * WordsV;
+        for (unsigned W = 0; W != WordsV; ++W) {
+          uint64_t Xv = O[W], Yv = X[W] & Sel[W];
+          O[W] = Xv ^ Yv ^ Carry[W];
+          Carry[W] = (Xv & Yv) | (Carry[W] & (Xv ^ Yv));
         }
       }
-      return;
     }
-    // Wide multiply: round-trip through lane space for the hardware
-    // multiplier (one vector multiply per vector of lanes).
-    uint64_t LA[Lanes], LB[Lanes];
-    slicesToLanes(A, Width, Lanes, LA);
-    slicesToLanes(B, Width, Lanes, LB);
-    for (unsigned J = 0; J != Lanes; ++J)
-      LA[J] *= LB[J];
-    lanesToSlices(LA, Lanes, Width, Out);
   }
 
   static void sliceBroadcast(unsigned Width, uint64_t Value, uint64_t *Out) {
@@ -233,7 +224,7 @@ template <unsigned WordsV> struct Impl {
   }
 
   //===--------------------------------------------------------------------===//
-  // Lane space (one word per point; N <= Lanes)
+  // Lane space (one word per point; N <= WordsV * 64)
   //===--------------------------------------------------------------------===//
 
   static void laneCopyM(const uint64_t *A, uint64_t *Out, unsigned N,

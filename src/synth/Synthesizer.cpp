@@ -192,7 +192,8 @@ const Expr *Synthesizer::synthesize(const Expr *E) {
   const uint64_t Mask = Ctx.mask();
 
   // Target semantics: the 2^t truth-table corners (raw values — unlike
-  // computeSignature's negated convention) ...
+  // computeSignature's negated convention), one block of at most
+  // 2^MaxBasisVars lanes, so one mask word per variable ...
   const BitslicedExpr &CE = Ctx.getBitsliced(E);
   unsigned MaxIndex = 0;
   for (const Expr *V : Vars)
@@ -203,7 +204,7 @@ const Expr *Synthesizer::synthesize(const Expr *E) {
   uint64_t Corners[1u << MaxBasisVars];
   CE.evaluateCorners(VarMasks, Rows, Corners);
 
-  // ... plus a deterministic random batch through the SIMD wide engine.
+  // ... plus a deterministic random batch on the active back end.
   // The seed depends only on (width, arity), so equal-semantics targets
   // sample identically and the memo key below is truly semantic.
   const unsigned N = Opts.NumSamples;

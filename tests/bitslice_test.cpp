@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Pins the transposed (bitsliced) evaluation path to the scalar evaluator:
-/// word kernels against per-lane arithmetic, the transpose against a naive
-/// bit-by-bit version, and BitslicedExpr against evaluate() over random DAGs
-/// at odd widths and lane counts that are not multiples of 64.
+/// every back end's slice kernels against per-lane arithmetic, the transpose
+/// against a naive bit-by-bit version, and BitslicedExpr against evaluate()
+/// over random DAGs at odd widths and lane counts that are not multiples of
+/// 64, under every back end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <span>
+#include <string>
 #include <vector>
 
 using namespace mba;
@@ -57,75 +60,115 @@ TEST(Bitslice, TransposeMatchesNaive) {
   EXPECT_EQ(Twice, M);
 }
 
+// The slice-space kernels below run on every back end's WideKernels table
+// (the interpreter's only kernels), at every width 1..64 with seeded random
+// lanes: WideIsaAgreement.* is exhaustive only up to width 8. kernelsFor
+// and forceIsa clamp a back end the CPU lacks to the best one it has.
+const bs::Isa AllIsas[] = {bs::Isa::Scalar, bs::Isa::Avx2, bs::Isa::Avx512};
+
 TEST(Bitslice, LaneSliceRoundTrip) {
   RNG Rng(2);
-  for (unsigned Width : {1u, 7u, 32u, 64u}) {
-    for (unsigned NumLanes : {1u, 13u, 64u}) {
-      std::vector<uint64_t> Lanes(NumLanes);
-      for (uint64_t &L : Lanes)
-        L = Rng.next() & maskOf(Width);
-      std::vector<uint64_t> Slices(Width);
-      bs::lanesToSlices(Lanes.data(), NumLanes, Width, Slices.data());
-      // Slice b, bit j must be bit b of lane j.
-      for (unsigned B = 0; B != Width; ++B)
-        for (unsigned J = 0; J != NumLanes; ++J)
-          EXPECT_EQ((Slices[B] >> J) & 1, (Lanes[J] >> B) & 1);
-      std::vector<uint64_t> Back(NumLanes);
-      bs::slicesToLanes(Slices.data(), Width, NumLanes, Back.data());
-      EXPECT_EQ(Back, Lanes) << "width " << Width << " lanes " << NumLanes;
+  for (bs::Isa I : AllIsas) {
+    const bs::WideKernels &K = bs::kernelsFor(I);
+    const char *IsaName = bs::isaName(K.IsaTag);
+    const unsigned Lanes = K.Words * 64;
+    for (unsigned Width = 1; Width <= 64; ++Width) {
+      for (unsigned NumLanes : {1u, 13u, 63u, 64u, 65u, 200u, Lanes}) {
+        if (NumLanes > Lanes)
+          continue;
+        std::vector<uint64_t> In(NumLanes);
+        for (uint64_t &L : In)
+          L = Rng.next() & maskOf(Width);
+        std::vector<uint64_t> Slices(Width * K.Words);
+        K.LanesToSlices(In.data(), NumLanes, Width, Slices.data());
+        // Bit j of word w of slice b is bit b of lane 64*w + j; lanes past
+        // NumLanes read as 0.
+        for (unsigned B = 0; B != Width; ++B)
+          for (unsigned J = 0; J != Lanes; ++J)
+            ASSERT_EQ((Slices[B * K.Words + J / 64] >> (J % 64)) & 1,
+                      J < NumLanes ? (In[J] >> B) & 1 : 0)
+                << IsaName << " width " << Width << " lane " << J;
+        std::vector<uint64_t> Back(NumLanes);
+        K.SlicesToLanes(Slices.data(), Width, NumLanes, Back.data());
+        EXPECT_EQ(Back, In) << IsaName << " width " << Width
+                            << " lanes " << NumLanes;
+      }
     }
   }
 }
 
 TEST(Bitslice, ArithmeticKernelsMatchScalar) {
   RNG Rng(3);
-  for (unsigned Width : {1u, 2u, 7u, 8u, 16u, 17u, 31u, 33u, 64u}) {
-    const uint64_t Mask = maskOf(Width);
-    std::vector<uint64_t> A(64), B(64);
-    for (unsigned I = 0; I != 64; ++I) {
-      A[I] = Rng.next() & Mask;
-      B[I] = Rng.next() & Mask;
+  for (bs::Isa I : AllIsas) {
+    const bs::WideKernels &K = bs::kernelsFor(I);
+    const char *IsaName = bs::isaName(K.IsaTag);
+    const unsigned Lanes = K.Words * 64;
+    for (unsigned Width = 1; Width <= 64; ++Width) {
+      const uint64_t Mask = maskOf(Width);
+      std::vector<uint64_t> A(Lanes), B(Lanes), Out(Lanes);
+      for (unsigned J = 0; J != Lanes; ++J) {
+        A[J] = Rng.next() & Mask;
+        B[J] = Rng.next() & Mask;
+      }
+      const size_t Words = (size_t)Width * K.Words;
+      std::vector<uint64_t> SA(Words), SB(Words), SOut(Words);
+      K.LanesToSlices(A.data(), Lanes, Width, SA.data());
+      K.LanesToSlices(B.data(), Lanes, Width, SB.data());
+
+      auto Check = [&](const char *Name, auto Scalar) {
+        K.SlicesToLanes(SOut.data(), Width, Lanes, Out.data());
+        for (unsigned J = 0; J != Lanes; ++J)
+          ASSERT_EQ(Out[J], Scalar(A[J], B[J]) & Mask)
+              << IsaName << " " << Name << " lane " << J << " width "
+              << Width;
+      };
+
+      K.SliceAnd(Width, SA.data(), SB.data(), SOut.data());
+      Check("and", [](uint64_t X, uint64_t Y) { return X & Y; });
+      K.SliceOr(Width, SA.data(), SB.data(), SOut.data());
+      Check("or", [](uint64_t X, uint64_t Y) { return X | Y; });
+      K.SliceXor(Width, SA.data(), SB.data(), SOut.data());
+      Check("xor", [](uint64_t X, uint64_t Y) { return X ^ Y; });
+      K.SliceNot(Width, SA.data(), SOut.data());
+      Check("not", [](uint64_t X, uint64_t) { return ~X; });
+      K.SliceAdd(Width, SA.data(), SB.data(), SOut.data());
+      Check("add", [](uint64_t X, uint64_t Y) { return X + Y; });
+      K.SliceSub(Width, SA.data(), SB.data(), SOut.data());
+      Check("sub", [](uint64_t X, uint64_t Y) { return X - Y; });
+      K.SliceNeg(Width, SA.data(), SOut.data());
+      Check("neg", [](uint64_t X, uint64_t) { return 0 - X; });
+      // The slice-space multiplier takes only the widths the interpreter
+      // keeps sliced.
+      if (Width <= bs::kSchoolbookMulMaxWidth) {
+        K.SliceMul(Width, SA.data(), SB.data(), SOut.data());
+        Check("mul", [](uint64_t X, uint64_t Y) { return X * Y; });
+      }
+
+      // Aliased forms: Out == A.
+      SOut = SA;
+      K.SliceAdd(Width, SOut.data(), SB.data(), SOut.data());
+      Check("add-aliased", [](uint64_t X, uint64_t Y) { return X + Y; });
+      SOut = SA;
+      K.SliceSub(Width, SOut.data(), SB.data(), SOut.data());
+      Check("sub-aliased", [](uint64_t X, uint64_t Y) { return X - Y; });
     }
-    std::vector<uint64_t> SA(Width), SB(Width), SOut(Width), Lanes(64);
-    bs::lanesToSlices(A.data(), 64, Width, SA.data());
-    bs::lanesToSlices(B.data(), 64, Width, SB.data());
-
-    auto check = [&](const char *Name, auto Scalar) {
-      bs::slicesToLanes(SOut.data(), Width, 64, Lanes.data());
-      for (unsigned I = 0; I != 64; ++I)
-        ASSERT_EQ(Lanes[I], Scalar(A[I], B[I]) & Mask)
-            << Name << " lane " << I << " width " << Width;
-    };
-
-    bs::sliceAdd(Width, SA.data(), SB.data(), SOut.data());
-    check("add", [](uint64_t X, uint64_t Y) { return X + Y; });
-    bs::sliceSub(Width, SA.data(), SB.data(), SOut.data());
-    check("sub", [](uint64_t X, uint64_t Y) { return X - Y; });
-    bs::sliceMul(Width, SA.data(), SB.data(), SOut.data());
-    check("mul", [](uint64_t X, uint64_t Y) { return X * Y; });
-    bs::sliceNeg(Width, SA.data(), SOut.data());
-    check("neg", [](uint64_t X, uint64_t) { return 0 - X; });
-
-    // Aliased forms: Out == A.
-    std::vector<uint64_t> SA2 = SA;
-    bs::sliceAdd(Width, SA2.data(), SB.data(), SA2.data());
-    SOut = SA2;
-    check("add-aliased", [](uint64_t X, uint64_t Y) { return X + Y; });
-    SA2 = SA;
-    bs::sliceSub(Width, SA2.data(), SB.data(), SA2.data());
-    SOut = SA2;
-    check("sub-aliased", [](uint64_t X, uint64_t Y) { return X - Y; });
   }
 }
 
 TEST(Bitslice, BroadcastMatchesConstant) {
-  for (unsigned Width : {1u, 8u, 64u}) {
-    const uint64_t Value = 0xDEADBEEFCAFEF00DULL & maskOf(Width);
-    std::vector<uint64_t> Slices(Width), Lanes(64);
-    bs::sliceBroadcast(Width, Value, Slices.data());
-    bs::slicesToLanes(Slices.data(), Width, 64, Lanes.data());
-    for (uint64_t L : Lanes)
-      EXPECT_EQ(L, Value);
+  RNG Rng(4);
+  for (bs::Isa I : AllIsas) {
+    const bs::WideKernels &K = bs::kernelsFor(I);
+    const char *IsaName = bs::isaName(K.IsaTag);
+    const unsigned Lanes = K.Words * 64;
+    for (unsigned Width = 1; Width <= 64; ++Width) {
+      const uint64_t Value = Rng.next() & maskOf(Width);
+      std::vector<uint64_t> Slices(Width * K.Words), Out(Lanes);
+      K.SliceBroadcast(Width, Value, Slices.data());
+      K.SlicesToLanes(Slices.data(), Width, Lanes, Out.data());
+      for (uint64_t L : Out)
+        ASSERT_EQ(L, Value) << IsaName << " width " << Width;
+    }
   }
 }
 
@@ -303,6 +346,90 @@ TEST(BitslicedEval, SignaturePathsAgree) {
         ASSERT_EQ(computeSignature(Ctx, E, Sub),
                   signatureByEvaluator(Ctx, E, Sub))
             << "width " << Width << " t " << T;
+      }
+    }
+  }
+}
+
+/// RAII dispatch override so a failing assertion cannot leak a forced ISA
+/// into later tests.
+struct ForcedIsa {
+  explicit ForcedIsa(bs::Isa I) { bs::forceIsa(I); }
+  ~ForcedIsa() { bs::clearForcedIsa(); }
+};
+
+// Blocks on both sides of every block boundary, under every back end
+// (forced, clamped to what the CPU runs), against the plain Evaluator:
+// corners at 1-8 variables (2-256 lanes, across the 64-lane word and the
+// scalar table's block size) and point batches around the 64- and 512-lane
+// block sizes, at widths on both sides of the sliced/lane-space split.
+TEST(BitslicedEval, BlockBoundariesMatchEvaluatorUnderEveryIsa) {
+  for (bs::Isa I : AllIsas) {
+    ForcedIsa Forced(I);
+    const char *IsaName = bs::isaName(bs::activeIsa());
+    RNG Rng(0xB10C);
+    for (unsigned Width : {8u, 64u}) {
+      Context Ctx(Width);
+      std::vector<const Expr *> Vars;
+      for (unsigned V = 0; V != 8; ++V)
+        Vars.push_back(Ctx.getVar(std::string(1, (char)('a' + V)).c_str()));
+      for (unsigned T = 1; T <= 8; ++T) {
+        std::vector<const Expr *> Sub(Vars.begin(), Vars.begin() + T);
+        const size_t Rows = size_t(1) << T;
+        const size_t BlockLanes =
+            std::min<size_t>(Rows, BitslicedExpr::wideLanes());
+        const size_t Words = (BlockLanes + 63) / 64;
+        for (unsigned Trial = 0; Trial != 4; ++Trial) {
+          const Expr *E = randomExpr(Ctx, Rng, Sub, 3);
+          // Corner k sets variable V to all-ones iff bit V of k is set.
+          std::vector<uint64_t> Masks(Vars.size() * Words), Out(Rows);
+          for (size_t Base = 0; Base < Rows; Base += BlockLanes) {
+            for (unsigned V = 0; V != T; ++V)
+              for (size_t W = 0; W != Words; ++W)
+                Masks[Sub[V]->varIndex() * Words + W] =
+                    bs::cornerMask(V, Base + 64 * W);
+            Ctx.getBitsliced(E).evaluateCorners(Masks, (unsigned)BlockLanes,
+                                                Out.data() + Base);
+          }
+          std::vector<uint64_t> Vals(Ctx.numVars(), 0);
+          for (size_t K = 0; K != Rows; ++K) {
+            for (unsigned V = 0; V != T; ++V)
+              Vals[Sub[V]->varIndex()] = (K >> V & 1) ? Ctx.mask() : 0;
+            ASSERT_EQ(Out[K], evaluate(Ctx, E, Vals))
+                << IsaName << " width " << Width << " t " << T
+                << " corner " << K;
+          }
+          ASSERT_EQ(computeSignature(Ctx, E, Sub),
+                    signatureByEvaluator(Ctx, E, Sub))
+              << IsaName << " width " << Width << " t " << T;
+        }
+      }
+    }
+    for (unsigned Width : {3u, 16u, 17u, 64u}) {
+      Context Ctx(Width);
+      std::vector<const Expr *> Vars = {Ctx.getVar("x"), Ctx.getVar("y"),
+                                        Ctx.getVar("z")};
+      for (unsigned Trial = 0; Trial != 4; ++Trial) {
+        const Expr *E = randomExpr(Ctx, Rng, Vars, 2 + (unsigned)Rng.below(3));
+        for (size_t N : {1, 63, 64, 65, 511, 512, 513}) {
+          std::vector<std::vector<uint64_t>> Inputs(Vars.size());
+          std::vector<const uint64_t *> Ptrs;
+          for (auto &Col : Inputs) {
+            Col.resize(N);
+            for (uint64_t &V : Col)
+              V = Rng.next();
+            Ptrs.push_back(Col.data());
+          }
+          std::vector<uint64_t> Got =
+              Ctx.getBitsliced(E).evaluatePoints(Ptrs, N);
+          for (size_t P = 0; P != N; ++P) {
+            std::vector<uint64_t> Vals = {Inputs[0][P], Inputs[1][P],
+                                          Inputs[2][P]};
+            ASSERT_EQ(Got[P], evaluate(Ctx, E, Vals))
+                << IsaName << " width " << Width << " points " << N
+                << " point " << P;
+          }
+        }
       }
     }
   }

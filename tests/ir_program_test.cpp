@@ -9,10 +9,15 @@
 #include "ast/Evaluator.h"
 #include "ast/Printer.h"
 #include "gen/Obfuscator.h"
+#include "gen/ProgramGen.h"
 #include "ir/Passes.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 using namespace mba;
 
@@ -593,6 +598,118 @@ TEST(TracePrint, RoundTripsThroughParse) {
     for (size_t F = 0; F != 2; ++F)
       EXPECT_EQ(runXY(Ctx, P->Functions[F], X, Y),
                 runXY(Ctx, P2->Functions[F], X, Y));
+  }
+}
+
+/// Checks one (possibly malformed) program text against the IR parser's
+/// contract: a rejected text gets a diagnostic whose line and column lie
+/// inside it (one past a line's last character counts, for "expected ..."
+/// at its end), and an accepted text prints to a fixed point.
+/// Returns whether the text was accepted.
+bool expectIRParserContract(Context &Ctx, const std::string &Text) {
+  std::string Shown = Text.size() > 80 ? Text.substr(0, 80) + "..." : Text;
+  Diag D;
+  auto P = Program::parse(Ctx, Text, &D);
+  if (!P) {
+    std::vector<size_t> LineLens = {0};
+    for (char C : Text) {
+      if (C == '\n')
+        LineLens.push_back(0);
+      else
+        ++LineLens.back();
+    }
+    EXPECT_GE(D.Line, 1u) << D.str() << "\n" << Shown;
+    EXPECT_LE(D.Line, LineLens.size()) << D.str() << "\n" << Shown;
+    EXPECT_GE(D.Col, 1u) << D.str() << "\n" << Shown;
+    if (D.Line >= 1 && D.Line <= LineLens.size()) {
+      EXPECT_LE(D.Col, LineLens[D.Line - 1] + 1) << D.str() << "\n" << Shown;
+    }
+    EXPECT_FALSE(D.Message.empty()) << Shown;
+    return false;
+  }
+  std::string Printed = P->print(Ctx);
+  Diag D2;
+  auto Q = Program::parse(Ctx, Printed, &D2);
+  EXPECT_TRUE(Q.has_value()) << Shown << "\nprinted as\n"
+                             << Printed << "\n" << D2.str();
+  if (Q) {
+    EXPECT_EQ(Q->print(Ctx), Printed) << Shown;
+  }
+  return true;
+}
+
+// Randomized mutations of printed generated programs, with fixed seeds:
+// every truncation, byte flips and insertions, operand nesting around the
+// expression parser's 2048-level cap, and 40-digit constants. The parser
+// must never crash, and each result must keep expectIRParserContract.
+TEST(IRParse, MutatedProgramsKeepTheContract) {
+  Context Gen(64);
+  ProgramGenOptions Opts;
+  std::vector<std::string> Samples;
+  for (const GeneratedProgram &G :
+       generateProgramCorpus(Gen, 2, 1, Opts, /*MixBranchy=*/true)) {
+    Diag D;
+    auto P = Program::parse(Gen, G.Text, &D);
+    ASSERT_TRUE(P.has_value()) << D.str();
+    Samples.push_back(P->print(Gen));
+  }
+
+  Context Ctx(64);
+  RNG Rng(1);
+  const std::string Alphabet = "(){}[]@,:=+-*&|^~# x_09phjmbret\t\n$\xff";
+  size_t Accepted = 0, Rejected = 0;
+  auto Check = [&](const std::string &Text) {
+    ++(expectIRParserContract(Ctx, Text) ? Accepted : Rejected);
+  };
+  for (const std::string &S : Samples) {
+    for (size_t Len = 0; Len <= S.size(); ++Len)
+      Check(S.substr(0, Len));
+    for (size_t I = 0; I != S.size(); ++I) {
+      std::string Flipped = S;
+      Flipped[I] = (char)(Flipped[I] ^ (1u << Rng.below(8)));
+      Check(Flipped);
+      std::string Inserted = S;
+      Inserted.insert(I, 1, Alphabet[Rng.below(Alphabet.size())]);
+      Check(Inserted);
+    }
+  }
+  // Both outcomes occur, so neither half of the contract is vacuous.
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_GT(Rejected, 0u);
+
+  // Rewrites the operand of the first instruction and of the return.
+  auto WithOperands = [](std::string S, auto Wrap) {
+    size_t Eq = S.find(" = ");
+    size_t Eol = S.find('\n', Eq);
+    std::string Rhs = S.substr(Eq + 3, Eol - Eq - 3);
+    S.replace(Eq + 3, Rhs.size(), Wrap(Rhs));
+    size_t Ret = S.find("ret ");
+    Eol = S.find('\n', Ret);
+    Rhs = S.substr(Ret + 4, Eol - Ret - 4);
+    S.replace(Ret + 4, Rhs.size(), Wrap(Rhs));
+    return S;
+  };
+  for (const std::string &S : Samples) {
+    for (size_t Depth : {2047, 2048, 2049}) {
+      bool Ok = expectIRParserContract(
+          Ctx, WithOperands(S, [&](const std::string &R) {
+            return std::string(Depth, '(') + R + std::string(Depth, ')');
+          }));
+      EXPECT_EQ(Ok, Depth < 2048) << "nesting depth " << Depth;
+      expectIRParserContract(Ctx, WithOperands(S, [&](const std::string &R) {
+        return std::string(Depth, '~') + "(" + R + ")";
+      }));
+    }
+    const std::string Huge[] = {"1234567890123456789012345678901234567890",
+                                "0x" + std::string(40, 'f')};
+    for (const std::string &C : Huge) {
+      expectIRParserContract(Ctx, WithOperands(S, [&](const std::string &R) {
+        return R + "+" + C;
+      }));
+      expectIRParserContract(Ctx, WithOperands(S, [&](const std::string &) {
+        return "-" + C;
+      }));
+    }
   }
 }
 
