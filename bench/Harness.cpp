@@ -69,23 +69,6 @@ HarnessOptions mba::bench::parseHarnessArgs(int Argc, char **Argv) {
   return Opts;
 }
 
-PipelineCaches::PipelineCaches(unsigned Width)
-    : Width(Width), Simplify(Width),
-      Telemetry(telemetry::registerSource([this](telemetry::MetricsSink &S) {
-        auto Emit = [&S](const char *Layer, const CacheStats &Stats) {
-          std::string P = std::string("cache.") + Layer + ".";
-          S.value(P + "hits", Stats.Hits);
-          S.value(P + "misses", Stats.Misses);
-          S.value(P + "inserts", Stats.Inserts);
-          S.value(P + "evictions", Stats.Evictions);
-          S.value(P + "entries", Stats.Entries);
-        };
-        Emit("simplify_result", Simplify.resultStats());
-        Emit("simplify_linear", Simplify.linearStats());
-        Emit("basis", Basis.stats());
-        Emit("verdicts", Verdicts.stats());
-      })) {}
-
 void mba::bench::enableTelemetry(const HarnessOptions &Opts) {
   bool Trace = !Opts.TracePath.empty();
   bool Metrics = Trace || !Opts.MetricsPath.empty() || !Opts.JsonPath.empty();
@@ -115,54 +98,6 @@ void mba::bench::exportTelemetry(const HarnessOptions &Opts) {
                  Opts.MetricsPath.c_str());
   if (!Opts.QueryLogPath.empty())
     querylog::close();
-}
-
-bool PipelineCaches::loadFrom(const std::string &Path, std::string &Err) {
-  SnapshotReader R(Path, Width);
-  if (!R.ok()) {
-    Err = R.error();
-    return false;
-  }
-  std::string Name;
-  uint64_t Count = 0;
-  while (R.nextSection(Name, Count)) {
-    if (Simplify.loadSection(R, Name, Count))
-      continue;
-    if (Name == BasisCache::SectionName) {
-      Basis.loadSection(R, Count);
-      continue;
-    }
-    if (Name == VerdictCache::SectionName) {
-      Verdicts.loadSection(R, Count);
-      continue;
-    }
-    // Unknown section (written by a newer binary): skip its entries.
-    uint64_t Key = 0;
-    std::vector<uint8_t> Payload;
-    for (uint64_t I = 0; I != Count && R.entry(Key, Payload); ++I)
-      ;
-  }
-  if (!R.ok()) {
-    Err = R.error();
-    return false;
-  }
-  return true;
-}
-
-bool PipelineCaches::saveTo(const std::string &Path, std::string &Err) const {
-  SnapshotWriter W(Path, Width);
-  if (!W.ok()) {
-    Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  Simplify.save(W);
-  Basis.save(W);
-  Verdicts.save(W);
-  if (!W.finish()) {
-    Err = "short write to '" + Path + "'";
-    return false;
-  }
-  return true;
 }
 
 std::unique_ptr<PipelineCaches>
@@ -209,202 +144,132 @@ void mba::bench::printCacheStats(const PipelineCaches &Caches) {
   Line("verdicts", Caches.Verdicts.stats());
 }
 
-std::vector<QueryRecord> mba::bench::runSolvingStudy(
-    Context &Ctx, const std::vector<CorpusEntry> &Corpus,
-    std::vector<std::unique_ptr<EquivalenceChecker>> &Checkers,
-    double TimeoutSeconds, MBASolver *Simplifier) {
-  // Preprocess once (shared across solvers, like the paper's pipeline).
-  std::vector<const Expr *> Lhs(Corpus.size()), Rhs(Corpus.size());
-  for (size_t I = 0; I != Corpus.size(); ++I) {
-    if (Simplifier) {
-      Lhs[I] = Simplifier->simplify(Corpus[I].Obfuscated);
-      Rhs[I] = Simplifier->simplify(Corpus[I].Ground);
-    } else {
-      Lhs[I] = Corpus[I].Obfuscated;
-      Rhs[I] = Corpus[I].Ground;
-    }
-  }
-
-  std::vector<QueryRecord> Records;
-  Records.reserve(Corpus.size() * Checkers.size());
-  for (auto &Checker : Checkers) {
-    for (size_t I = 0; I != Corpus.size(); ++I) {
-      CheckResult R = Checker->check(Ctx, Lhs[I], Rhs[I], TimeoutSeconds);
-      Records.push_back(
-          {Checker->name(), Corpus[I].Category, R.Outcome, R.Seconds, I});
-    }
-  }
-  return Records;
-}
-
 namespace {
 
-/// Copies the attached caches' counters into the result (no-op when the
-/// study ran uncached).
-void recordCacheStats(StudyResult &Out, const StudyConfig &Config) {
-  if (!Config.Caches)
-    return;
-  Out.CachesEnabled = true;
-  Out.SimplifyResultCache = Config.Caches->Simplify.resultStats();
-  Out.SimplifyLinearCache = Config.Caches->Simplify.linearStats();
-  Out.BasisCacheStats = Config.Caches->Basis.stats();
-  Out.VerdictCacheStats = Config.Caches->Verdicts.stats();
-}
+/// One printed table cell: the solved queries of one (solver, category).
+struct Agg {
+  unsigned Solved = 0, Total = 0;
+  double TMin = 1e100, TMax = 0, TSum = 0;
+};
 
-/// The simplifier configuration of one study worker, with the shared
-/// caches attached when the study runs cached.
-SimplifyOptions studySimplifyOptions(const StudyConfig &Config) {
-  SimplifyOptions Opts;
-  if (Config.Caches) {
-    Opts.SharedCache = &Config.Caches->Simplify;
-    Opts.SharedBasisCache = &Config.Caches->Basis;
+/// The cells of Table 2/6, with the solvers in order of first appearance.
+struct CategoryCells {
+  std::vector<std::string> Solvers;
+  std::map<std::pair<std::string, MBAKind>, Agg> Cells;
+
+  explicit CategoryCells(const std::vector<QueryRecord> &Records) {
+    for (const QueryRecord &R : Records) {
+      if (std::find(Solvers.begin(), Solvers.end(), R.Solver) == Solvers.end())
+        Solvers.push_back(R.Solver);
+      Agg &Cell = Cells[{R.Solver, R.Category}];
+      ++Cell.Total;
+      if (R.Outcome == Verdict::Equivalent) {
+        ++Cell.Solved;
+        Cell.TMin = std::min(Cell.TMin, R.Seconds);
+        Cell.TMax = std::max(Cell.TMax, R.Seconds);
+        Cell.TSum += R.Seconds;
+      }
+    }
   }
-  return Opts;
-}
+};
 
-void mergeStageZeroStats(StageZeroStats &Into, const StageZeroStats &From) {
-  Into.Proved += From.Proved;
-  Into.Refuted += From.Refuted;
-  Into.Fallthrough += From.Fallthrough;
-  Into.StaticSeconds += From.StaticSeconds;
-  Into.SolverSeconds += From.SolverSeconds;
-  Into.Saturation.Iterations += From.Saturation.Iterations;
-  Into.Saturation.ENodes += From.Saturation.ENodes;
-  Into.Saturation.Merges += From.Saturation.Merges;
-  Into.Saturation.Matches += From.Saturation.Matches;
-}
+const MBAKind Kinds[] = {MBAKind::Linear, MBAKind::Polynomial,
+                         MBAKind::NonPolynomial};
+
+/// One study worker: a context (the caller's, or a private one) and one
+/// pipeline per profile of the matrix.
+struct Worker {
+  std::unique_ptr<Context> Owned; ///< null when running on the caller's
+  Context *Ctx = nullptr;
+  std::vector<std::unique_ptr<Pipeline>> Pipelines;
+  double CloneSeconds = 0;
+
+  void init(Context &C, const std::vector<PipelineConfig> &Matrix) {
+    Ctx = &C;
+    for (const PipelineConfig &P : Matrix)
+      Pipelines.push_back(std::make_unique<Pipeline>(C, P));
+  }
+};
 
 } // namespace
 
-StudyResult mba::bench::runSolvingStudyParallel(
-    Context &Ctx, const std::vector<CorpusEntry> &Corpus,
-    const CheckerFactory &MakeCheckers, const StudyConfig &Config) {
+StudyResult mba::bench::runStudy(Context &Ctx,
+                                 const std::vector<CorpusEntry> &Corpus,
+                                 const StudyConfig &Config) {
   StudyResult Out;
   Out.Jobs = Config.Jobs ? Config.Jobs
                          : std::max(1u, std::thread::hardware_concurrency());
-  // Total covers preprocessing + simplification + solving — the
-  // end-to-end number WallSeconds (solve loop only) never included.
   Stopwatch Total;
-  if (Config.RecordSimplified) {
-    Out.SimplifiedLhs.assign(Corpus.size(), std::string());
-    Out.SimplifiedRhs.assign(Corpus.size(), std::string());
-  }
-
-  if (Out.Jobs == 1) {
-    // Serial path, bit-identical to runSolvingStudy on the main context.
-    std::vector<std::unique_ptr<EquivalenceChecker>> Checkers =
-        MakeCheckers(Ctx);
-    if (Config.StageZero)
-      addStageZeroProver(Ctx, Checkers, Out.StaticStats,
-                         Config.Caches ? &Config.Caches->Verdicts : nullptr);
-    std::unique_ptr<MBASolver> Simplifier;
-    if (Config.Simplify)
-      Simplifier =
-          std::make_unique<MBASolver>(Ctx, studySimplifyOptions(Config));
-    std::vector<const Expr *> Lhs(Corpus.size()), Rhs(Corpus.size());
-    for (size_t I = 0; I != Corpus.size(); ++I) {
-      Lhs[I] = Simplifier ? Simplifier->simplify(Corpus[I].Obfuscated)
-                          : Corpus[I].Obfuscated;
-      Rhs[I] = Simplifier ? Simplifier->simplify(Corpus[I].Ground)
-                          : Corpus[I].Ground;
-      if (Config.RecordSimplified) {
-        Out.SimplifiedLhs[I] = printExpr(Ctx, Lhs[I]);
-        Out.SimplifiedRhs[I] = printExpr(Ctx, Rhs[I]);
-      }
-    }
-    // The wall clock starts after preprocessing (and there is no cloning
-    // on the serial path): it measures the solve loop alone.
-    Stopwatch Wall;
-    Out.Records.reserve(Corpus.size() * Checkers.size());
-    for (auto &Checker : Checkers)
-      for (size_t I = 0; I != Corpus.size(); ++I) {
-        CheckResult R =
-            Checker->check(Ctx, Lhs[I], Rhs[I], Config.TimeoutSeconds);
-        Out.Records.push_back(
-            {Checker->name(), Corpus[I].Category, R.Outcome, R.Seconds, I});
-      }
-    Out.WallSeconds = Wall.seconds();
-    if (Simplifier)
-      Out.SimplifySeconds = Simplifier->stats().Seconds;
-    recordCacheStats(Out, Config);
-    Out.TotalSeconds = Total.seconds();
-    return Out;
-  }
-
   const size_t N = Corpus.size();
-  // One private pipeline per worker. Members are ordered so the checkers
-  // (which hold pointers into Stats and Ctx) die before their targets.
-  struct Worker {
-    std::unique_ptr<Context> Ctx;
-    StageZeroStats Stats;
-    std::unique_ptr<MBASolver> Simplifier;
-    std::vector<std::unique_ptr<EquivalenceChecker>> Checkers;
-    double CloneSeconds = 0;
-  };
-  std::vector<Worker> Workers(Out.Jobs);
+  if (Config.RecordSimplified) {
+    Out.SimplifiedLhs.assign(N, std::string());
+    Out.SimplifiedRhs.assign(N, std::string());
+  }
+  const std::vector<PipelineConfig> Matrix = paperSolverMatrix(Config.Pipeline);
+  Out.Records.assign(N * Matrix.size(), QueryRecord{});
 
-  size_t NumCheckers = MakeCheckers(Ctx).size();
-  Out.Records.assign(N * NumCheckers, QueryRecord{});
-
-  ThreadPool Pool(Out.Jobs);
-  Stopwatch Wall;
-  Pool.parallelFor(N, [&](size_t I, unsigned Ordinal) {
-    Worker &W = Workers[Ordinal];
-    if (!W.Ctx) {
-      // First task on this worker: build its context here, on the worker
-      // thread, so the context's owner-thread guardrail holds. The label
-      // keys trace rows by the stable worker ordinal, not the OS thread.
-      telemetry::setThreadLabel("worker-" + std::to_string(Ordinal));
-      W.Ctx = std::make_unique<Context>(Ctx.width());
-      if (Config.Simplify)
-        W.Simplifier = std::make_unique<MBASolver>(
-            *W.Ctx, studySimplifyOptions(Config));
-      W.Checkers = MakeCheckers(*W.Ctx);
-      if (Config.StageZero)
-        addStageZeroProver(*W.Ctx, W.Checkers, W.Stats,
-                           Config.Caches ? &Config.Caches->Verdicts
-                                         : nullptr);
+  // One entry: simplified once (by the first profile's pipeline), then
+  // checked by every profile. Slots are pre-assigned, profile-major.
+  auto RunEntry = [&](Worker &W, size_t I) {
+    const Expr *Lhs = Corpus[I].Obfuscated, *Rhs = Corpus[I].Ground;
+    if (W.Owned) {
+      Stopwatch CloneTimer;
+      Lhs = cloneExpr(*W.Ctx, Lhs);
+      Rhs = cloneExpr(*W.Ctx, Rhs);
+      W.CloneSeconds += CloneTimer.seconds();
     }
-    Stopwatch CloneTimer;
-    const Expr *Lhs = cloneExpr(*W.Ctx, Corpus[I].Obfuscated);
-    const Expr *Rhs = cloneExpr(*W.Ctx, Corpus[I].Ground);
-    W.CloneSeconds += CloneTimer.seconds();
-    if (W.Simplifier) {
-      Lhs = W.Simplifier->simplify(Lhs);
-      Rhs = W.Simplifier->simplify(Rhs);
-    }
+    Lhs = W.Pipelines.front()->simplify(Lhs);
+    Rhs = W.Pipelines.front()->simplify(Rhs);
     if (Config.RecordSimplified) {
-      // Pre-assigned slots: no lock needed, no order dependence.
       Out.SimplifiedLhs[I] = printExpr(*W.Ctx, Lhs);
       Out.SimplifiedRhs[I] = printExpr(*W.Ctx, Rhs);
     }
-    for (size_t C = 0; C != W.Checkers.size(); ++C) {
-      CheckResult R =
-          W.Checkers[C]->check(*W.Ctx, Lhs, Rhs, Config.TimeoutSeconds);
-      // Slot layout matches the serial loop's checker-major order.
-      Out.Records[C * N + I] = {W.Checkers[C]->name(), Corpus[I].Category,
+    for (size_t C = 0; C != W.Pipelines.size(); ++C) {
+      CheckResult R = W.Pipelines[C]->check(Lhs, Rhs);
+      Out.Records[C * N + I] = {W.Pipelines[C]->name(), Corpus[I].Category,
                                 R.Outcome, R.Seconds, I};
     }
-  });
+  };
+
+  std::vector<Worker> Workers(Out.Jobs);
+  Stopwatch Wall;
+  if (Out.Jobs == 1) {
+    Workers[0].init(Ctx, Matrix);
+    for (size_t I = 0; I != N; ++I)
+      RunEntry(Workers[0], I);
+  } else {
+    ThreadPool Pool(Out.Jobs);
+    Pool.parallelFor(N, [&](size_t I, unsigned Ordinal) {
+      Worker &W = Workers[Ordinal];
+      if (!W.Ctx) {
+        // First task on this worker: build its context here, on the worker
+        // thread, so the context's owner-thread guardrail holds. The label
+        // keys trace rows by the stable worker ordinal, not the OS thread.
+        telemetry::setThreadLabel("worker-" + std::to_string(Ordinal));
+        W.Owned = std::make_unique<Context>(Ctx.width());
+        W.init(*W.Owned, Matrix);
+      }
+      RunEntry(W, I);
+    });
+    Out.Pool = Pool.stats();
+  }
   Out.WallSeconds = Wall.seconds();
-  Out.Pool = Pool.stats();
   for (Worker &W : Workers) {
-    mergeStageZeroStats(Out.StaticStats, W.Stats);
-    if (W.Simplifier)
-      Out.SimplifySeconds += W.Simplifier->stats().Seconds;
+    for (const std::unique_ptr<Pipeline> &P : W.Pipelines)
+      Out.StaticStats += P->stageZeroStats();
+    if (!W.Pipelines.empty())
+      Out.SimplifySeconds += W.Pipelines.front()->simplifySeconds();
     Out.CloneSeconds += W.CloneSeconds;
   }
-  recordCacheStats(Out, Config);
+  if (const PipelineCaches *Caches = Config.Pipeline.Caches) {
+    Out.CachesEnabled = true;
+    Out.SimplifyResultCache = Caches->Simplify.resultStats();
+    Out.SimplifyLinearCache = Caches->Simplify.linearStats();
+    Out.BasisCacheStats = Caches->Basis.stats();
+    Out.VerdictCacheStats = Caches->Verdicts.stats();
+  }
   Out.TotalSeconds = Total.seconds();
   return Out;
-}
-
-void mba::bench::addStageZeroProver(
-    Context &Ctx, std::vector<std::unique_ptr<EquivalenceChecker>> &Checkers,
-    StageZeroStats &Stats, VerdictCache *Verdicts) {
-  for (auto &Checker : Checkers)
-    Checker = makeStagedChecker(Ctx, std::move(Checker), &Stats, ProveBudget(),
-                                Verdicts);
 }
 
 void mba::bench::printStageZeroStats(const StageZeroStats &Stats) {
@@ -544,35 +409,17 @@ void mba::bench::writeStudyJson(const std::string &Path,
   std::fprintf(F, "%s},\n", Metrics.empty() ? "" : "\n  ");
 
   // Per-solver, per-category aggregation (the printed table's cells).
-  struct Agg {
-    unsigned Solved = 0, Total = 0;
-    double TMin = 1e100, TMax = 0, TSum = 0;
-  };
-  std::vector<std::string> Solvers;
-  std::map<std::pair<std::string, MBAKind>, Agg> Cells;
-  for (const QueryRecord &R : Result.Records) {
-    if (std::find(Solvers.begin(), Solvers.end(), R.Solver) == Solvers.end())
-      Solvers.push_back(R.Solver);
-    Agg &Cell = Cells[{R.Solver, R.Category}];
-    ++Cell.Total;
-    if (R.Outcome == Verdict::Equivalent) {
-      ++Cell.Solved;
-      Cell.TMin = std::min(Cell.TMin, R.Seconds);
-      Cell.TMax = std::max(Cell.TMax, R.Seconds);
-      Cell.TSum += R.Seconds;
-    }
-  }
+  CategoryCells Grid(Result.Records);
+  const std::vector<std::string> &Solvers = Grid.Solvers;
   std::fprintf(F, "  \"solvers\": [\n");
-  const MBAKind Kinds[] = {MBAKind::Linear, MBAKind::Polynomial,
-                           MBAKind::NonPolynomial};
   for (size_t S = 0; S != Solvers.size(); ++S) {
     std::fprintf(F, "    {\"name\": \"%s\", \"categories\": [",
                  Solvers[S].c_str());
     bool First = true;
     unsigned TotalSolved = 0, Total = 0;
     for (MBAKind K : Kinds) {
-      auto It = Cells.find({Solvers[S], K});
-      if (It == Cells.end())
+      auto It = Grid.Cells.find({Solvers[S], K});
+      if (It == Grid.Cells.end())
         continue;
       const Agg &Cell = It->second;
       TotalSolved += Cell.Solved;
@@ -602,41 +449,18 @@ std::string mba::bench::formatSeconds(double S) {
 }
 
 void mba::bench::printSolverCategoryTable(
-    const std::vector<QueryRecord> &Records, size_t CorpusSizePerCategory,
-    const std::string &Title) {
+    const std::vector<QueryRecord> &Records, const std::string &Title) {
   std::printf("=== %s ===\n", Title.c_str());
   std::printf("(N = solved; times in seconds over solved queries)\n");
 
-  struct Agg {
-    unsigned Solved = 0;
-    unsigned Total = 0;
-    double TMin = 1e100, TMax = 0, TSum = 0;
-  };
-  // Preserve solver order of first appearance.
-  std::vector<std::string> Solvers;
-  std::map<std::pair<std::string, MBAKind>, Agg> Cells;
-  for (const QueryRecord &R : Records) {
-    if (std::find(Solvers.begin(), Solvers.end(), R.Solver) == Solvers.end())
-      Solvers.push_back(R.Solver);
-    Agg &Cell = Cells[{R.Solver, R.Category}];
-    ++Cell.Total;
-    if (R.Outcome == Verdict::Equivalent) {
-      ++Cell.Solved;
-      Cell.TMin = std::min(Cell.TMin, R.Seconds);
-      Cell.TMax = std::max(Cell.TMax, R.Seconds);
-      Cell.TSum += R.Seconds;
-    }
-  }
-
-  const MBAKind Kinds[] = {MBAKind::Linear, MBAKind::Polynomial,
-                           MBAKind::NonPolynomial};
-  for (const std::string &Solver : Solvers) {
+  CategoryCells Table(Records);
+  for (const std::string &Solver : Table.Solvers) {
     std::printf("%-12s %-10s %6s %10s %10s %10s\n", Solver.c_str(), "type",
                 "N", "Tmin", "Tmax", "Tavg");
     unsigned TotalSolved = 0, Total = 0;
     for (MBAKind K : Kinds) {
-      auto It = Cells.find({Solver, K});
-      if (It == Cells.end())
+      auto It = Table.Cells.find({Solver, K});
+      if (It == Table.Cells.end())
         continue;
       const Agg &Cell = It->second;
       TotalSolved += Cell.Solved;
@@ -654,19 +478,13 @@ void mba::bench::printSolverCategoryTable(
     std::printf("%-12s total solved: %u / %u (%.1f%%)\n\n", "", TotalSolved,
                 Total, Pct);
   }
-  (void)CorpusSizePerCategory;
 }
 
 void mba::bench::printTimeDistribution(const std::vector<QueryRecord> &Records,
                                        double TimeoutSeconds,
                                        const std::string &Title) {
   std::printf("=== %s ===\n", Title.c_str());
-  std::vector<std::string> Solvers;
-  for (const QueryRecord &R : Records)
-    if (std::find(Solvers.begin(), Solvers.end(), R.Solver) == Solvers.end())
-      Solvers.push_back(R.Solver);
-
-  for (const std::string &Solver : Solvers) {
+  for (const std::string &Solver : CategoryCells(Records).Solvers) {
     std::vector<double> Times;
     unsigned Timeouts = 0, Total = 0;
     for (const QueryRecord &R : Records) {
@@ -703,7 +521,6 @@ void mba::bench::printTimeDistribution(const std::vector<QueryRecord> &Records,
       const char *Glyphs = " .:-=+*#%@";
       int G = std::min(9, (int)(Frac * 10));
       std::printf("%c", Glyphs[G]);
-      (void)T;
     }
     std::printf("| %.0f%% solved at timeout\n", Total ? 100.0 * Times.size() / Total : 0.0);
   }

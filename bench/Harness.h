@@ -24,13 +24,9 @@
 
 #include "ast/Context.h"
 #include "gen/Corpus.h"
-#include "mba/Simplifier.h"
-#include "mba/SimplifyCache.h"
-#include "solvers/EquivalenceChecker.h"
-#include "support/Telemetry.h"
+#include "solvers/Pipeline.h"
 #include "support/ThreadPool.h"
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,11 +40,11 @@ struct HarnessOptions {
   unsigned Width = 64;         ///< word width (paper: 64)
   uint64_t Seed = 20210620;
   /// Run the static equivalence prover as stage 0 in front of every
-  /// backend (benches that opt in call addStageZeroProver). Sound either
-  /// way — verdicts are identical with or without it.
+  /// backend (PipelineConfig::StageZero, for the benches that opt in).
+  /// Sound either way — verdicts are identical with or without it.
   bool StageZeroProver = true;
   /// Worker threads for the solving loop: 0 = hardware concurrency,
-  /// 1 = the exact serial path on the main context.
+  /// 1 = inline on the main context.
   unsigned Jobs = 0;
   /// MBA-Solver preprocessing for the benches that default to it
   /// (table6/fig6). --simplify=0 feeds the raw corpus to the same solver
@@ -95,30 +91,8 @@ void enableTelemetry(const HarnessOptions &Opts);
 /// I/O failure). No-op for paths left empty.
 void exportTelemetry(const HarnessOptions &Opts);
 
-/// The three shared caches of one study run, built at a fixed word width.
-/// All members are internally synchronized; one PipelineCaches can feed
-/// every worker of a parallel study and persist across runs via the
-/// snapshot format (support/Cache.h).
-struct PipelineCaches {
-  explicit PipelineCaches(unsigned Width);
-
-  unsigned Width;
-  SimplifyCache Simplify;
-  BasisCache Basis;
-  VerdictCache Verdicts;
-  /// Publishes every cache's hit/miss/entry counters into the telemetry
-  /// registry (cache.<layer>.<counter>) for the lifetime of this object.
-  telemetry::SourceHandle Telemetry;
-
-  /// Loads a snapshot written by saveTo(). Unknown sections are skipped;
-  /// a missing file, bad magic, version or width mismatch fails with
-  /// \p Err set and leaves the caches unchanged (partial corruption drops
-  /// the remainder of the file only).
-  bool loadFrom(const std::string &Path, std::string &Err);
-
-  /// Writes every cache as one snapshot file.
-  bool saveTo(const std::string &Path, std::string &Err) const;
-};
+/// The study's shared caches (solvers/Pipeline.h).
+using PipelineCaches = mba::PipelineCaches;
 
 /// Builds the cache set Opts asks for: null when caching is off, otherwise
 /// fresh caches pre-loaded from Opts.CacheFile when that file exists (a
@@ -142,55 +116,37 @@ struct QueryRecord {
   size_t EntryIndex = 0;
 };
 
-/// Runs every (checker, corpus entry) pair on the identity query. When
-/// \p Simplifier is non-null, both sides are preprocessed through it first
-/// (the paper's MBA-Solver-assisted configuration of Table 6); solver time
-/// excludes preprocessing, which the paper reports separately (Table 8).
-std::vector<QueryRecord>
-runSolvingStudy(Context &Ctx, const std::vector<CorpusEntry> &Corpus,
-                std::vector<std::unique_ptr<EquivalenceChecker>> &Checkers,
-                double TimeoutSeconds, MBASolver *Simplifier);
-
-/// Builds the checker set for one context. Called once per worker in a
-/// parallel study, so every backend instance is private to its thread.
-using CheckerFactory =
-    std::function<std::vector<std::unique_ptr<EquivalenceChecker>>(
-        Context &Ctx)>;
-
-/// Configuration for runSolvingStudyParallel.
+/// Configuration for runStudy.
 struct StudyConfig {
-  double TimeoutSeconds = 1.0;
-  /// Worker threads. 1 runs the serial loop inline on the main context —
-  /// bit-identical to runSolvingStudy. 0 = hardware concurrency.
+  StudyConfig() {
+    Pipeline.Simplify = false;
+    Pipeline.StageZero = false;
+    Pipeline.TimeoutSeconds = 1.0;
+  }
+
+  /// What every profile of paperSolverMatrix runs; simplify and stage 0
+  /// default off. Verdicts and simplified text are bit-identical with and
+  /// without caches (pinned by tests/harness_test.cpp).
+  PipelineConfig Pipeline;
+  /// Worker threads. 1 runs inline on the main context. 0 = hardware
+  /// concurrency.
   unsigned Jobs = 1;
-  /// Preprocess both sides through a per-worker MBASolver (Table 6's
-  /// configuration) before handing them to the checkers.
-  bool Simplify = false;
-  /// Wrap every checker in the stage-0 static prover (addStageZeroProver);
-  /// counters are merged across workers into StudyResult::StaticStats.
-  bool StageZero = false;
-  /// Shared memoization layer: simplify/basis caches feed every worker's
-  /// MBASolver, the verdict cache short-circuits the staged checkers. Null
-  /// runs uncached. Either way the verdicts and simplified expressions are
-  /// bit-identical (pinned by tests/harness_test.cpp).
-  PipelineCaches *Caches = nullptr;
   /// Record the printed simplified (or raw, when !Simplify) expressions
   /// per corpus entry into StudyResult::SimplifiedLhs/Rhs — the hook the
   /// determinism tests compare across job counts and cache configurations.
   bool RecordSimplified = false;
 };
 
-/// Everything a study run produces: the per-query records (in the same
-/// checker-major order as runSolvingStudy, regardless of Jobs) plus the
-/// aggregate counters the JSON report serializes.
+/// Everything a study run produces: the per-query records (profile-major,
+/// regardless of Jobs) plus the aggregate counters the JSON report
+/// serializes.
 struct StudyResult {
   std::vector<QueryRecord> Records;
-  StageZeroStats StaticStats;  ///< merged across workers (Config.StageZero)
+  StageZeroStats StaticStats;  ///< merged across profiles and workers
   double SimplifySeconds = 0;  ///< preprocessing cost, summed over workers
   double CloneSeconds = 0;     ///< cross-context corpus cloning, summed
-  double WallSeconds = 0;      ///< solve loop only; excludes corpus setup
-  /// End-to-end study time: preprocessing + simplify + solve (the number
-  /// "wall_seconds" historically missed — it starts after preprocessing).
+  double WallSeconds = 0;      ///< clone + simplify + solve loop
+  /// End-to-end study time, worker setup included.
   double TotalSeconds = 0;
   PoolStats Pool;              ///< steal/idle counters (zero when Jobs == 1)
   unsigned Jobs = 1;           ///< resolved worker count
@@ -204,17 +160,14 @@ struct StudyResult {
   CacheStats VerdictCacheStats;   ///< equivalence-verdict counters
 };
 
-/// The parallel solving study. Work is partitioned per corpus entry; each
-/// worker owns a private Context (created on its own thread — see the
-/// threading model in ast/Context.h), clones the entry's expressions into
-/// it with cloneExpr, optionally simplifies, and runs every checker from
-/// its own factory-built set. Results land in pre-assigned slots, so the
-/// record order — and, since every stage is deterministic, every verdict —
-/// is identical for any job count.
-StudyResult runSolvingStudyParallel(Context &Ctx,
-                                    const std::vector<CorpusEntry> &Corpus,
-                                    const CheckerFactory &MakeCheckers,
-                                    const StudyConfig &Config);
+/// The solving study: each corpus entry is simplified once, then checked by
+/// every profile of the paper's matrix. One job runs inline on \p Ctx; more
+/// partition the corpus over workers that each own a private Context
+/// (built on its own thread, see ast/Context.h) and clone entries into it.
+/// Results land in pre-assigned slots, so record order and every verdict
+/// are identical for any job count.
+StudyResult runStudy(Context &Ctx, const std::vector<CorpusEntry> &Corpus,
+                     const StudyConfig &Config);
 
 /// Writes \p Result as a machine-readable JSON report (the BENCH_*.json
 /// files; schema documented in docs/PERF.md): run config, wall-clock and
@@ -226,7 +179,6 @@ void writeStudyJson(const std::string &Path, const std::string &Table,
 /// Prints the Table 2 / Table 6 layout: one block per solver with per-
 /// category N, [Tmin, Tmax], Tavg and the total solved count.
 void printSolverCategoryTable(const std::vector<QueryRecord> &Records,
-                              size_t CorpusSizePerCategory,
                               const std::string &Title);
 
 /// Prints a solving-time distribution "figure": per solver, the sorted
@@ -237,14 +189,6 @@ void printTimeDistribution(const std::vector<QueryRecord> &Records,
 
 /// Convenience: formats seconds with three decimals.
 std::string formatSeconds(double S);
-
-/// Wraps every checker in \p Checkers with the stage-0 static prover
-/// (makeStagedChecker), all feeding the shared \p Stats counters. \p Stats
-/// must outlive the checkers. \p Verdicts optionally short-circuits
-/// repeated queries before stage 0 (see makeStagedChecker).
-void addStageZeroProver(
-    Context &Ctx, std::vector<std::unique_ptr<EquivalenceChecker>> &Checkers,
-    StageZeroStats &Stats, VerdictCache *Verdicts = nullptr);
 
 /// Prints the stage-0 counters accumulated by a staged run: the
 /// proved/refuted/fallthrough split (how many queries never reached a

@@ -43,26 +43,29 @@ int main(int Argc, char **Argv) {
     CorpusOpts.IncludeSeedIdentities = false;
     auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
-    auto Checkers = makeAllCheckers();
+    StudyConfig Config;
+    Config.Pipeline.TimeoutSeconds = Opts.TimeoutSeconds;
+    auto Raw = runStudy(Ctx, Corpus, Config).Records;
+    Config.Pipeline.Simplify = true;
+    auto Simp = runStudy(Ctx, Corpus, Config).Records;
+
+    // Records are profile-major; entry 0 of each names its profile.
+    std::vector<std::string> Solvers;
+    for (const QueryRecord &R : Raw)
+      if (R.EntryIndex == 0)
+        Solvers.push_back(R.Solver);
     if (!HeaderDone) {
-      for (auto &C : Checkers)
-        std::printf(" | %-10s raw  simp", C->name().c_str());
+      for (const std::string &Solver : Solvers)
+        std::printf(" | %-10s raw  simp", Solver.c_str());
       std::printf("\n");
       HeaderDone = true;
     }
-
-    auto Raw = runSolvingStudy(Ctx, Corpus, Checkers, Opts.TimeoutSeconds,
-                               nullptr);
-    MBASolver Simplifier(Ctx);
-    auto Simp = runSolvingStudy(Ctx, Corpus, Checkers, Opts.TimeoutSeconds,
-                                &Simplifier);
-
     std::printf("%-8u", Width);
-    for (auto &C : Checkers) {
+    for (const std::string &Solver : Solvers) {
       auto Rate = [&](const std::vector<QueryRecord> &Records) {
         unsigned Solved = 0, Total = 0;
         for (const QueryRecord &R : Records) {
-          if (R.Solver != C->name())
+          if (R.Solver != Solver)
             continue;
           ++Total;
           Solved += R.Outcome == Verdict::Equivalent;

@@ -93,9 +93,9 @@ int main(int Argc, char **Argv) {
   for (const CorpusEntry &E : Corpus)
     Metrics.push_back(measureComplexity(Ctx, E.Obfuscated));
 
-  auto Checkers = makeAllCheckers();
-  auto Records = runSolvingStudy(Ctx, Corpus, Checkers, Opts.TimeoutSeconds,
-                                 /*Simplifier=*/nullptr);
+  StudyConfig Config;
+  Config.Pipeline.TimeoutSeconds = Opts.TimeoutSeconds;
+  auto Records = runStudy(Ctx, Corpus, Config).Records;
 
   std::printf("=== Figure 3: complexity metrics vs solving performance "
               "(raw queries, all solvers pooled) ===\n");

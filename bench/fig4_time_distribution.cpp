@@ -37,9 +37,9 @@ int main(int Argc, char **Argv) {
   CorpusOpts.IncludeSeedIdentities = false;
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
-  auto Checkers = makeAllCheckers();
-  auto Records = runSolvingStudy(Ctx, Corpus, Checkers, Opts.TimeoutSeconds,
-                                 /*Simplifier=*/nullptr);
+  StudyConfig Config;
+  Config.Pipeline.TimeoutSeconds = Opts.TimeoutSeconds;
+  auto Records = runStudy(Ctx, Corpus, Config).Records;
   printTimeDistribution(Records, Opts.TimeoutSeconds,
                         "Figure 4: solving-time distribution on RAW MBA");
 

@@ -29,10 +29,10 @@ int main(int Argc, char **Argv) {
   CorpusOpts.Seed = Opts.Seed;
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
-  MBASolver Simplifier(Ctx);
-  auto Checkers = makeAllCheckers();
-  auto Records =
-      runSolvingStudy(Ctx, Corpus, Checkers, Opts.TimeoutSeconds, &Simplifier);
+  StudyConfig Config;
+  Config.Pipeline.Simplify = true;
+  Config.Pipeline.TimeoutSeconds = Opts.TimeoutSeconds;
+  auto Records = runStudy(Ctx, Corpus, Config).Records;
   printTimeDistribution(
       Records, Opts.TimeoutSeconds,
       "Figure 6: solving-time distribution with MBA-Solver simplification");

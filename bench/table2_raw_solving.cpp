@@ -43,15 +43,14 @@ int main(int Argc, char **Argv) {
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
   StudyConfig Config;
-  Config.TimeoutSeconds = Opts.TimeoutSeconds;
+  Config.Pipeline.TimeoutSeconds = Opts.TimeoutSeconds;
   Config.Jobs = Opts.Jobs;
   std::unique_ptr<PipelineCaches> Caches = makePipelineCaches(Opts);
-  Config.Caches = Caches.get();
-  StudyResult Result = runSolvingStudyParallel(
-      Ctx, Corpus, [](Context &) { return makeAllCheckers(); }, Config);
+  Config.Pipeline.Caches = Caches.get();
+  StudyResult Result = runStudy(Ctx, Corpus, Config);
   savePipelineCaches(Opts, Caches.get());
   printSolverCategoryTable(
-      Result.Records, Opts.PerCategory,
+      Result.Records,
       "Table 2: solving RAW MBA identity equations (timeout " +
           formatSeconds(Opts.TimeoutSeconds) + "s, width " +
           std::to_string(Opts.Width) + ")");

@@ -35,24 +35,23 @@ int main(int Argc, char **Argv) {
   // corpus out over per-worker contexts; verdicts are identical for any
   // job count.
   StudyConfig Config;
-  Config.TimeoutSeconds = Opts.TimeoutSeconds;
+  Config.Pipeline.TimeoutSeconds = Opts.TimeoutSeconds;
   Config.Jobs = Opts.Jobs;
   // --simplify=0 skips the paper's preprocessing and feeds the raw corpus
   // to the same solver matrix — the one-binary before/after ablation, and
   // the configuration that actually reaches SAT (simplified queries
   // collapse structurally on the AIG).
-  Config.Simplify = Opts.Simplify;
-  Config.StageZero = Opts.StageZeroProver;
+  Config.Pipeline.Simplify = Opts.Simplify;
+  Config.Pipeline.StageZero = Opts.StageZeroProver;
   // --cache=1 shares the semantic memoization layer across the study;
   // --cache-file=PATH additionally loads/saves a snapshot, so a second run
   // starts warm. Verdicts are bit-identical either way.
   std::unique_ptr<PipelineCaches> Caches = makePipelineCaches(Opts);
-  Config.Caches = Caches.get();
-  StudyResult Result = runSolvingStudyParallel(
-      Ctx, Corpus, [](Context &) { return makeAllCheckers(); }, Config);
+  Config.Pipeline.Caches = Caches.get();
+  StudyResult Result = runStudy(Ctx, Corpus, Config);
   savePipelineCaches(Opts, Caches.get());
   printSolverCategoryTable(
-      Result.Records, Opts.PerCategory,
+      Result.Records,
       "Table 6: solving after MBA-Solver simplification (timeout " +
           formatSeconds(Opts.TimeoutSeconds) + "s, width " +
           std::to_string(Opts.Width) + ")");

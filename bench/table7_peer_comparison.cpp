@@ -17,10 +17,11 @@
 /// Columns: correctness Y/N/O and ratio, average MBA alternation before and
 /// after (correct outputs only), and average verification time.
 ///
-/// Each output is first given to the SigCheck backend: a counterexample it
-/// samples, or a Theorem 1 disproof, is an N that does not depend on the
-/// machine. Only the outputs it does not refute go to the timed SMT
-/// verifier, which decides Y (proved) or O (timed out), as in the paper.
+/// Each output is checked by one pipeline (solvers/Pipeline.h) that asks
+/// the SigCheck backend first: its counterexample or Theorem 1 disproof is
+/// an N, and its proof a Y, neither depending on the machine. Only the
+/// outputs it leaves undecided go to the timed SMT verifier, which decides
+/// Y (proved) or O (timed out), as in the paper.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,10 +79,13 @@ int main(int Argc, char **Argv) {
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
   // The verifying solver, as in the paper: the tool output is checked
-  // against the ground truth by an SMT solver with a timeout.
-  auto Checkers = makeAllCheckers();
-  EquivalenceChecker *Verifier = Checkers.front().get();
-  auto Refuter = makeSignatureChecker();
+  // against the ground truth by an SMT solver (the matrix's first, Z3 when
+  // built with it) with a timeout, behind the SigCheck refuter.
+  PipelineConfig VerifyConfig;
+  VerifyConfig.StageZero = false;
+  VerifyConfig.RefuteFirst = true;
+  VerifyConfig.TimeoutSeconds = Opts.TimeoutSeconds;
+  Pipeline Verifier(Ctx, paperSolverMatrix(VerifyConfig).front());
 
   PatternRewriter Sspam(Ctx);
   Synthesizer Syntia(Ctx);
@@ -92,18 +96,11 @@ int main(int Argc, char **Argv) {
           const std::function<const Expr *(const CorpusEntry &)> &Tool) {
         ToolRow Row;
         Row.Name = Name;
-        Stopwatch Total;
         for (const CorpusEntry &E : Corpus) {
           Stopwatch ToolTimer;
           const Expr *Out = Tool(E);
           Row.ToolTime += ToolTimer.seconds();
-          if (Refuter->check(Ctx, Out, E.Ground, Opts.TimeoutSeconds)
-                  .Outcome == Verdict::NotEquivalent) {
-            ++Row.CountN;
-            continue;
-          }
-          CheckResult R = Verifier->check(Ctx, Out, E.Ground,
-                                          Opts.TimeoutSeconds);
+          CheckResult R = Verifier.check(Out, E.Ground);
           switch (R.Outcome) {
           case Verdict::Equivalent:
             ++Row.CountY;
@@ -119,7 +116,6 @@ int main(int Argc, char **Argv) {
             break;
           }
         }
-        (void)Total;
         return Row;
       };
 
@@ -137,9 +133,9 @@ int main(int Argc, char **Argv) {
     return Solver.simplify(E.Obfuscated);
   });
 
-  std::printf("=== Table 7: peer-tool comparison (refuter %s, verifier %s, "
-              "timeout %ss, %u/category) ===\n",
-              Refuter->name().c_str(), Verifier->name().c_str(),
+  std::printf("=== Table 7: peer-tool comparison (verifier SigCheck, then "
+              "%s, timeout %ss, %u/category) ===\n",
+              Verifier.name().c_str(),
               formatSeconds(Opts.TimeoutSeconds).c_str(), Opts.PerCategory);
   SspamRow.print();
   SyntiaRow.print();

@@ -32,7 +32,7 @@
 #include "gen/ProgramGen.h"
 #include "ir/Passes.h"
 #include "ir/Program.h"
-#include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 #include "support/RNG.h"
 #include "support/Stopwatch.h"
 #include "support/Telemetry.h"
@@ -109,12 +109,14 @@ int main(int Argc, char **Argv) {
       generateProgramCorpus(Ctx, Count, Opts.Seed, GenOpts,
                             /*MixBranchy=*/true);
 
-  MBASolver Solver(Ctx);
-  auto Checker = makeRegionVerifier(Ctx);
-  auto SolveChecker = makeBlastChecker(true);
-
   PassOptions POpts;
   POpts.VerifyTimeout = Opts.TimeoutSeconds;
+  MBASolver Solver(Ctx);
+  Pipeline Verifier(Ctx, regionVerifierConfig(POpts));
+  // The solve-rate query: the verifier's backend alone.
+  PipelineConfig SolveConfig = regionVerifierConfig(POpts);
+  SolveConfig.StageZero = SolveConfig.RefuteFirst = false;
+  Pipeline RawSolver(Ctx, SolveConfig);
 
   RNG CheckRng(Opts.Seed ^ 0x9e3779b97f4a7c15ULL);
   size_t NodesBefore = 0, NodesAfter = 0;
@@ -147,8 +149,7 @@ int main(int Argc, char **Argv) {
       RawFlat = flattenValue(Ctx, F, retValue(F));
 
     Stopwatch PipeTimer;
-    FunctionReport R = deobfuscateFunction(Ctx, F, Solver, Checker.get(),
-                                           POpts);
+    FunctionReport R = deobfuscateFunction(Ctx, F, Solver, &Verifier, POpts);
     PipelineSeconds += PipeTimer.seconds();
 
     if (!agreesWithGround(Ctx, F, G.Ground, CheckRng, 8, "post")) {
@@ -167,8 +168,7 @@ int main(int Argc, char **Argv) {
 
     if (RawFlat) {
       ++SolveQueries;
-      CheckResult Raw = SolveChecker->check(Ctx, RawFlat, G.Ground,
-                                            Opts.TimeoutSeconds);
+      CheckResult Raw = RawSolver.check(RawFlat, G.Ground);
       RawSeconds += Raw.Seconds;
       if (Raw.Outcome == Verdict::Equivalent)
         ++RawSolved;
@@ -178,8 +178,7 @@ int main(int Argc, char **Argv) {
         ++Failures;
       }
       const Expr *SimpFlat = flattenValue(Ctx, F, retValue(F));
-      CheckResult Simp = SolveChecker->check(Ctx, SimpFlat, G.Ground,
-                                             Opts.TimeoutSeconds);
+      CheckResult Simp = RawSolver.check(SimpFlat, G.Ground);
       SimpSeconds += Simp.Seconds;
       if (Simp.Outcome == Verdict::Equivalent)
         ++SimpSolved;

@@ -51,7 +51,7 @@
 #include "gen/Obfuscator.h"
 #include "mba/Classify.h"
 #include "poly/PolyExpr.h"
-#include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 #include "support/RNG.h"
 #include "support/Stopwatch.h"
 #include "support/Telemetry.h"
@@ -150,22 +150,24 @@ ConfigResult runConfig(Context &Ctx, const std::vector<Entry> &Entries,
                        double TimeoutSeconds) {
   ConfigResult R;
   R.Name = Name;
-  MBASolver Solver(Ctx, SOpts);
-  // The production solving configuration: stage-0 static prover in front
-  // of the BlastBV+AIG backend. Both sides are preprocessed,
-  // exactly like the Table 6 study — with the synth fallback on, two
-  // semantically equal residues canonicalize to the same expression, so
-  // the query collapses structurally instead of reaching SAT.
-  auto Checker = makeStagedChecker(Ctx, makeAigChecker());
+  // The shipped pipeline: stage-0 static prover in front of the
+  // BlastBV+AIG backend. Both sides are preprocessed, exactly like the
+  // Table 6 study — with the synth fallback on, two semantically equal
+  // residues canonicalize to the same expression, so the query collapses
+  // structurally instead of reaching SAT.
+  PipelineConfig Config;
+  Config.SimplifyOpts = SOpts;
+  Config.TimeoutSeconds = TimeoutSeconds;
+  Pipeline P(Ctx, Config);
   telemetry::Counter &Queries = telemetry::counter("sat.aig.queries");
   telemetry::Counter &Short = telemetry::counter("sat.aig.short_circuit");
   telemetry::Counter &Fresh = telemetry::counter("sat.fresh.solves");
   uint64_t Q0 = Queries.value(), S0 = Short.value(), V0 = Fresh.value();
   for (const Entry &E : Entries) {
     Stopwatch Timer;
-    const Expr *Lhs = Solver.simplify(E.Target);
-    const Expr *Rhs = Solver.simplify(E.Ground);
-    CheckResult CR = Checker->check(Ctx, Lhs, Rhs, TimeoutSeconds);
+    const Expr *Lhs = P.simplify(E.Target);
+    const Expr *Rhs = P.simplify(E.Ground);
+    CheckResult CR = P.check(Lhs, Rhs);
     R.record(CR.Outcome == Verdict::Equivalent,
              classifyMBA(Ctx, Lhs) == MBAKind::NonPolynomial,
              Timer.seconds());

@@ -46,7 +46,7 @@
 #include "mba/Metrics.h"
 #include "mba/Signature.h"
 #include "mba/Simplifier.h"
-#include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 #include "support/Json.h"
 #include "support/QueryLog.h"
 #include "support/Telemetry.h"
@@ -290,9 +290,13 @@ int run(int Argc, char **Argv) {
     const Expr *A = parseArg(Ctx, Positional[1]);
     const Expr *B = parseArg(Ctx, Positional[2]);
     int Exit = 0;
-    for (auto &C : makeAllCheckers()) {
-      CheckResult R = C->check(Ctx, A, B, Timeout);
-      std::printf("%-12s %-15s %.3f s\n", C->name().c_str(),
+    PipelineConfig Raw;
+    Raw.StageZero = false;
+    Raw.TimeoutSeconds = Timeout;
+    for (const PipelineConfig &Config : paperSolverMatrix(Raw)) {
+      Pipeline P(Ctx, Config);
+      CheckResult R = P.check(A, B);
+      std::printf("%-12s %-15s %.3f s\n", P.name().c_str(),
                   verdictName(R.Outcome), R.Seconds);
       if (R.Outcome == Verdict::NotEquivalent)
         Exit = 1;
@@ -303,22 +307,21 @@ int run(int Argc, char **Argv) {
   if (Command == "explain") {
     const Expr *E = parseArg(Ctx, Positional[1]);
     // Capture the full decision trail in memory: simplify, then verify the
-    // result against the input through the staged pipeline (stage-0 prover
-    // in front of the BlastBV+AIG backend) — the same path a study
+    // result against the input through the shipped pipeline (stage-0
+    // prover in front of the BlastBV+AIG backend) — the same path a study
     // query takes.
     querylog::beginCapture();
-    MBASolver Solver(Ctx);
-    const Expr *R = Solver.simplify(E);
-    StageZeroStats Stats;
-    auto Checker = makeStagedChecker(Ctx, makeAigChecker(), &Stats,
-                                     ProveBudget(), nullptr);
-    CheckResult CR = Checker->check(Ctx, E, R, Timeout);
+    PipelineConfig Config;
+    Config.TimeoutSeconds = Timeout;
+    Pipeline P(Ctx, Config);
+    const Expr *R = P.simplify(E);
+    CheckResult CR = P.check(E, R);
     std::vector<std::string> Lines = querylog::endCapture();
 
     std::printf("input:      %s\n", printExpr(Ctx, E).c_str());
     std::printf("simplified: %s\n", printExpr(Ctx, R).c_str());
     std::printf("verified:   %s (%s, %.3f s)\n\n",
-                verdictName(CR.Outcome), Checker->name().c_str(), CR.Seconds);
+                verdictName(CR.Outcome), P.name().c_str(), CR.Seconds);
     for (const std::string &Line : Lines) {
       json::Value Rec;
       std::string Err;

@@ -62,6 +62,15 @@ struct ProveStats {
   size_t EClasses = 0;
   size_t Merges = 0;  ///< union operations performed
   size_t Matches = 0; ///< rule matches applied
+
+  ProveStats &operator+=(const ProveStats &O) {
+    Iterations += O.Iterations;
+    ENodes += O.ENodes;
+    EClasses += O.EClasses;
+    Merges += O.Merges;
+    Matches += O.Matches;
+    return *this;
+  }
 };
 
 /// Outcome of one proveEquivalence query.

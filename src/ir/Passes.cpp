@@ -43,35 +43,6 @@ telemetry::Counter &unsoundBlockedCounter() {
   return C;
 }
 
-/// Tries each checker in order; the first definite verdict wins. Sound as
-/// long as every link is sound — a NotEquivalent from any link is real.
-class ChainChecker : public EquivalenceChecker {
-public:
-  explicit ChainChecker(
-      std::vector<std::unique_ptr<EquivalenceChecker>> Links)
-      : Links(std::move(Links)) {}
-
-  std::string name() const override { return "IRVerify"; }
-
-  CheckResult check(const Context &Ctx, const Expr *A, const Expr *B,
-                    double TimeoutSeconds) override {
-    CheckResult Total;
-    Total.Outcome = Verdict::Timeout;
-    for (auto &L : Links) {
-      CheckResult R = L->check(Ctx, A, B, TimeoutSeconds);
-      Total.Seconds += R.Seconds;
-      if (R.Outcome != Verdict::Timeout) {
-        Total.Outcome = R.Outcome;
-        break;
-      }
-    }
-    return Total;
-  }
-
-private:
-  std::vector<std::unique_ptr<EquivalenceChecker>> Links;
-};
-
 /// Rewrites every expression of \p F through \p Map (instruction rhs,
 /// branch conditions, return values, phi incomings). Phi destinations and
 /// instruction destinations are definitions, never rewritten.
@@ -93,11 +64,12 @@ void substituteUses(Context &Ctx, Function &F,
 
 } // namespace
 
-std::unique_ptr<EquivalenceChecker> mba::makeRegionVerifier(Context &Ctx) {
-  std::vector<std::unique_ptr<EquivalenceChecker>> Links;
-  Links.push_back(makeSignatureChecker());
-  Links.push_back(makeStagedChecker(Ctx, makeBlastChecker(true)));
-  return std::make_unique<ChainChecker>(std::move(Links));
+PipelineConfig mba::regionVerifierConfig(const PassOptions &Opts) {
+  PipelineConfig Config;
+  Config.Backend = BackendProfile::BlastBVRW;
+  Config.RefuteFirst = true;
+  Config.TimeoutSeconds = Opts.VerifyTimeout;
+  return Config;
 }
 
 //===----------------------------------------------------------------------===//
@@ -255,13 +227,12 @@ std::pair<const Expr *, const Expr *> nonzeroQuery(Context &Ctx,
   return {Probe, SignBit};
 }
 
-/// Verifies a branch decision with the checker. For the case-split path the
-/// check runs per case (each must verify).
+/// Verifies a branch decision with the verifier. For the case-split path
+/// the check runs per case (each must verify).
 bool verifyDecision(Context &Ctx, const Function &F, const Expr *C,
                     const BranchDecision &D, bool FromCaseSplit,
-                    EquivalenceChecker *Checker, const PassOptions &Opts,
-                    FunctionReport *Report) {
-  if (!Checker)
+                    Pipeline *Verifier, FunctionReport *Report) {
+  if (!Verifier)
     return true;
   auto CheckOne = [&](const Expr *Cond) {
     const Expr *A, *B;
@@ -274,7 +245,7 @@ bool verifyDecision(Context &Ctx, const Function &F, const Expr *C,
     } else {
       std::tie(A, B) = nonzeroQuery(Ctx, Cond);
     }
-    CheckResult R = Checker->check(Ctx, A, B, Opts.VerifyTimeout);
+    CheckResult R = Verifier->check(A, B);
     if (R.Outcome == Verdict::NotEquivalent) {
       if (Report)
         ++Report->UnsoundBlocked;
@@ -309,9 +280,7 @@ bool verifyDecision(Context &Ctx, const Function &F, const Expr *C,
 } // namespace
 
 unsigned mba::foldOpaqueBranches(Context &Ctx, Function &F,
-                                 EquivalenceChecker *Checker,
-                                 const PassOptions &Opts,
-                                 FunctionReport *Report,
+                                 Pipeline *Verifier, FunctionReport *Report,
                                  FailedVerifySet *FailedVerify) {
   MBA_TRACE_SPAN("ir.fold_branches");
   CFG G = CFG::build(F);
@@ -367,7 +336,7 @@ unsigned mba::foldOpaqueBranches(Context &Ctx, Function &F,
       }
       // A flow-derived decision must survive the case-split re-derivation
       // (the split is the sound argument; the analyses only nominate).
-      if (D && FromCaseSplit && !Checker) {
+      if (D && FromCaseSplit && !Verifier) {
         auto Confirm = decideByCaseSplit(Ctx, F, C, 16);
         if (!Confirm || Confirm->Taken != D->Taken)
           D = std::nullopt;
@@ -375,8 +344,7 @@ unsigned mba::foldOpaqueBranches(Context &Ctx, Function &F,
     }
     if (!D)
       continue;
-    if (!verifyDecision(Ctx, F, C, *D, FromCaseSplit, Checker, Opts,
-                        Report)) {
+    if (!verifyDecision(Ctx, F, C, *D, FromCaseSplit, Verifier, Report)) {
       if (FailedVerify)
         FailedVerify->insert(FP);
       continue;
@@ -570,7 +538,7 @@ unsigned mba::eliminateDeadInstructions(Function &F,
 //===----------------------------------------------------------------------===//
 
 unsigned mba::rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
-                                EquivalenceChecker *Checker,
+                                Pipeline *Verifier,
                                 const PassOptions &Opts,
                                 FunctionReport *Report,
                                 FailedVerifySet *FailedVerify) {
@@ -663,9 +631,8 @@ unsigned mba::rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
                   (AltAfter == AltBefore &&
                    Info.NodesAfter < Info.NodesBefore);
     if (Better && Simp != Flat) {
-      if (Checker) {
-        CheckResult CR = Checker->check(Ctx, Flat, Simp,
-                                        Opts.VerifyTimeout);
+      if (Verifier) {
+        CheckResult CR = Verifier->check(Flat, Simp);
         if (CR.Outcome == Verdict::NotEquivalent) {
           // An unsound simplification candidate (only possible with an
           // unsound SynthFallback): blocked, never installed.
@@ -708,7 +675,7 @@ unsigned mba::rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
 
 FunctionReport mba::deobfuscateFunction(Context &Ctx, Function &F,
                                         MBASolver &Solver,
-                                        EquivalenceChecker *Checker,
+                                        Pipeline *Verifier,
                                         const PassOptions &Opts) {
   MBA_TRACE_SPAN("ir.deobfuscate_function");
   FunctionReport Report;
@@ -720,11 +687,10 @@ FunctionReport mba::deobfuscateFunction(Context &Ctx, Function &F,
   FailedVerifySet FailedVerify;
   for (unsigned Iter = 0; Iter != Opts.MaxIterations; ++Iter) {
     unsigned Changes = 0;
-    Changes += foldOpaqueBranches(Ctx, F, Checker, Opts, &Report,
-                                  &FailedVerify);
+    Changes += foldOpaqueBranches(Ctx, F, Verifier, &Report, &FailedVerify);
     Changes += removeUnreachableBlocks(F, &Report);
     Changes += simplifyTrivialPhis(Ctx, F, &Report);
-    Changes += rewriteMBARegions(Ctx, F, Solver, Checker, Opts, &Report,
+    Changes += rewriteMBARegions(Ctx, F, Solver, Verifier, Opts, &Report,
                                  &FailedVerify);
     Changes += eliminateDeadInstructions(F, &Report);
     if (!Changes)
@@ -741,14 +707,14 @@ ProgramReport mba::deobfuscateProgram(Context &Ctx, Program &P,
                                       const PassOptions &Opts) {
   MBA_TRACE_SPAN("ir.deobfuscate");
   MBASolver Solver(Ctx, Opts.Simplify);
-  std::unique_ptr<EquivalenceChecker> Checker;
+  std::unique_ptr<Pipeline> Verifier;
   if (Opts.Verify)
-    Checker = makeRegionVerifier(Ctx);
+    Verifier = std::make_unique<Pipeline>(Ctx, regionVerifierConfig(Opts));
 
   ProgramReport Report;
   for (Function &F : P.Functions)
     Report.Functions.push_back(
-        deobfuscateFunction(Ctx, F, Solver, Checker.get(), Opts));
+        deobfuscateFunction(Ctx, F, Solver, Verifier.get(), Opts));
   return Report;
 }
 

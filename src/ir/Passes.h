@@ -40,7 +40,7 @@
 #include "ast/Expr.h"
 #include "ir/Program.h"
 #include "mba/Simplifier.h"
-#include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 
 #include <cstdint>
 #include <memory>
@@ -56,8 +56,8 @@ struct PassOptions {
   SimplifyOptions Simplify;
 
   /// Re-verify every region rewrite and branch fold with the equivalence
-  /// checker. Disabling trusts the (already sound) simplifier/prover and
-  /// skips the cross-check.
+  /// pipeline (regionVerifierConfig). Disabling trusts the (already sound)
+  /// simplifier/prover and skips the cross-check.
   bool Verify = true;
 
   /// Per-query timeout of verification checks, seconds.
@@ -135,12 +135,12 @@ struct ProgramReport {
 /// deobfuscateFunction, threaded through the passes.
 using FailedVerifySet = std::unordered_set<uint64_t>;
 
-/// The equivalence checker the pipeline verifies rewrites with: the
-/// signature-theory decision procedure (sound, complete on the linear
-/// fragment, microseconds) in front of the staged stage-0 prover +
-/// bit-blasting backend. Never guesses: an undecided query keeps the
+/// The configuration rewrites are verified with: the signature-theory
+/// decision procedure (sound, complete on the linear fragment,
+/// microseconds) in front of the stage-0 prover + BlastBV+RW backend, at
+/// Opts.VerifyTimeout. Never guesses: an undecided query keeps the
 /// original code.
-std::unique_ptr<EquivalenceChecker> makeRegionVerifier(Context &Ctx);
+PipelineConfig regionVerifierConfig(const PassOptions &Opts);
 
 /// The pure expression computing SSA value \p V in \p F: forward
 /// substitution through instruction definitions, stopping at parameters and
@@ -152,13 +152,11 @@ const Expr *flattenValue(Context &Ctx, const Function &F, const Expr *V);
 /// in order: multi-domain constant folding of the flattened condition, the
 /// stage-0 prover (prove == 0 / refute == 0 on every input), and the
 /// flow-sensitive abstract analysis with a bounded one-level phi case
-/// split. When \p Checker is non-null every fold is re-verified (the
+/// split. When \p Verifier is non-null every fold is re-verified (the
 /// taken-direction encoding uses (c | -c) & signbit == signbit, "c is
 /// nonzero everywhere"); an undecided verification blocks the fold.
 /// Returns the number of branches folded.
-unsigned foldOpaqueBranches(Context &Ctx, Function &F,
-                            EquivalenceChecker *Checker,
-                            const PassOptions &Opts,
+unsigned foldOpaqueBranches(Context &Ctx, Function &F, Pipeline *Verifier,
                             FunctionReport *Report = nullptr,
                             FailedVerifySet *FailedVerify = nullptr);
 
@@ -180,10 +178,10 @@ unsigned eliminateDeadInstructions(Function &F,
                                    FunctionReport *Report = nullptr);
 
 /// The MBA-region detection & rewrite pass (step 4 above). \p Solver
-/// simplifies flattened regions; \p Checker (when non-null) re-verifies
+/// simplifies flattened regions; \p Verifier (when non-null) re-verifies
 /// every rewrite. Returns the number of regions rewritten.
 unsigned rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
-                           EquivalenceChecker *Checker,
+                           Pipeline *Verifier,
                            const PassOptions &Opts,
                            FunctionReport *Report = nullptr,
                            FailedVerifySet *FailedVerify = nullptr);
@@ -193,14 +191,14 @@ unsigned rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
 //===----------------------------------------------------------------------===//
 
 /// Runs the full pipeline on one function with caller-provided solver and
-/// checker (pass a null checker to skip verification).
+/// verifier (pass a null verifier to skip verification).
 FunctionReport deobfuscateFunction(Context &Ctx, Function &F,
                                    MBASolver &Solver,
-                                   EquivalenceChecker *Checker,
+                                   Pipeline *Verifier,
                                    const PassOptions &Opts = PassOptions());
 
 /// Runs the full pipeline on every function of \p P, constructing an
-/// MBASolver and (when Opts.Verify) a staged BlastBV+RW equivalence checker
+/// MBASolver and (when Opts.Verify) a regionVerifierConfig pipeline
 /// internally.
 ProgramReport deobfuscateProgram(Context &Ctx, Program &P,
                                  const PassOptions &Opts = PassOptions());

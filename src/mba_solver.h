@@ -14,8 +14,9 @@
 ///
 ///   mba::Context Ctx(64);
 ///   const mba::Expr *E = mba::parseOrDie(Ctx, "(x&~y)+y");
-///   mba::MBASolver Solver(Ctx);
-///   std::string S = mba::printExpr(Ctx, Solver.simplify(E)); // "x|y"
+///   mba::Pipeline P(Ctx, mba::PipelineConfig()); // the shipped path
+///   std::string S = mba::printExpr(Ctx, P.simplify(E)); // "x|y"
+///   mba::Verdict V = P.check(E, P.simplify(E)).Outcome; // Equivalent
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -57,8 +58,10 @@
 #include "gen/Obfuscator.h"
 #include "gen/SeedIdentities.h"
 
-// Equivalence checking backends and SMT-LIB interop.
+// Equivalence checking: the configurable pipeline, its backends, and
+// SMT-LIB interop.
 #include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 #include "solvers/SmtLib.h"
 #include "solvers/SmtLibParser.h"
 

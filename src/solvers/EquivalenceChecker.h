@@ -5,23 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The uniform solver interface the study harness drives (Sections 3 and
-/// 6): given an MBA identity equation LHS == RHS, a backend must decide
-/// equivalence within a timeout. Three backends reproduce the paper's
-/// solver matrix:
-///
-///  * **Z3** — the real solver via its C++ API (enabled when libz3 is
-///    present).
-///  * **BlastBV** — the in-tree bit-blaster over the CDCL solver: every
-///    gate built, ripple-carry adders, shift-and-add multipliers.
-///  * **BlastBV+RW** — the same with constant folding and structural
-///    hashing.
-///
-/// The last two substitute for STP and Boolector (unavailable offline; see
-/// DESIGN.md). They and the modern "BlastBV+AIG" backend are fixed profiles
-/// of one AIG bit-blasting stack (solvers/AigChecker.cpp). All backends
-/// answer the same query the paper poses to solvers: `solve(lhs != rhs)` —
-/// UNSAT means the identity holds.
+/// The uniform backend interface (Sections 3 and 6): a backend decides an
+/// MBA identity LHS == RHS within a timeout by the query the paper poses,
+/// `solve(lhs != rhs)` — UNSAT means the identity holds. Z3 (via its C++
+/// API, when libz3 is present) and BlastBV and BlastBV+RW (stand-ins for
+/// STP and Boolector, unavailable offline; see DESIGN.md) form the paper's
+/// solver matrix; those two and BlastBV+AIG are fixed profiles of one AIG
+/// bit-blasting stack (solvers/AigChecker.cpp). Callers ask through
+/// solvers/Pipeline.h, which configures these backends.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,6 +99,17 @@ struct StageZeroStats {
 
   size_t queries() const { return Proved + Refuted + Fallthrough; }
   size_t discharged() const { return Proved + Refuted; }
+
+  /// Sums every field: the one merge across profiles and workers.
+  StageZeroStats &operator+=(const StageZeroStats &O) {
+    Proved += O.Proved;
+    Refuted += O.Refuted;
+    Fallthrough += O.Fallthrough;
+    StaticSeconds += O.StaticSeconds;
+    SolverSeconds += O.SolverSeconds;
+    Saturation += O.Saturation;
+    return *this;
+  }
 };
 
 //===----------------------------------------------------------------------===//

@@ -92,8 +92,10 @@ public:
   StagedChecker(Context &Ctx, std::unique_ptr<EquivalenceChecker> Inner,
                 StageZeroStats *Stats, const ProveBudget &Budget,
                 VerdictCache *Verdicts)
-      : Ctx(Ctx), Inner(std::move(Inner)), Stats(Stats), Budget(Budget),
-        Verdicts(Verdicts) {}
+      : Ctx(Ctx), Inner(std::move(Inner)), Stats(Stats ? Stats : &OwnStats),
+        Budget(Budget), Verdicts(Verdicts) {}
+  StagedChecker(const StagedChecker &) = delete; // Stats may point inside
+  StagedChecker &operator=(const StagedChecker &) = delete;
 
   // The inner backend's name: Table 2/6 rows keep their solver labels and
   // the stage-0 effect shows up purely in the counters and times.
@@ -189,14 +191,8 @@ private:
       QR->num("stage0_eclasses", Static.Stats.EClasses);
       QR->num("stage0_matches", Static.Stats.Matches);
     }
-    if (Stats) {
-      Stats->StaticSeconds += StaticSeconds;
-      Stats->Saturation.Iterations += Static.Stats.Iterations;
-      Stats->Saturation.ENodes += Static.Stats.ENodes;
-      Stats->Saturation.EClasses += Static.Stats.EClasses;
-      Stats->Saturation.Merges += Static.Stats.Merges;
-      Stats->Saturation.Matches += Static.Stats.Matches;
-    }
+    Stats->StaticSeconds += StaticSeconds;
+    Stats->Saturation += Static.Stats;
     static telemetry::Counter &Proved = telemetry::counter("stage0.proved");
     static telemetry::Counter &Refuted = telemetry::counter("stage0.refuted");
     static telemetry::Counter &Fallthrough =
@@ -204,20 +200,17 @@ private:
     switch (Static.Outcome) {
     case ProveOutcome::Proved:
       Proved.add();
-      if (Stats)
-        ++Stats->Proved;
+      ++Stats->Proved;
       return {Verdict::Equivalent, StaticSeconds};
     case ProveOutcome::Refuted:
       Refuted.add();
-      if (Stats)
-        ++Stats->Refuted;
+      ++Stats->Refuted;
       return {Verdict::NotEquivalent, StaticSeconds};
     case ProveOutcome::Unknown:
       break;
     }
     Fallthrough.add();
-    if (Stats)
-      ++Stats->Fallthrough;
+    ++Stats->Fallthrough;
     double Remaining = TimeoutSeconds - StaticSeconds;
     if (Remaining <= 0)
       return {Verdict::Timeout, StaticSeconds};
@@ -225,14 +218,14 @@ private:
       querylog::StageTimer Stage("backend");
       return Inner->check(Ctx, A, B, Remaining);
     }();
-    if (Stats)
-      Stats->SolverSeconds += R.Seconds;
+    Stats->SolverSeconds += R.Seconds;
     R.Seconds += StaticSeconds;
     return R;
   }
 
   Context &Ctx;
   std::unique_ptr<EquivalenceChecker> Inner;
+  StageZeroStats OwnStats; // the counters when the caller passes none
   StageZeroStats *Stats;
   ProveBudget Budget;
   VerdictCache *Verdicts;

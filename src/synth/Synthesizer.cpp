@@ -158,10 +158,13 @@ bool Synthesizer::agrees(const Recipe &R, std::span<const uint64_t> Corners,
 bool Synthesizer::verify(const Expr *E, const Expr *Candidate) {
   if (!Opts.Verify)
     return true;
-  if (!Checker)
-    Checker = makeStagedChecker(Ctx, makeAigChecker());
+  if (!Verifier) {
+    PipelineConfig Config;
+    Config.TimeoutSeconds = Opts.VerifyTimeoutSeconds;
+    Verifier = std::make_unique<Pipeline>(Ctx, Config);
+  }
   Stopwatch Timer;
-  CheckResult R = Checker->check(Ctx, E, Candidate, Opts.VerifyTimeoutSeconds);
+  CheckResult R = Verifier->check(E, Candidate);
   bool Proved = R.Outcome == Verdict::Equivalent;
   // A miter can exhaust the SAT budget even at width 8; when the input
   // space is small, enumerating it settles the query instead.

@@ -42,7 +42,7 @@
 
 #include "ast/Context.h"
 #include "ast/Expr.h"
-#include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 
 #include <cstdint>
 #include <functional>
@@ -86,7 +86,7 @@ struct SynthStats {
 };
 
 /// The enumerative term-bank synthesizer. Holds the context reference, the
-/// lazily-built staged checker, and statistics; one instance per context
+/// lazily-built verification pipeline, and statistics; one instance per context
 /// (evaluation borrows the context's scratch — the usual one-context-per-
 /// thread rule applies).
 class Synthesizer {
@@ -129,7 +129,7 @@ private:
   Context &Ctx;
   SynthOptions Opts;
   SynthStats Stats;
-  std::unique_ptr<EquivalenceChecker> Checker; // lazily constructed
+  std::unique_ptr<Pipeline> Verifier; // lazily constructed
 };
 
 } // namespace mba::synth

@@ -54,9 +54,10 @@ TEST(HarnessStudy, RunsRawAndSimplifiedStudies) {
   CorpusOpts.IncludeSeedIdentities = false;
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
-  auto Checkers = makeAllCheckers();
-  auto Raw = runSolvingStudy(Ctx, Corpus, Checkers, 0.2, nullptr);
-  EXPECT_EQ(Raw.size(), Corpus.size() * Checkers.size());
+  StudyConfig Config;
+  Config.Pipeline.TimeoutSeconds = 0.2;
+  auto Raw = runStudy(Ctx, Corpus, Config).Records;
+  EXPECT_EQ(Raw.size(), Corpus.size() * paperSolverMatrix().size());
   for (const QueryRecord &R : Raw) {
     EXPECT_FALSE(R.Solver.empty());
     EXPECT_LT(R.EntryIndex, Corpus.size());
@@ -65,8 +66,9 @@ TEST(HarnessStudy, RunsRawAndSimplifiedStudies) {
     EXPECT_NE(R.Outcome, Verdict::NotEquivalent);
   }
 
-  MBASolver Simplifier(Ctx);
-  auto Simplified = runSolvingStudy(Ctx, Corpus, Checkers, 2.0, &Simplifier);
+  Config.Pipeline.Simplify = true;
+  Config.Pipeline.TimeoutSeconds = 2.0;
+  auto Simplified = runStudy(Ctx, Corpus, Config).Records;
   unsigned Solved = 0;
   for (const QueryRecord &R : Simplified)
     Solved += R.Outcome == Verdict::Equivalent;
@@ -94,8 +96,8 @@ TEST(HarnessArgs, JobsAndJsonOverrides) {
 }
 
 TEST(HarnessStudy, ParallelVerdictsMatchSerial) {
-  // The determinism contract of runSolvingStudyParallel: for any job
-  // count, record order and verdicts are identical to the serial path.
+  // The determinism contract of runStudy: for any job count, record order
+  // and verdicts are identical to the inline one-job run.
   Context Ctx(8);
   CorpusOptions CorpusOpts;
   CorpusOpts.LinearCount = 6;
@@ -105,16 +107,14 @@ TEST(HarnessStudy, ParallelVerdictsMatchSerial) {
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
   StudyConfig Config;
-  Config.TimeoutSeconds = 0.2;
-  Config.Simplify = true;
-  Config.StageZero = true;
-  auto Factory = [](Context &) { return makeAllCheckers(); };
+  Config.Pipeline.TimeoutSeconds = 0.2;
+  Config.Pipeline.Simplify = true;
+  Config.Pipeline.StageZero = true;
 
   Config.Jobs = 1;
-  StudyResult Serial = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  StudyResult Serial = runStudy(Ctx, Corpus, Config);
   Config.Jobs = 4;
-  StudyResult Parallel =
-      runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  StudyResult Parallel = runStudy(Ctx, Corpus, Config);
 
   ASSERT_EQ(Serial.Records.size(), Parallel.Records.size());
   for (size_t I = 0; I != Serial.Records.size(); ++I) {
@@ -131,6 +131,17 @@ TEST(HarnessStudy, ParallelVerdictsMatchSerial) {
   EXPECT_EQ(Serial.StaticStats.Refuted, Parallel.StaticStats.Refuted);
   EXPECT_EQ(Serial.StaticStats.Fallthrough,
             Parallel.StaticStats.Fallthrough);
+  // Raw queries reach saturation, and every saturation counter survives
+  // the merge across workers. The tiny timeout skips the backends; stage 0
+  // runs to its own budget regardless.
+  Config.Pipeline.Simplify = false;
+  Config.Pipeline.TimeoutSeconds = 1e-6;
+  const ProveStats Sat = runStudy(Ctx, Corpus, Config).StaticStats.Saturation;
+  EXPECT_GT(Sat.Iterations, 0u);
+  EXPECT_GT(Sat.ENodes, 0u);
+  EXPECT_GT(Sat.EClasses, 0u);
+  EXPECT_GT(Sat.Merges, 0u);
+  EXPECT_GT(Sat.Matches, 0u);
   EXPECT_EQ(Parallel.Jobs, 4u);
   EXPECT_EQ(Parallel.Pool.Tasks, Corpus.size());
 }
@@ -145,11 +156,10 @@ TEST(HarnessStudy, JsonReportIsWellFormed) {
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
   StudyConfig Config;
-  Config.TimeoutSeconds = 0.2;
+  Config.Pipeline.TimeoutSeconds = 0.2;
   Config.Jobs = 2;
-  Config.StageZero = true;
-  StudyResult Result = runSolvingStudyParallel(
-      Ctx, Corpus, [](Context &) { return makeAllCheckers(); }, Config);
+  Config.Pipeline.StageZero = true;
+  StudyResult Result = runStudy(Ctx, Corpus, Config);
 
   HarnessOptions Opts;
   std::string Path = ::testing::TempDir() + "harness_study.json";
@@ -219,22 +229,21 @@ TEST(HarnessStudy, CachedParallelMatchesUncachedSerial) {
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
   ASSERT_EQ(Corpus.size(), 120u);
 
-  auto Factory = [](Context &) { return makeAllCheckers(); };
   StudyConfig Config;
-  Config.TimeoutSeconds = 0.2;
-  Config.Simplify = true;
-  Config.StageZero = true;
+  Config.Pipeline.TimeoutSeconds = 0.2;
+  Config.Pipeline.Simplify = true;
+  Config.Pipeline.StageZero = true;
   Config.RecordSimplified = true;
 
   Config.Jobs = 1;
-  Config.Caches = nullptr;
-  StudyResult Baseline = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  Config.Pipeline.Caches = nullptr;
+  StudyResult Baseline = runStudy(Ctx, Corpus, Config);
   EXPECT_FALSE(Baseline.CachesEnabled);
 
   PipelineCaches Caches(/*Width=*/8);
   Config.Jobs = 4;
-  Config.Caches = &Caches;
-  StudyResult Cached = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  Config.Pipeline.Caches = &Caches;
+  StudyResult Cached = runStudy(Ctx, Corpus, Config);
   EXPECT_TRUE(Cached.CachesEnabled);
 
   ASSERT_EQ(Baseline.Records.size(), Cached.Records.size());
@@ -267,17 +276,16 @@ TEST(HarnessStudy, CacheSnapshotWarmsSecondStudy) {
   CorpusOpts.IncludeSeedIdentities = false;
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
-  auto Factory = [](Context &) { return makeAllCheckers(); };
   StudyConfig Config;
-  Config.TimeoutSeconds = 0.2;
-  Config.Simplify = true;
-  Config.StageZero = true;
+  Config.Pipeline.TimeoutSeconds = 0.2;
+  Config.Pipeline.Simplify = true;
+  Config.Pipeline.StageZero = true;
   Config.RecordSimplified = true;
   Config.Jobs = 2;
 
   PipelineCaches Cold(/*Width=*/8);
-  Config.Caches = &Cold;
-  StudyResult First = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  Config.Pipeline.Caches = &Cold;
+  StudyResult First = runStudy(Ctx, Corpus, Config);
 
   std::string Path = ::testing::TempDir() + "harness_snapshot.mba";
   std::string Err;
@@ -287,8 +295,8 @@ TEST(HarnessStudy, CacheSnapshotWarmsSecondStudy) {
   // that with a second PipelineCaches instance.
   PipelineCaches Warm(/*Width=*/8);
   ASSERT_TRUE(Warm.loadFrom(Path, Err)) << Err;
-  Config.Caches = &Warm;
-  StudyResult Second = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  Config.Pipeline.Caches = &Warm;
+  StudyResult Second = runStudy(Ctx, Corpus, Config);
 
   ASSERT_EQ(First.Records.size(), Second.Records.size());
   for (size_t I = 0; I != First.Records.size(); ++I)
@@ -339,20 +347,19 @@ TEST(HarnessStudy, TracedParallelMatchesUntraced) {
   CorpusOpts.IncludeSeedIdentities = false;
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
-  auto Factory = [](Context &) { return makeAllCheckers(); };
   StudyConfig Config;
-  Config.TimeoutSeconds = 0.2;
+  Config.Pipeline.TimeoutSeconds = 0.2;
   Config.Jobs = 4;
-  Config.Simplify = true;
-  Config.StageZero = true;
+  Config.Pipeline.Simplify = true;
+  Config.Pipeline.StageZero = true;
   Config.RecordSimplified = true;
 
-  StudyResult Plain = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  StudyResult Plain = runStudy(Ctx, Corpus, Config);
 
   telemetry::setMetricsEnabled(true);
   telemetry::clearTrace();
   telemetry::setTracingEnabled(true);
-  StudyResult Traced = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  StudyResult Traced = runStudy(Ctx, Corpus, Config);
   telemetry::setTracingEnabled(false);
   telemetry::setMetricsEnabled(false);
 
@@ -411,19 +418,18 @@ TEST(HarnessStudy, QueryLoggedMatchesUnlogged) {
   CorpusOpts.IncludeSeedIdentities = false;
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
-  auto Factory = [](Context &) { return makeAllCheckers(); };
   StudyConfig Config;
-  Config.TimeoutSeconds = 0.2;
+  Config.Pipeline.TimeoutSeconds = 0.2;
   Config.Jobs = 4;
-  Config.Simplify = true;
-  Config.StageZero = true;
+  Config.Pipeline.Simplify = true;
+  Config.Pipeline.StageZero = true;
   Config.RecordSimplified = true;
 
-  StudyResult Plain = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  StudyResult Plain = runStudy(Ctx, Corpus, Config);
 
   std::string Path = ::testing::TempDir() + "harness_query.jsonl";
   ASSERT_TRUE(querylog::openFile(Path));
-  StudyResult Logged = runSolvingStudyParallel(Ctx, Corpus, Factory, Config);
+  StudyResult Logged = runStudy(Ctx, Corpus, Config);
   uint64_t Written = querylog::recordsWritten();
   querylog::close();
 
@@ -484,12 +490,11 @@ TEST(HarnessStudy, JsonHistogramsCarryBucketsAndPercentiles) {
   auto Corpus = generateCorpus(Ctx, CorpusOpts);
 
   StudyConfig Config;
-  Config.TimeoutSeconds = 0.2;
+  Config.Pipeline.TimeoutSeconds = 0.2;
   Config.Jobs = 1;
-  Config.Simplify = true;
+  Config.Pipeline.Simplify = true;
   telemetry::setMetricsEnabled(true);
-  StudyResult Result = runSolvingStudyParallel(
-      Ctx, Corpus, [](Context &) { return makeAllCheckers(); }, Config);
+  StudyResult Result = runStudy(Ctx, Corpus, Config);
   telemetry::setMetricsEnabled(false);
 
   HarnessOptions Opts;
@@ -530,7 +535,7 @@ TEST(HarnessPrint, TablesRenderWithoutCrashing) {
       {"SolverB", MBAKind::Linear, Verdict::Equivalent, 0.01, 0},
       {"SolverB", MBAKind::NonPolynomial, Verdict::Equivalent, 0.02, 3},
   };
-  printSolverCategoryTable(Records, 2, "unit-test table");
+  printSolverCategoryTable(Records, "unit-test table");
   printTimeDistribution(Records, 0.2, "unit-test distribution");
   SUCCEED();
 }

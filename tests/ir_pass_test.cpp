@@ -66,9 +66,8 @@ real:
 TEST(IRFold, AlwaysTakenOpaquePredicate) {
   Context Ctx(64);
   Function F = parseOne(Ctx, OpaqueText);
-  PassOptions Opts;
   FunctionReport Report;
-  EXPECT_EQ(foldOpaqueBranches(Ctx, F, nullptr, Opts, &Report), 1u);
+  EXPECT_EQ(foldOpaqueBranches(Ctx, F, nullptr, &Report), 1u);
   EXPECT_EQ(Report.BranchesFolded, 1u);
   EXPECT_EQ(F.entry().Term.Kind, TermKind::Jump);
   EXPECT_EQ(F.Blocks[F.entry().Term.Succs[0]].Name, "real");
@@ -87,8 +86,7 @@ TEST(IRFold, NeverTakenBranch) {
                         "  br p, junk, real\n"
                         "junk:\n  ret 0\n"
                         "real:\n  r = x + 1\n  ret r\n}\n");
-  PassOptions Opts;
-  EXPECT_EQ(foldOpaqueBranches(Ctx, F, nullptr, Opts), 1u);
+  EXPECT_EQ(foldOpaqueBranches(Ctx, F, nullptr), 1u);
   EXPECT_EQ(F.entry().Term.Kind, TermKind::Jump);
   EXPECT_EQ(F.Blocks[F.entry().Term.Succs[0]].Name, "real");
 }
@@ -96,10 +94,9 @@ TEST(IRFold, NeverTakenBranch) {
 TEST(IRFold, VerifiedFoldWithChecker) {
   Context Ctx(64);
   Function F = parseOne(Ctx, OpaqueText);
-  auto Checker = makeRegionVerifier(Ctx);
-  PassOptions Opts;
+  Pipeline Verifier(Ctx, regionVerifierConfig(PassOptions()));
   FunctionReport Report;
-  EXPECT_EQ(foldOpaqueBranches(Ctx, F, Checker.get(), Opts, &Report), 1u);
+  EXPECT_EQ(foldOpaqueBranches(Ctx, F, &Verifier, &Report), 1u);
   EXPECT_EQ(Report.BranchesFolded, 1u);
 }
 
@@ -157,10 +154,10 @@ TEST(IRRegion, RewritesLinearMBARegion) {
   const Expr *Ground = Ctx.getMul(
       Ctx.getAdd(Ctx.getVar("x"), Ctx.getVar("y")), Ctx.getConst(2));
   MBASolver Solver(Ctx);
-  auto Checker = makeRegionVerifier(Ctx);
+  Pipeline Verifier(Ctx, regionVerifierConfig(PassOptions()));
   PassOptions Opts;
   FunctionReport Report;
-  EXPECT_GE(rewriteMBARegions(Ctx, F, Solver, Checker.get(), Opts, &Report),
+  EXPECT_GE(rewriteMBARegions(Ctx, F, Solver, &Verifier, Opts, &Report),
             1u);
   EXPECT_GE(Report.RegionsFound, 1u);
   EXPECT_GE(Report.RegionsRewritten, 1u);
@@ -185,10 +182,10 @@ TEST(IRRegion, UnsoundSynthFallbackIsBlocked) {
   Bad.EnableKnownBits = false;
   Bad.SynthFallback = [](Context &C, const Expr *) { return C.getConst(1); };
   MBASolver Solver(Ctx, Bad);
-  auto Checker = makeRegionVerifier(Ctx);
+  Pipeline Verifier(Ctx, regionVerifierConfig(PassOptions()));
   PassOptions Opts;
   FunctionReport Report;
-  EXPECT_EQ(rewriteMBARegions(Ctx, F, Solver, Checker.get(), Opts, &Report),
+  EXPECT_EQ(rewriteMBARegions(Ctx, F, Solver, &Verifier, Opts, &Report),
             0u);
   EXPECT_GE(Report.RegionsFound, 1u);
   EXPECT_EQ(Report.RegionsRewritten, 0u);
@@ -200,8 +197,8 @@ TEST(IRPipeline, DeobfuscatesOpaqueDemoEndToEnd) {
   Context Ctx(64);
   Function F = parseOne(Ctx, OpaqueText);
   MBASolver Solver(Ctx);
-  auto Checker = makeRegionVerifier(Ctx);
-  FunctionReport R = deobfuscateFunction(Ctx, F, Solver, Checker.get());
+  Pipeline Verifier(Ctx, regionVerifierConfig(PassOptions()));
+  FunctionReport R = deobfuscateFunction(Ctx, F, Solver, &Verifier);
   EXPECT_EQ(R.BranchesFolded, 1u);
   EXPECT_EQ(R.UnsoundBlocked, 0u);
   EXPECT_LT(R.BlocksAfter, R.BlocksBefore);

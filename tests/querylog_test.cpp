@@ -16,7 +16,7 @@
 #include "ast/Parser.h"
 #include "ast/Printer.h"
 #include "mba/Simplifier.h"
-#include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 #include "support/Json.h"
 #include "support/QueryLog.h"
 #include "support/Telemetry.h"
@@ -95,10 +95,8 @@ TEST(QueryLog, CheckRecordHasCompleteChain) {
   const Expr *A = parse(Ctx, "x + y - 2*(x & y)");
   const Expr *B = parse(Ctx, "x ^ y");
   querylog::beginCapture();
-  StageZeroStats Stats;
-  auto Checker = makeStagedChecker(Ctx, makeAigChecker(), &Stats,
-                                   ProveBudget(), nullptr);
-  CheckResult CR = Checker->check(Ctx, A, B, 5.0);
+  Pipeline P(Ctx, PipelineConfig());
+  CheckResult CR = P.check(A, B);
   std::vector<json::Value> Records = parseLines(querylog::endCapture());
   EXPECT_EQ(CR.Outcome, Verdict::Equivalent);
 
@@ -124,13 +122,13 @@ TEST(QueryLog, BackendFieldsLandInTheStagedRecord) {
   Context Ctx(8);
   const Expr *A = parse(Ctx, "(x & y) * (x | y) + (x & ~y) * (~x & y) + 17");
   const Expr *B = parse(Ctx, "x * y + 17");
-  querylog::beginCapture();
-  StageZeroStats Stats;
-  auto Checker = makeStagedChecker(Ctx, makeAigChecker(), &Stats,
-                                   ProveBudget(), nullptr);
   // Generous timeout: the 8-bit multiplier miter takes seconds under a
   // loaded parallel ctest run, and an expiry would flip the verdict.
-  CheckResult CR = Checker->check(Ctx, A, B, 60.0);
+  PipelineConfig Config;
+  Config.TimeoutSeconds = 60.0;
+  Pipeline P(Ctx, Config);
+  querylog::beginCapture();
+  CheckResult CR = P.check(A, B);
   std::vector<json::Value> Records = parseLines(querylog::endCapture());
   EXPECT_EQ(CR.Outcome, Verdict::Equivalent)
       << "x*y == (x&y)*(x|y) + (x&~y)*(~x&y) is an identity";
@@ -145,6 +143,32 @@ TEST(QueryLog, BackendFieldsLandInTheStagedRecord) {
     Names.insert(std::string(S.stringAt("name")));
   EXPECT_TRUE(Names.count("stage0"));
   EXPECT_TRUE(Names.count("backend"));
+}
+
+TEST(QueryLog, RefuteFirstChargesItsTimeToTheBudget) {
+  // SigCheck cannot decide this identity (sampling agrees, the canonical
+  // forms differ), so the staged checker runs — with the timeout minus
+  // what the refuter already spent.
+  Context Ctx(8);
+  const Expr *A = parse(Ctx, "(x * x) & 1");
+  const Expr *B = parse(Ctx, "x & 1");
+  PipelineConfig Config;
+  Config.RefuteFirst = true;
+  Config.TimeoutSeconds = 60.0;
+  Pipeline P(Ctx, Config);
+  querylog::beginCapture();
+  CheckResult CR = P.check(A, B);
+  std::vector<json::Value> Records = parseLines(querylog::endCapture());
+  EXPECT_EQ(CR.Outcome, Verdict::Equivalent);
+  EXPECT_EQ(P.stageZeroStats().queries(), 1u) << "SigCheck decided the pair";
+  size_t Checks = 0;
+  for (const json::Value &Rec : Records) {
+    if (Rec.stringAt("kind") != "check")
+      continue;
+    ++Checks;
+    EXPECT_LT(Rec.numberAt("timeout_s"), Config.TimeoutSeconds);
+  }
+  EXPECT_EQ(Checks, 1u);
 }
 
 TEST(QueryLog, StandaloneBackendArmsItsOwnRecord) {

@@ -5,8 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 
 #include "ast/Parser.h"
+#include "ast/Printer.h"
+#include "gen/Corpus.h"
 #include "gen/SeedIdentities.h"
 
 #include <gtest/gtest.h>
@@ -195,6 +198,60 @@ TEST(VerdictCacheStaged, UnknownEntriesRespectBudgets) {
   EXPECT_EQ(InnerCalls, 2u);
   EXPECT_EQ(Staged->check(Ctx, A, B, 1.5).Outcome, Verdict::Timeout);
   EXPECT_EQ(InnerCalls, 2u);
+}
+
+TEST(Pipeline, MatrixMatchesTheRawBackends) {
+  // Each profile of the paper's matrix, staged or not, answers like the
+  // bare backend it replaces: stage 0 only removes work.
+  Context Ctx(8);
+  CorpusOptions CorpusOpts;
+  CorpusOpts.LinearCount = 4;
+  CorpusOpts.PolyCount = 2;
+  CorpusOpts.NonPolyCount = 2;
+  CorpusOpts.IncludeSeedIdentities = false;
+  auto Corpus = generateCorpus(Ctx, CorpusOpts);
+  PipelineConfig Base;
+  Base.TimeoutSeconds = 30;
+  std::vector<PipelineConfig> Matrix = paperSolverMatrix(Base);
+  auto Raw = makeAllCheckers();
+  ASSERT_EQ(Matrix.size(), Raw.size());
+  for (size_t C = 0; C != Matrix.size(); ++C) {
+    Pipeline P(Ctx, Matrix[C]);
+    EXPECT_EQ(P.name(), Raw[C]->name());
+    for (const CorpusEntry &E : Corpus) {
+      const Expr *L = P.simplify(E.Obfuscated);
+      const Expr *R = P.simplify(E.Ground);
+      const Expr *Off = Ctx.getAdd(R, Ctx.getConst(1));
+      EXPECT_EQ(P.check(L, R).Outcome, Raw[C]->check(Ctx, L, R, 30).Outcome)
+          << P.name();
+      EXPECT_EQ(P.check(L, Off).Outcome,
+                Raw[C]->check(Ctx, L, Off, 30).Outcome)
+          << P.name();
+    }
+    EXPECT_GT(P.stageZeroStats().queries(), 0u);
+  }
+}
+
+TEST(Pipeline, RefuteFirstAnswersWithoutStageZero) {
+  Context Ctx(64);
+  PipelineConfig Config;
+  Config.RefuteFirst = true;
+  Pipeline P(Ctx, Config);
+  CheckResult R = P.check(parseOrDie(Ctx, "x + y"), parseOrDie(Ctx, "x | y"));
+  EXPECT_EQ(R.Outcome, Verdict::NotEquivalent);
+  EXPECT_EQ(P.stageZeroStats().queries(), 0u);
+}
+
+TEST(Pipeline, SimplifyPrintsLikeABareSolver) {
+  Context Ctx(64);
+  CorpusOptions CorpusOpts;
+  CorpusOpts.LinearCount = CorpusOpts.PolyCount = CorpusOpts.NonPolyCount = 5;
+  auto Corpus = generateCorpus(Ctx, CorpusOpts);
+  Pipeline P(Ctx, PipelineConfig());
+  MBASolver Bare(Ctx);
+  for (const CorpusEntry &E : Corpus)
+    EXPECT_EQ(printExpr(Ctx, P.simplify(E.Obfuscated)),
+              printExpr(Ctx, Bare.simplify(E.Obfuscated)));
 }
 
 } // namespace

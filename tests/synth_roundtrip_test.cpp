@@ -20,7 +20,7 @@
 #include "ast/Printer.h"
 #include "gen/Obfuscator.h"
 #include "poly/PolyExpr.h"
-#include "solvers/EquivalenceChecker.h"
+#include "solvers/Pipeline.h"
 #include "support/RNG.h"
 #include "synth/Basis3.h"
 
@@ -43,7 +43,9 @@ TEST(SynthRoundTrip, FiveHundredObfuscatedTargets) {
   Obfuscator Obf(Ctx, /*Seed=*/0xB057ED);
   RNG Rng(20210620);
   Synthesizer Synth(Ctx);
-  auto Independent = makeStagedChecker(Ctx, makeAigChecker());
+  PipelineConfig IndependentConfig;
+  IndependentConfig.TimeoutSeconds = 10.0;
+  Pipeline Independent(Ctx, IndependentConfig);
 
   const Expr *AllVars[3] = {Ctx.getVar("x"), Ctx.getVar("y"),
                             Ctx.getVar("z")};
@@ -99,7 +101,7 @@ TEST(SynthRoundTrip, FiveHundredObfuscatedTargets) {
     // Independent re-proof on a slice (the synthesizer already proved
     // every installed result internally).
     if (Case % 25 == 0) {
-      CheckResult CR = Independent->check(Ctx, Obfuscated, R, 10.0);
+      CheckResult CR = Independent.check(Obfuscated, R);
       EXPECT_EQ(CR.Outcome, Verdict::Equivalent)
           << "case " << Case << ": " << printExpr(Ctx, R);
     }
