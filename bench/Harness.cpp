@@ -258,7 +258,7 @@ StudyResult mba::bench::runStudy(Context &Ctx,
     for (const std::unique_ptr<Pipeline> &P : W.Pipelines)
       Out.StaticStats += P->stageZeroStats();
     if (!W.Pipelines.empty())
-      Out.SimplifySeconds += W.Pipelines.front()->simplifySeconds();
+      Out.SimplifySeconds += W.Pipelines.front()->simplifyStats().Seconds;
     Out.CloneSeconds += W.CloneSeconds;
   }
   if (const PipelineCaches *Caches = Config.Pipeline.Caches) {

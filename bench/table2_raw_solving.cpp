@@ -11,7 +11,10 @@
 /// category and poly MBA nearly hopeless.
 ///
 /// Scaled defaults: 25 entries/category, 0.4 s timeout, width 64. Use
-/// --per-category/--timeout/--width to scale up.
+/// --per-category/--timeout/--width to scale up. --cache and --cache-file
+/// are refused (exit 2): raw queries skip simplification, and the verdict
+/// layer sits in front of stage 0, which this study leaves off, so no
+/// cache would ever be read or written.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +27,13 @@ using namespace mba::bench;
 
 int main(int Argc, char **Argv) {
   HarnessOptions Opts = parseHarnessArgs(Argc, Argv);
+  if (Opts.Cache || !Opts.CacheFile.empty()) {
+    std::fprintf(stderr,
+                 "table2_raw_solving: --cache/--cache-file cache nothing "
+                 "here: raw queries are not simplified, and the verdict "
+                 "cache needs stage 0, which this study runs without\n");
+    return 2;
+  }
   enableTelemetry(Opts);
   if (Opts.PerCategory == 40)
     Opts.PerCategory = 25; // study default; raw queries mostly time out
@@ -45,10 +55,7 @@ int main(int Argc, char **Argv) {
   StudyConfig Config;
   Config.Pipeline.TimeoutSeconds = Opts.TimeoutSeconds;
   Config.Jobs = Opts.Jobs;
-  std::unique_ptr<PipelineCaches> Caches = makePipelineCaches(Opts);
-  Config.Pipeline.Caches = Caches.get();
   StudyResult Result = runStudy(Ctx, Corpus, Config);
-  savePipelineCaches(Opts, Caches.get());
   printSolverCategoryTable(
       Result.Records,
       "Table 2: solving RAW MBA identity equations (timeout " +

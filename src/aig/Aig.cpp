@@ -6,37 +6,15 @@
 
 #include "aig/Aig.h"
 
-#include "support/Telemetry.h"
-
 #include <algorithm>
 
 using namespace mba;
 using namespace mba::aig;
 
-namespace {
-telemetry::Counter &ctrNodes() {
-  static telemetry::Counter &C = telemetry::counter("aig.nodes");
-  return C;
-}
-telemetry::Counter &ctrStrashHits() {
-  static telemetry::Counter &C = telemetry::counter("aig.strash_hits");
-  return C;
-}
-telemetry::Counter &ctrRewrites() {
-  static telemetry::Counter &C = telemetry::counter("aig.rewrites");
-  return C;
-}
-telemetry::Counter &ctrConstFolds() {
-  static telemetry::Counter &C = telemetry::counter("aig.const_folds");
-  return C;
-}
-} // namespace
-
 AigLit Aig::newAnd(AigLit A, AigLit B) {
   uint32_t N = (uint32_t)Nodes.size();
   Nodes.push_back(Node{A.code(), B.code()});
   ++St.AndNodes;
-  ctrNodes().add();
   return AigLit(N, false);
 }
 
@@ -50,7 +28,6 @@ AigLit Aig::mkAnd(AigLit A, AigLit B) {
   // Level 1: constants and trivial sharing.
   if (A == falseLit() || B == falseLit() || A == ~B) {
     ++St.ConstFolds;
-    ctrConstFolds().add();
     return falseLit();
   }
   if (A == trueLit())
@@ -71,7 +48,6 @@ AigLit Aig::mkAnd(AigLit A, AigLit B) {
   auto [It, Inserted] = Strash.try_emplace(Key, 0);
   if (!Inserted) {
     ++St.StrashHits;
-    ctrStrashHits().add();
     return AigLit(It->second, false);
   }
   AigLit N = newAnd(A, B);
@@ -90,13 +66,10 @@ std::optional<AigLit> Aig::twoLevelRewrite(AigLit A, AigLit B) {
     if (Other == ~X || Other == ~Y) {
       ++St.Rewrites;
       ++St.ConstFolds;
-      ctrRewrites().add();
-      ctrConstFolds().add();
       return falseLit();
     }
     if (Other == X || Other == Y) {
       ++St.Rewrites;
-      ctrRewrites().add();
       return P;
     }
   }
@@ -109,18 +82,15 @@ std::optional<AigLit> Aig::twoLevelRewrite(AigLit A, AigLit B) {
     if (Other == ~X || Other == ~Y) {
       // b implies ~and(x,y) already.
       ++St.Rewrites;
-      ctrRewrites().add();
       return Other;
     }
     if (Other == X) {
       // ~(x&y) & x == x & ~y.
       ++St.Rewrites;
-      ctrRewrites().add();
       return mkAnd(X, ~Y);
     }
     if (Other == Y) {
       ++St.Rewrites;
-      ctrRewrites().add();
       return mkAnd(Y, ~X);
     }
   }
@@ -131,8 +101,6 @@ std::optional<AigLit> Aig::twoLevelRewrite(AigLit A, AigLit B) {
     if (X == ~U || X == ~V || Y == ~U || Y == ~V) {
       ++St.Rewrites;
       ++St.ConstFolds;
-      ctrRewrites().add();
-      ctrConstFolds().add();
       return falseLit();
     }
   }
@@ -142,12 +110,10 @@ std::optional<AigLit> Aig::twoLevelRewrite(AigLit A, AigLit B) {
     AigLit U = fanin0(B.node()), V = fanin1(B.node());
     if ((X == U && Y == ~V) || (X == V && Y == ~U)) {
       ++St.Rewrites;
-      ctrRewrites().add();
       return ~X;
     }
     if ((Y == U && X == ~V) || (Y == V && X == ~U)) {
       ++St.Rewrites;
-      ctrRewrites().add();
       return ~Y;
     }
   }
@@ -238,9 +204,6 @@ unsigned cnfFanins(const Aig &G, uint32_t N, const XorMux &M, AigLit Out[3]) {
 } // namespace
 
 void CnfEmitter::encode(uint32_t N) {
-  static telemetry::Counter &CtrXor = telemetry::counter("aig.xor_detected");
-  static telemetry::Counter &CtrMux = telemetry::counter("aig.mux_detected");
-
   sat::Lit NL(S.newVar(), false);
   NodeLit[N] = NL;
   if (G.isConst(N)) {
@@ -252,7 +215,7 @@ void CnfEmitter::encode(uint32_t N) {
 
   XorMux M = G.matchXorMux(N);
   if (M.K == XorMux::Xor) {
-    CtrXor.add();
+    ++Xors;
     sat::Lit A = litOf(M.A), B = litOf(M.B);
     // NL <-> A ^ B in four clauses (vs 9 for the 3-AND cone).
     S.addClause({~A, ~B, ~NL});
@@ -260,7 +223,7 @@ void CnfEmitter::encode(uint32_t N) {
     S.addClause({A, ~B, NL});
     S.addClause({~A, B, NL});
   } else if (M.K == XorMux::Mux) {
-    CtrMux.add();
+    ++Muxes;
     sat::Lit Sel = litOf(M.A), T = litOf(M.B), E = litOf(M.C);
     // NL <-> ~(Sel ? T : E).
     S.addClause({~Sel, ~T, ~NL});

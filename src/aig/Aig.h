@@ -74,8 +74,8 @@ private:
   uint32_t Code;
 };
 
-/// Counters of the AIG construction fast paths (always maintained; the
-/// telemetry registry mirrors them under aig.* when metrics are enabled).
+/// Counters of the AIG construction fast paths — the only count of these
+/// events; the checker that owns a graph publishes them under aig.*.
 struct AigStats {
   uint64_t AndNodes = 0;   ///< AND nodes physically created
   uint64_t StrashHits = 0; ///< mkAnd answered from the structural hash
@@ -216,6 +216,9 @@ public:
 
   /// Roots whose encoding was answered by the persistent map.
   uint64_t cacheHits() const { return Hits; }
+  /// Nodes encoded as an XOR / a MUX in place of their AND cone.
+  uint64_t xorsDetected() const { return Xors; }
+  uint64_t muxesDetected() const { return Muxes; }
 
 private:
   sat::Lit litOf(AigLit L) const {
@@ -234,6 +237,8 @@ private:
   std::vector<uint32_t> SeenEpoch; // cone walk visit marks
   uint32_t Epoch = 0;
   uint64_t Hits = 0;
+  uint64_t Xors = 0;
+  uint64_t Muxes = 0;
 };
 
 } // namespace mba::aig

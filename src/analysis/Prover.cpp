@@ -9,7 +9,6 @@
 #include "analysis/AbstractInterp.h"
 #include "analysis/EGraph.h"
 #include "support/QueryLog.h"
-#include "support/Telemetry.h"
 
 #include <array>
 #include <optional>
@@ -163,7 +162,7 @@ bool saturateRound(EGraph &G, const RuleSet &Rules, const ProveBudget &Budget,
   // e-matching dominates saturation cost, so time each rule's match pass
   // and count the environments it produced. Only rules that matched are
   // recorded — unmatched rules' time stays in the stage-0 aggregate. Gated so the undisturbed pipeline pays one relaxed load.
-  bool Attribute = telemetry::metricsEnabled() || querylog::active() != nullptr;
+  bool Attribute = querylog::attributing();
   for (const EqualityRule &R : Rules.rules()) {
     if (R.Certified == CertMethod::Uncertified)
       continue; // only certified rules may touch the e-graph
@@ -204,9 +203,9 @@ Prover::Prover(Context &Ctx, const RuleSet *Rules)
 
 ProveResult Prover::prove(const Expr *A, const Expr *B,
                           const ProveBudget &Budget) {
-  MBA_TRACE_SPAN("prover.prove");
-  static telemetry::Counter &Proves = telemetry::counter("prover.queries");
-  Proves.add();
+  static const querylog::StageDef ProveStage{"prover.prove", nullptr,
+                                             "prover.queries"};
+  querylog::Stage Stage(ProveStage);
   ProveResult Result;
   if (A == B) { // hash-consing: pointer equality is structural equality
     Result.Outcome = ProveOutcome::Proved;

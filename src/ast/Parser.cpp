@@ -6,7 +6,7 @@
 
 #include "ast/Parser.h"
 
-#include "support/Telemetry.h"
+#include "support/QueryLog.h"
 
 #include <array>
 #include <cstdint>
@@ -266,9 +266,9 @@ private:
 } // namespace
 
 ParseResult mba::parseExpr(Context &Ctx, std::string_view Text) {
-  MBA_TRACE_SPAN("ast.parse");
-  static telemetry::Counter &Parses = telemetry::counter("ast.parses");
-  Parses.add();
+  static const querylog::StageDef ParseStage{"ast.parse", nullptr,
+                                             "ast.parses"};
+  querylog::Stage Stage(ParseStage);
   return ParserImpl(Ctx, Text).run();
 }
 

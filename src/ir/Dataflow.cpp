@@ -6,7 +6,6 @@
 
 #include "ir/Dataflow.h"
 
-#include "support/Telemetry.h"
 
 #include <algorithm>
 

@@ -12,7 +12,7 @@
 #include "ast/Printer.h"
 #include "ir/Dataflow.h"
 #include "mba/Metrics.h"
-#include "support/Telemetry.h"
+#include "support/QueryLog.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -22,26 +22,10 @@ using namespace mba;
 
 namespace {
 
-telemetry::Counter &regionsFoundCounter() {
-  static telemetry::Counter &C = telemetry::counter("ir.regions_found");
-  return C;
-}
-telemetry::Counter &regionsRewrittenCounter() {
-  static telemetry::Counter &C = telemetry::counter("ir.regions_rewritten");
-  return C;
-}
-telemetry::Counter &branchesFoldedCounter() {
-  static telemetry::Counter &C = telemetry::counter("ir.branches_folded");
-  return C;
-}
-telemetry::Counter &blocksRemovedCounter() {
-  static telemetry::Counter &C = telemetry::counter("ir.blocks_removed");
-  return C;
-}
-telemetry::Counter &unsoundBlockedCounter() {
-  static telemetry::Counter &C = telemetry::counter("ir.unsound_blocked");
-  return C;
-}
+/// The pass counts a FunctionReport owns, published once per function.
+const telemetry::NamedCounter ReportCounters[] = {
+    "ir.regions_found", "ir.regions_rewritten", "ir.branches_folded",
+    "ir.blocks_removed", "ir.unsound_blocked"};
 
 /// Rewrites every expression of \p F through \p Map (instruction rhs,
 /// branch conditions, return values, phi incomings). Phi destinations and
@@ -246,11 +230,8 @@ bool verifyDecision(Context &Ctx, const Function &F, const Expr *C,
       std::tie(A, B) = nonzeroQuery(Ctx, Cond);
     }
     CheckResult R = Verifier->check(A, B);
-    if (R.Outcome == Verdict::NotEquivalent) {
-      if (Report)
-        ++Report->UnsoundBlocked;
-      unsoundBlockedCounter().add();
-    }
+    if (R.Outcome == Verdict::NotEquivalent && Report)
+      ++Report->UnsoundBlocked;
     return R.Outcome == Verdict::Equivalent;
   };
   if (!FromCaseSplit)
@@ -282,7 +263,8 @@ bool verifyDecision(Context &Ctx, const Function &F, const Expr *C,
 unsigned mba::foldOpaqueBranches(Context &Ctx, Function &F,
                                  Pipeline *Verifier, FunctionReport *Report,
                                  FailedVerifySet *FailedVerify) {
-  MBA_TRACE_SPAN("ir.fold_branches");
+  static const querylog::StageDef FoldStage{"ir.fold_branches", nullptr};
+  querylog::Stage Stage(FoldStage);
   CFG G = CFG::build(F);
   std::vector<bool> Reach = reachableBlocks(G);
 
@@ -363,11 +345,8 @@ unsigned mba::foldOpaqueBranches(Context &Ctx, Function &F,
                        P.Incoming.end());
     ++Folded;
   }
-  if (Folded) {
-    branchesFoldedCounter().add(Folded);
-    if (Report)
-      Report->BranchesFolded += Folded;
-  }
+  if (Report)
+    Report->BranchesFolded += Folded;
   return Folded;
 }
 
@@ -408,11 +387,8 @@ unsigned mba::removeUnreachableBlocks(Function &F, FunctionReport *Report) {
   }
   unsigned Removed = N - Next;
   F.Blocks = std::move(Kept);
-  blocksRemovedCounter().add(Removed);
-  if (Report) {
+  if (Report)
     Report->BlocksRemoved += Removed;
-    Report->InstsRemoved += 0; // instructions in removed blocks are gone
-  }
   return Removed;
 }
 
@@ -542,7 +518,8 @@ unsigned mba::rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
                                 const PassOptions &Opts,
                                 FunctionReport *Report,
                                 FailedVerifySet *FailedVerify) {
-  MBA_TRACE_SPAN("ir.region_rewrite");
+  static const querylog::StageDef RewriteStage{"ir.region_rewrite", nullptr};
+  querylog::Stage Stage(RewriteStage);
   DefUseInfo DU = DefUseInfo::build(F);
 
   // Region roots: instructions whose value escapes the pure instruction
@@ -616,7 +593,6 @@ unsigned mba::rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
     Info.NumInsts = RegionInsts(Inst.Dest);
     Info.NodesBefore = countDagNodes(Flat);
     Info.AlternationBefore = AltBefore;
-    regionsFoundCounter().add();
     if (Report)
       ++Report->RegionsFound;
 
@@ -636,7 +612,6 @@ unsigned mba::rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
         if (CR.Outcome == Verdict::NotEquivalent) {
           // An unsound simplification candidate (only possible with an
           // unsound SynthFallback): blocked, never installed.
-          unsoundBlockedCounter().add();
           if (Report)
             ++Report->UnsoundBlocked;
           if (FailedVerify)
@@ -658,7 +633,6 @@ unsigned mba::rewriteMBARegions(Context &Ctx, Function &F, MBASolver &Solver,
         Inst.Rhs = Simp;
         Info.Rewritten = true;
         ++Rewritten;
-        regionsRewrittenCounter().add();
         if (Report)
           ++Report->RegionsRewritten;
       }
@@ -677,7 +651,9 @@ FunctionReport mba::deobfuscateFunction(Context &Ctx, Function &F,
                                         MBASolver &Solver,
                                         Pipeline *Verifier,
                                         const PassOptions &Opts) {
-  MBA_TRACE_SPAN("ir.deobfuscate_function");
+  static const querylog::StageDef FunctionStage{"ir.deobfuscate_function",
+                                                nullptr};
+  querylog::Stage Stage(FunctionStage);
   FunctionReport Report;
   Report.Name = F.Name;
   Report.BlocksBefore = F.numBlocks();
@@ -700,12 +676,17 @@ FunctionReport mba::deobfuscateFunction(Context &Ctx, Function &F,
   Report.BlocksAfter = F.numBlocks();
   Report.InstsAfter = countFunctionInsts(F);
   Report.NodesAfter = countFunctionNodes(F);
+  telemetry::publish(ReportCounters,
+                     {Report.RegionsFound, Report.RegionsRewritten,
+                      Report.BranchesFolded, Report.BlocksRemoved,
+                      Report.UnsoundBlocked});
   return Report;
 }
 
 ProgramReport mba::deobfuscateProgram(Context &Ctx, Program &P,
                                       const PassOptions &Opts) {
-  MBA_TRACE_SPAN("ir.deobfuscate");
+  static const querylog::StageDef ProgramStage{"ir.deobfuscate", nullptr};
+  querylog::Stage Stage(ProgramStage);
   MBASolver Solver(Ctx, Opts.Simplify);
   std::unique_ptr<Pipeline> Verifier;
   if (Opts.Verify)

@@ -11,7 +11,7 @@
 #include "ast/Parser.h"
 #include "ast/Printer.h"
 #include "ir/Dataflow.h"
-#include "support/Telemetry.h"
+#include "support/QueryLog.h"
 
 #include <algorithm>
 #include <cctype>
@@ -508,9 +508,9 @@ struct ProgramParser {
 
 std::optional<Program> Program::parse(Context &Ctx, std::string_view Text,
                                       Diag *D) {
-  MBA_TRACE_SPAN("ir.parse");
-  static telemetry::Counter &Parses = telemetry::counter("ir.parse_calls");
-  Parses.add();
+  static const querylog::StageDef ParseStage{"ir.parse", nullptr,
+                                             "ir.parse_calls"};
+  querylog::Stage Stage(ParseStage);
 
   ProgramParser PP(Ctx, D);
   if (!PP.parse(Text))

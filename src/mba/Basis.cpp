@@ -9,7 +9,7 @@
 #include "linalg/ModSolver.h"
 #include "linalg/Subset.h"
 #include "linalg/TruthTable.h"
-#include "support/Telemetry.h"
+#include "support/QueryLog.h"
 
 #include <algorithm>
 
@@ -72,9 +72,9 @@ std::vector<uint64_t> solveDisjunction(std::span<const uint64_t> Sig,
 
 BasisSolution mba::solveBasisRaw(BasisKind Kind, std::span<const uint64_t> Sig,
                                  unsigned NumVars, uint64_t Mask) {
-  MBA_TRACE_SPAN("mba.basis_solve");
-  static telemetry::Counter &Solves = telemetry::counter("basis.solves");
-  Solves.add();
+  static const querylog::StageDef BasisStage{"mba.basis_solve", nullptr,
+                                             "basis.solves"};
+  querylog::Stage Stage(BasisStage);
   assert(Sig.size() == (1u << NumVars) && "signature size mismatch");
   std::vector<uint64_t> C = Kind == BasisKind::Conjunction
                                 ? solveConjunction(Sig, Mask)

@@ -7,7 +7,7 @@
 #include "mba/Classify.h"
 
 #include "ast/ExprUtils.h"
-#include "support/Telemetry.h"
+#include "support/QueryLog.h"
 
 using namespace mba;
 
@@ -133,7 +133,8 @@ bool mba::isPureBitwise(const Context &Ctx, const Expr *E) {
 
 MBAKind mba::classifyMBA(const Context &Ctx, const Expr *E,
                          MBAFactsMemo &Memo) {
-  MBA_TRACE_SPAN("mba.classify");
+  static const querylog::StageDef ClassifyStage{"mba.classify", nullptr};
+  querylog::Stage Stage(ClassifyStage);
   MBAFacts F = computeFacts(Ctx, E, Memo);
   if (F.Linear)
     return MBAKind::Linear;

@@ -9,7 +9,7 @@
 #include "ast/BitslicedEval.h"
 #include "ast/ExprUtils.h"
 #include "support/Bitslice.h"
-#include "support/Telemetry.h"
+#include "support/QueryLog.h"
 
 #include <algorithm>
 #include <cstring>
@@ -19,10 +19,9 @@ using namespace mba;
 std::vector<uint64_t>
 mba::computeSignature(const Context &Ctx, const Expr *E,
                       std::span<const Expr *const> Vars) {
-  MBA_TRACE_SPAN("mba.signature");
-  static telemetry::Counter &Signatures =
-      telemetry::counter("signature.computed");
-  Signatures.add();
+  static const querylog::StageDef SignatureStage{"mba.signature", nullptr,
+                                                 "signature.computed"};
+  querylog::Stage Stage(SignatureStage);
   unsigned T = (unsigned)Vars.size();
   assert(T <= 20 && "signature would be too large");
   const size_t Rows = (size_t)1 << T;

@@ -18,11 +18,9 @@
 #include "mba/SimplifyCache.h"
 #include "poly/PolyExpr.h"
 #include "support/QueryLog.h"
-#include "support/Stopwatch.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <unordered_map>
 
@@ -49,14 +47,25 @@ uint64_t optionsFingerprint(const SimplifyOptions &O) {
   return H;
 }
 
+// The simplifier's stages. The Algorithm 1 paths count their runs in
+// SimplifyStats, which simplify() publishes once per call.
+const querylog::StageDef SimplifyStage{"simplify", nullptr, "simplify.calls"};
+const querylog::StageDef ClassifyInputStage{"simplify.classify", "classify"};
+const querylog::StageDef AbstractFoldStage{"simplify.abstract_fold",
+                                           "abstract-fold"};
+const querylog::StageDef FinalOptStage{"simplify.finalopt", "final-opt"};
+const querylog::StageDef LinearStage{"simplify.linear", "linear-signature"};
+const querylog::StageDef PolyStage{"simplify.poly", "poly-normalize"};
+const querylog::StageDef NonPolyStage{"simplify.nonpoly",
+                                      "nonpoly-abstraction"};
+
+const telemetry::NamedCounter RunCounters[] = {
+    "simplify.linear_runs", "simplify.poly_runs", "simplify.nonpoly_runs"};
+
 } // namespace
 
 MBASolver::MBASolver(Context &Ctx, SimplifyOptions Opts)
     : Ctx(Ctx), Opts(Opts), OptionsFp(optionsFingerprint(this->Opts)) {}
-
-bool MBASolver::noting() const {
-  return telemetry::metricsEnabled() || querylog::active();
-}
 
 void MBASolver::note(const char *Rule, const Expr *Before, const Expr *After,
                      uint64_t Ns) {
@@ -64,81 +73,70 @@ void MBASolver::note(const char *Rule, const Expr *Before, const Expr *After,
   // its input is stage time, not a rule application.
   if (Before == After || !*Rule)
     return;
-  if (noting())
+  if (querylog::attributing())
     querylog::noteRule(Rule, 1, Ns, countDagNodes(Before),
                        countDagNodes(After));
 }
 
-namespace {
-
-/// 16-hex-digit spelling of a fingerprint (JSON numbers cannot hold it).
-std::string fingerprintHex(uint64_t Fp) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, Fp);
-  return Buf;
-}
-
-} // namespace
-
 const Expr *MBASolver::simplify(const Expr *E) {
-  MBA_TRACE_SPAN("simplify");
-  static telemetry::Counter &Calls = telemetry::counter("simplify.calls");
   static telemetry::Histogram &DurationNs =
       telemetry::histogram("simplify.duration_ns");
-  Calls.add();
-  Stopwatch Timer;
-  size_t BytesBefore = Ctx.bytesUsed();
+  uint64_t Ns = 0;
+  querylog::Stage Top(SimplifyStage, &Ns, /*AlwaysTimed=*/true);
+  const SimplifyStats Before = Stats;
 
   // Flight recorder: one record per top-level simplify query. Purely
   // observational — nothing below branches on whether recording is on, so
   // logged and unlogged runs stay bit-identical (pinned by harness_test).
   querylog::QueryScope LogScope("simplify");
-  size_t CacheHitsBefore = Stats.CacheHits;
-  size_t CacheMissesBefore = Stats.CacheMisses;
-  if (querylog::Record *QR = querylog::active()) {
+  querylog::Record *QR = querylog::active();
+  if (QR)
     QR->num("width", Ctx.width());
-    QR->num("nodes_in", countDagNodes(E));
-    QR->num("alt_in", mbaAlternation(E));
-    QR->str("fp_in", fingerprintHex(exprFingerprint(E)));
-    uint64_t ClassifyStart = telemetry::nowNs();
-    QR->str("class", mbaKindName(classifyMBA(Ctx, E)));
-    QR->stage("classify", telemetry::nowNs() - ClassifyStart);
-  }
-  auto FinishRecord = [&](const Expr *Result, const char *ResultCache) {
-    querylog::Record *QR = querylog::active();
+  auto Finish = [&](const Expr *Result, const char *ResultCache) {
+    Top.end();
+    Stats.Seconds += (double)Ns * 1e-9;
+    DurationNs.record(Ns);
+    telemetry::publish(RunCounters,
+                       {Stats.LinearRuns - Before.LinearRuns,
+                        Stats.PolyRuns - Before.PolyRuns,
+                        Stats.NonPolyRuns - Before.NonPolyRuns});
     if (!QR)
-      return;
+      return Result;
     QR->str("result_cache", ResultCache);
-    QR->num("nodes_out", countDagNodes(Result));
-    QR->num("alt_out", mbaAlternation(Result));
-    QR->str("fp_out", fingerprintHex(exprFingerprint(Result)));
+    QR->fingerprint("fp_out", exprFingerprint(Result));
     // Simplifier-side cache events during this query (result + linear +
     // basis layers share the counters; the early-return hit path makes
     // "hit" vs these numbers unambiguous).
-    QR->num("cache_hits", Stats.CacheHits - CacheHitsBefore);
-    QR->num("cache_misses", Stats.CacheMisses - CacheMissesBefore);
+    QR->num("cache_hits", Stats.CacheHits - Before.CacheHits);
+    QR->num("cache_misses", Stats.CacheMisses - Before.CacheMisses);
+    return Result;
   };
 
   // Structural result layer of the shared cache: keyed on the input's
   // fingerprint (not its semantics — the alternation guard below makes the
   // output depend on the input's *form*, so semantic keying would break
   // bit-identity). Suspended while a synthesis fallback is attached (see
-  // SimplifyOptions::SharedCache).
+  // SimplifyOptions::SharedCache). A hit records only O(1) fields: no walk
+  // of the input or the output.
   SimplifyCache *SC =
       Opts.EnableCache && !Opts.SynthFallback ? Opts.SharedCache : nullptr;
   uint64_t ResultKey = 0;
+  uint64_t InputFp = exprFingerprint(E);
+  if (QR)
+    QR->fingerprint("fp_in", InputFp);
   if (SC) {
     ResultKey = hashCombine64(hashCombine64(hashMix64(Ctx.mask()), OptionsFp),
-                              exprFingerprint(E));
+                              InputFp);
     if (const Expr *Hit = SC->lookupResult(ResultKey, Ctx)) {
       ++Stats.CacheHits;
-      double Elapsed = Timer.seconds();
-      Stats.Seconds += Elapsed;
-      Stats.ArenaBytesDelta += Ctx.bytesUsed() - BytesBefore;
-      DurationNs.record((uint64_t)(Elapsed * 1e9));
-      FinishRecord(Hit, "hit");
-      return Hit;
+      return Finish(Hit, "hit");
     }
+  }
+  if (QR) {
+    QR->num("nodes_in", countDagNodes(E));
+    QR->num("alt_in", mbaAlternation(E));
+    querylog::Stage Classify(ClassifyInputStage);
+    QR->str("class", mbaKindName(classifyMBA(Ctx, E)));
   }
   // Per-call state, built only on a miss: temp numbering restarts at zero
   // and may only avoid the *input's* variable names, and the rewrite memo
@@ -156,23 +154,26 @@ const Expr *MBASolver::simplify(const Expr *E) {
   VarMemo.clear();
   InputVars = VarMemo.variables(E);
 
-  bool Noting = noting();
   const Expr *R = E;
   if (Opts.EnableKnownBits) {
     // Multi-domain constant folding (known bits + parity + intervals);
     // strictly stronger than the original known-bits-only pre-pass.
-    querylog::StageTimer Stage("abstract-fold");
-    uint64_t T0 = Noting ? telemetry::nowNs() : 0;
-    R = foldAbstract(Ctx, R);
-    note("abstract-fold", E, R, Noting ? telemetry::nowNs() - T0 : 0);
+    uint64_t FoldNs = 0;
+    {
+      querylog::Stage Stage(AbstractFoldStage, &FoldNs);
+      R = foldAbstract(Ctx, R);
+    }
+    note("abstract-fold", E, R, FoldNs);
   }
   R = simplifyRec(R, 0);
   if (Opts.EnableFinalOpt) {
-    querylog::StageTimer Stage("final-opt");
     const Expr *Before = R;
-    uint64_t T0 = Noting ? telemetry::nowNs() : 0;
-    R = finalOptimize(R);
-    note("final-opt", Before, R, Noting ? telemetry::nowNs() - T0 : 0);
+    uint64_t OptNs = 0;
+    {
+      querylog::Stage Stage(FinalOptStage, &OptNs);
+      R = finalOptimize(R);
+    }
+    note("final-opt", Before, R, OptNs);
   }
   // Never return a form with more bitwise/arithmetic mixing than the
   // input. (Length may grow: the normalized expansion of a factored
@@ -182,12 +183,11 @@ const Expr *MBASolver::simplify(const Expr *E) {
 
   if (SC)
     SC->insertResult(ResultKey, R);
-  double Elapsed = Timer.seconds();
-  Stats.Seconds += Elapsed;
-  Stats.ArenaBytesDelta += Ctx.bytesUsed() - BytesBefore;
-  DurationNs.record((uint64_t)(Elapsed * 1e9));
-  FinishRecord(R, SC ? "miss" : "off");
-  return R;
+  if (QR) {
+    QR->num("nodes_out", countDagNodes(R));
+    QR->num("alt_out", mbaAlternation(R));
+  }
+  return Finish(R, SC ? "miss" : "off");
 }
 
 const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
@@ -200,7 +200,7 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
 
   const Expr *R = E;
   const char *Rule = "";
-  uint64_t NoteStart = noting() ? telemetry::nowNs() : 0;
+  StageNs = 0; // set by the path's Stage; a constant fold runs none
   switch (classifyMBA(Ctx, E, FactsMemo)) {
   case MBAKind::Linear: {
     std::vector<const Expr *> Vars = VarMemo.variables(E);
@@ -236,8 +236,11 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
     // instead of strash-collapsing.
     if (Opts.SynthFallback && mbaAlternation(R, AltMemo) > 0) {
       if (const Expr *S = Opts.SynthFallback(Ctx, R)) {
-        if (Depth < MaxDepth)
+        if (Depth < MaxDepth) {
+          uint64_t NonPolyNs = StageNs;
           S = simplifyRec(S, Depth + 1);
+          StageNs = NonPolyNs;
+        }
         const Expr *P = pickBetter(S, R);
         bool Installed = P != R;
         if (Installed) {
@@ -246,7 +249,7 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
         }
         // Attribution: the candidate arrived checker-proved; record
         // whether pickBetter installed it or judged it no improvement.
-        if (noting())
+        if (querylog::attributing())
           querylog::noteRuleOutcome("synth-fallback", Installed);
       }
     }
@@ -255,7 +258,7 @@ const Expr *MBASolver::simplifyRec(const Expr *E, unsigned Depth) {
 
   if (mbaAlternation(R, AltMemo) > mbaAlternation(E, AltMemo))
     R = E;
-  note(Rule, E, R, NoteStart ? telemetry::nowNs() - NoteStart : 0);
+  note(Rule, E, R, StageNs);
   ResultMemo.emplace(E, R);
   return R;
 }
@@ -266,10 +269,7 @@ const Expr *MBASolver::simplifyLinear(const Expr *E,
     // No variables: a constant expression; evaluate it.
     return Ctx.getConst(evaluate(Ctx, E, std::span<const uint64_t>()));
   ++Stats.LinearRuns;
-  MBA_TRACE_SPAN("simplify.linear");
-  querylog::StageTimer Stage("linear-signature");
-  static telemetry::Counter &Runs = telemetry::counter("simplify.linear_runs");
-  Runs.add();
+  querylog::Stage Stage(LinearStage, &StageNs);
   std::vector<uint64_t> Sig = computeSignature(Ctx, E, Vars);
   Stats.TransientBytes += Sig.size() * sizeof(uint64_t);
 
@@ -370,10 +370,7 @@ MBASolver::normalizedCombo(const std::vector<uint64_t> &Sig,
 
 const Expr *MBASolver::simplifyPoly(const Expr *E, unsigned Depth) {
   ++Stats.PolyRuns;
-  MBA_TRACE_SPAN("simplify.poly");
-  querylog::StageTimer Stage("poly-normalize");
-  static telemetry::Counter &Runs = telemetry::counter("simplify.poly_runs");
-  Runs.add();
+  querylog::Stage Stage(PolyStage, &StageNs);
   AtomMap Atoms;
   uint64_t Mask = Ctx.mask();
 
@@ -415,11 +412,7 @@ const Expr *MBASolver::simplifyPoly(const Expr *E, unsigned Depth) {
 
 const Expr *MBASolver::simplifyNonPoly(const Expr *E, unsigned Depth) {
   ++Stats.NonPolyRuns;
-  MBA_TRACE_SPAN("simplify.nonpoly");
-  querylog::StageTimer Stage("nonpoly-abstraction");
-  static telemetry::Counter &Runs =
-      telemetry::counter("simplify.nonpoly_runs");
-  Runs.add();
+  querylog::Stage Stage(NonPolyStage, &StageNs);
 
   // Abstract every arithmetic sub-expression that sits directly under a
   // bitwise operator as a fresh temporary variable, recursively simplifying
@@ -659,7 +652,6 @@ const Expr *MBASolver::arithReduceOpaque(const Expr *E) {
 const Expr *MBASolver::finalOptimize(const Expr *E) {
   if (E->isConst())
     return E;
-  MBA_TRACE_SPAN("simplify.finalopt");
   if (classifyMBA(Ctx, E, FactsMemo) != MBAKind::Linear)
     return E;
   std::vector<const Expr *> Vars = VarMemo.variables(E);

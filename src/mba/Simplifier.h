@@ -107,8 +107,7 @@ struct SimplifyOptions {
 
 /// Cumulative statistics across simplify() calls.
 struct SimplifyStats {
-  double Seconds = 0;
-  size_t ArenaBytesDelta = 0; ///< context arena growth during simplify()
+  double Seconds = 0; ///< read from the top-level simplify Stage
   /// Estimated transient working-set bytes (signature vectors, polynomial
   /// term maps, lookup-table entries). The arena only holds expression
   /// nodes, so this is the dominant memory term for Table 8.
@@ -169,15 +168,9 @@ private:
   /// The next temporary variable whose name is not one of the input's.
   const Expr *freshTempVar();
 
-  /// True when any observer wants per-rule records — the metrics registry
-  /// (rule attribution) or an active query-log record. Callers use it to
-  /// gate the timing/node-counting work around a step.
-  bool noting() const;
-
   /// Records a rewrite step, when metrics or the query log are on, into
   /// the rule-attribution registry and the active flight-recorder record
-  /// (fires / ns / node delta). \p Ns is the step's wall time when the
-  /// caller measured one (gated on noting()).
+  /// (fires / ns / node delta). \p Ns is the duration of the step's Stage.
   void note(const char *Rule, const Expr *Before, const Expr *After,
             uint64_t Ns = 0);
 
@@ -230,6 +223,10 @@ private:
   /// counts and cache configurations.
   std::vector<const Expr *> InputVars; ///< from VarMemo; temps skip these
   unsigned NextTempId = 0;
+
+  /// Duration of the last Algorithm 1 path Stage to end (0 with every view
+  /// off): simplifyRec's rule attribution reads it instead of a 2nd clock.
+  uint64_t StageNs = 0;
 };
 
 } // namespace mba

@@ -40,32 +40,30 @@
 #include "aig/ExprAig.h"
 #include "support/QueryLog.h"
 #include "support/Stopwatch.h"
-#include "support/Telemetry.h"
 
 using namespace mba;
 
 namespace {
 
-/// One fixed configuration of the bit-blasting stack.
+/// One fixed configuration of the bit-blasting stack. Every profile counts
+/// its queries under sat.aig.queries.
 struct Profile {
   const char *Name;
-  const char *SpanName;
+  querylog::StageDef Stage;
   aig::AigLevel Level;
   aig::Encoding Enc;
 };
 
-constexpr Profile BlastBV{.Name = "BlastBV",
-                          .SpanName = "solve.backend.BlastBV",
-                          .Level = aig::AigLevel::Plain,
-                          .Enc = aig::Encoding::Ripple};
-constexpr Profile BlastBVRW{.Name = "BlastBV+RW",
-                            .SpanName = "solve.backend.BlastBV+RW",
-                            .Level = aig::AigLevel::Strash,
-                            .Enc = aig::Encoding::Ripple};
-constexpr Profile BlastBVAig{.Name = "BlastBV+AIG",
-                             .SpanName = "solve.backend.BlastBV+AIG",
-                             .Level = aig::AigLevel::Full,
-                             .Enc = aig::Encoding::Prefix};
+const Profile BlastBV{"BlastBV",
+                      {"solve.backend.BlastBV", nullptr, "sat.aig.queries"},
+                      aig::AigLevel::Plain, aig::Encoding::Ripple};
+const Profile BlastBVRW{"BlastBV+RW",
+                        {"solve.backend.BlastBV+RW", nullptr, "sat.aig.queries"},
+                        aig::AigLevel::Strash, aig::Encoding::Ripple};
+const Profile BlastBVAig{"BlastBV+AIG",
+                         {"solve.backend.BlastBV+AIG", nullptr,
+                          "sat.aig.queries"},
+                         aig::AigLevel::Full, aig::Encoding::Prefix};
 
 class AigChecker : public EquivalenceChecker {
 public:
@@ -75,22 +73,7 @@ public:
 
   CheckResult check(const Context &Ctx, const Expr *A, const Expr *B,
                     double TimeoutSeconds) override {
-    MBA_TRACE_SPAN(P.SpanName);
-    // Query accounting: every query is either decided structurally by the
-    // AIG rewriting layer (`sat.aig.short_circuit` — SAT never runs) or
-    // reaches exactly one solve call (`sat.fresh.solves`), so
-    //   sat.aig.queries == short_circuit + fresh.solves
-    // holds by construction.
-    static telemetry::Counter &CtrQueries = telemetry::counter("sat.aig.queries");
-    static telemetry::Counter &CtrShortCircuit =
-        telemetry::counter("sat.aig.short_circuit");
-    static telemetry::Counter &CtrFreshSolves =
-        telemetry::counter("sat.fresh.solves");
-    static telemetry::Counter &CtrEncodeVars =
-        telemetry::counter("sat.encode.vars");
-    static telemetry::Counter &CtrEncodeClauses =
-        telemetry::counter("sat.encode.clauses");
-    CtrQueries.add();
+    querylog::Stage Stage(P.Stage);
 
     // Same-kind scope: pass-through under a staged checker (fields land in
     // its record), a record of its own when the backend runs unstaged.
@@ -111,7 +94,7 @@ public:
     CheckResult Result;
     if (Root == aig::Aig::falseLit() || Root == aig::Aig::trueLit()) {
       // Rewriting decided the query structurally; SAT never runs.
-      CtrShortCircuit.add();
+      publishQuery(St, /*Solved=*/false);
       Result.Outcome = Root == aig::Aig::falseLit() ? Verdict::Equivalent
                                                     : Verdict::NotEquivalent;
       Result.Seconds = Timer.seconds();
@@ -127,13 +110,11 @@ public:
     // where they stay out of every learnt clause.
     sat::SatSolver &Solver = St.Solver;
     Solver.addClause({St.Emitter.emit(Root)});
-    CtrEncodeVars.add(Solver.numVars());
-    CtrEncodeClauses.add(Solver.stats().ClausesAdded);
 
     sat::Budget Limits;
     Limits.MaxSeconds = std::max(0.0, TimeoutSeconds - Timer.seconds());
     sat::SatResult R = Solver.solve(Limits);
-    CtrFreshSolves.add();
+    publishQuery(St, /*Solved=*/true);
 
     Result.Seconds = Timer.seconds();
     switch (R) {
@@ -176,6 +157,26 @@ private:
         : Graph(P.Level), Blaster(Graph, Width, P.Enc), Translator(Blaster),
           Emitter(Graph, Solver) {}
   };
+
+  /// Publishes one query's AIG, CNF and SAT counts, which the query's
+  /// graph, emitter and solver own. Every query is either decided
+  /// structurally (`sat.aig.short_circuit` — SAT never runs) or reaches
+  /// exactly one solve call (`sat.fresh.solves`), so
+  ///   sat.aig.queries == short_circuit + fresh.solves
+  /// holds by construction.
+  static void publishQuery(const QueryState &St, bool Solved) {
+    static const telemetry::NamedCounter Counters[] = {
+        "aig.nodes",         "aig.strash_hits",       "aig.rewrites",
+        "aig.const_folds",   "aig.xor_detected",      "aig.mux_detected",
+        "sat.fresh.solves",  "sat.aig.short_circuit", "sat.encode.vars",
+        "sat.encode.clauses"};
+    const aig::AigStats &G = St.Graph.stats();
+    telemetry::publish(Counters,
+                       {G.AndNodes, G.StrashHits, G.Rewrites, G.ConstFolds,
+                        St.Emitter.xorsDetected(), St.Emitter.muxesDetected(),
+                        Solved, !Solved, St.Solver.numVars(),
+                        St.Solver.stats().ClausesAdded});
+  }
 
   const Profile &P;
 };

@@ -91,9 +91,10 @@ public:
   /// The backend's display name ("Z3", "BlastBV+RW", ...).
   std::string name() const { return Checker->name(); }
   const StageZeroStats &stageZeroStats() const { return Stats; }
-  /// Wall-clock spent in simplify() so far.
-  double simplifySeconds() const {
-    return Simplifier ? Simplifier->stats().Seconds : 0;
+  /// The simplifier's statistics so far (all zero before the first
+  /// simplify()).
+  SimplifyStats simplifyStats() const {
+    return Simplifier ? Simplifier->stats() : SimplifyStats();
   }
 
 private:

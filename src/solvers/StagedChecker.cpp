@@ -24,11 +24,8 @@
 #include "solvers/EquivalenceChecker.h"
 #include "support/QueryLog.h"
 #include "support/Stopwatch.h"
-#include "support/Telemetry.h"
 
 #include <cassert>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 using namespace mba;
@@ -70,13 +67,12 @@ size_t VerdictCache::loadSection(SnapshotReader &R, uint64_t Count) {
 
 namespace {
 
-/// Flight-recorder field spelling of a fingerprint (too wide for a JSON
-/// number).
-std::string fingerprintHex(uint64_t Fp) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, Fp);
-  return Buf;
-}
+const querylog::StageDef QueryStage{"solve.query", nullptr, "solve.queries"};
+const querylog::StageDef StageZero{"solve.stage0", "stage0"};
+const querylog::StageDef BackendStage{"solve.backend", "backend"};
+
+const telemetry::NamedCounter OutcomeCounters[] = {
+    "stage0.proved", "stage0.refuted", "stage0.fallthrough"};
 
 /// Stamps the verdict and verdict-cache disposition onto the active
 /// flight-recorder record, if any.
@@ -106,9 +102,7 @@ public:
     assert(&CheckCtx == &Ctx &&
            "staged checker bound to a different context than the query");
     (void)CheckCtx;
-    MBA_TRACE_SPAN("solve.query");
-    static telemetry::Counter &Queries = telemetry::counter("solve.queries");
-    Queries.add();
+    querylog::Stage Stage(QueryStage);
     Stopwatch Timer;
 
     // Flight recorder: one record per equivalence query. Observational
@@ -117,8 +111,8 @@ public:
     if (querylog::Record *QR = querylog::active()) {
       QR->num("width", Ctx.width());
       QR->str("backend", Inner->name());
-      QR->str("fp_a", fingerprintHex(exprFingerprint(A)));
-      QR->str("fp_b", fingerprintHex(exprFingerprint(B)));
+      QR->fingerprint("fp_a", exprFingerprint(A));
+      QR->fingerprint("fp_b", exprFingerprint(B));
       QR->fnum("timeout_s", TimeoutSeconds);
     }
 
@@ -127,8 +121,8 @@ public:
       Key = VerdictCache::queryKey(Ctx, A, B, Inner->name());
       VerdictEntry Hit;
       if (Verdicts->lookup(Key, Hit)) {
-        static telemetry::Counter &VerdictHits =
-            telemetry::counter("solve.verdict_cache_hits");
+        static const telemetry::NamedCounter VerdictHits{
+            "solve.verdict_cache_hits"};
         switch (Hit.Outcome) {
         case VerdictEntry::Equivalent:
           VerdictHits.add();
@@ -152,7 +146,12 @@ public:
       }
     }
 
+    const StageZeroStats Before = *Stats;
     CheckResult R = checkUncached(A, B, TimeoutSeconds);
+    telemetry::publish(OutcomeCounters,
+                       {Stats->Proved - Before.Proved,
+                        Stats->Refuted - Before.Refuted,
+                        Stats->Fallthrough - Before.Fallthrough});
     recordCheckOutcome(R.Outcome, Verdicts ? "miss" : "off");
     if (Verdicts) {
       VerdictEntry E;
@@ -176,13 +175,12 @@ public:
 private:
   CheckResult checkUncached(const Expr *A, const Expr *B,
                             double TimeoutSeconds) {
-    Stopwatch Timer;
+    uint64_t StaticNs = 0;
     ProveResult Static = [&] {
-      MBA_TRACE_SPAN("solve.stage0");
-      querylog::StageTimer Stage("stage0");
+      querylog::Stage Stage(StageZero, &StaticNs, /*AlwaysTimed=*/true);
       return Prover(Ctx).prove(A, B, Budget);
     }();
-    double StaticSeconds = Timer.seconds();
+    double StaticSeconds = (double)StaticNs * 1e-9;
     if (querylog::Record *QR = querylog::active()) {
       QR->str("stage0", proveOutcomeName(Static.Outcome));
       QR->str("stage0_detail", Static.Detail);
@@ -193,32 +191,26 @@ private:
     }
     Stats->StaticSeconds += StaticSeconds;
     Stats->Saturation += Static.Stats;
-    static telemetry::Counter &Proved = telemetry::counter("stage0.proved");
-    static telemetry::Counter &Refuted = telemetry::counter("stage0.refuted");
-    static telemetry::Counter &Fallthrough =
-        telemetry::counter("stage0.fallthrough");
     switch (Static.Outcome) {
     case ProveOutcome::Proved:
-      Proved.add();
       ++Stats->Proved;
       return {Verdict::Equivalent, StaticSeconds};
     case ProveOutcome::Refuted:
-      Refuted.add();
       ++Stats->Refuted;
       return {Verdict::NotEquivalent, StaticSeconds};
     case ProveOutcome::Unknown:
       break;
     }
-    Fallthrough.add();
     ++Stats->Fallthrough;
     double Remaining = TimeoutSeconds - StaticSeconds;
     if (Remaining <= 0)
       return {Verdict::Timeout, StaticSeconds};
+    uint64_t BackendNs = 0;
     CheckResult R = [&] {
-      querylog::StageTimer Stage("backend");
+      querylog::Stage Stage(BackendStage, &BackendNs, /*AlwaysTimed=*/true);
       return Inner->check(Ctx, A, B, Remaining);
     }();
-    Stats->SolverSeconds += R.Seconds;
+    Stats->SolverSeconds += (double)BackendNs * 1e-9;
     R.Seconds += StaticSeconds;
     return R;
   }

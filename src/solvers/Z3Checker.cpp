@@ -12,7 +12,6 @@
 #include "ast/ExprUtils.h"
 #include "support/QueryLog.h"
 #include "support/Stopwatch.h"
-#include "support/Telemetry.h"
 
 #include <z3++.h>
 
@@ -30,7 +29,8 @@ public:
 
   CheckResult check(const Context &Ctx, const Expr *A, const Expr *B,
                     double TimeoutSeconds) override {
-    MBA_TRACE_SPAN("solve.backend.Z3");
+    static const querylog::StageDef Z3Stage{"solve.backend.Z3", nullptr};
+    querylog::Stage Stage(Z3Stage);
     // Same-kind scope: pass-through under a staged checker (fields land in
     // its record), a record of its own when the backend runs unstaged.
     querylog::QueryScope LogScope("check");

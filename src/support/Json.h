@@ -12,7 +12,8 @@
 ///
 /// Scope is deliberately narrow — parse a complete document into an owned
 /// tree of `json::Value` nodes and navigate it. No streaming, no writer
-/// (producers emit text directly, as Harness/QueryLog do), no comments or
+/// beyond the string escaper (producers emit text directly, as
+/// Harness/QueryLog do), no comments or
 /// trailing-comma extensions. Numbers are held as doubles: every value our
 /// exporters emit (counts, nanosecond sums, seconds) fits the 2^53 exact
 /// integer range, and identifiers that do not (fingerprints) are emitted as
@@ -105,6 +106,10 @@ private:
 /// problem with a byte offset. Trailing whitespace is permitted; any other
 /// trailing content is an error (JSONL callers split on newlines first).
 bool parse(std::string_view Text, Value &Out, std::string *Error = nullptr);
+
+/// Appends \p S to \p Out as the body of a JSON string (quote, backslash
+/// and control characters escaped): the one escaper of every exporter.
+void appendEscaped(std::string &Out, std::string_view S);
 
 /// Reads and parses a whole file. Returns false on I/O or parse errors.
 bool parseFile(const std::string &Path, Value &Out,

@@ -6,6 +6,7 @@
 
 #include "support/QueryLog.h"
 
+#include "support/Json.h"
 #include "support/Telemetry.h"
 #include "support/ThreadSafety.h"
 
@@ -15,10 +16,6 @@
 #include <map>
 
 namespace mba::querylog {
-
-namespace detail {
-std::atomic<bool> LogOn{false};
-} // namespace detail
 
 //===----------------------------------------------------------------------===//
 // Sink
@@ -54,36 +51,6 @@ uint32_t threadId() {
   return Tid;
 }
 
-void appendEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
 void writeLine(const std::string &Line) {
   Sink &S = sink();
   MutexLock Lock(S.Mu);
@@ -114,7 +81,7 @@ bool openFile(const std::string &Path) {
   S.File = std::fopen(Path.c_str(), "wb");
   S.Written = 0;
   bool Ok = S.File != nullptr;
-  detail::LogOn.store(Ok, std::memory_order_relaxed);
+  telemetry::detail::setView(telemetry::ViewLog, Ok);
   return Ok;
 }
 
@@ -128,19 +95,19 @@ void beginCapture() {
   S.Capturing = true;
   S.Captured.clear();
   S.Written = 0;
-  detail::LogOn.store(true, std::memory_order_relaxed);
+  telemetry::detail::setView(telemetry::ViewLog, true);
 }
 
 std::vector<std::string> endCapture() {
   Sink &S = sink();
   MutexLock Lock(S.Mu);
   S.Capturing = false;
-  detail::LogOn.store(false, std::memory_order_relaxed);
+  telemetry::detail::setView(telemetry::ViewLog, false);
   return std::move(S.Captured);
 }
 
 void close() {
-  detail::LogOn.store(false, std::memory_order_relaxed);
+  telemetry::detail::setView(telemetry::ViewLog, false);
   Sink &S = sink();
   MutexLock Lock(S.Mu);
   if (S.File) {
@@ -199,8 +166,10 @@ void Record::flag(const char *Key, bool V) {
   F.B = V;
 }
 
-void Record::stage(std::string_view Name, uint64_t Ns) {
-  Stages.push_back(StageEntry{std::string(Name), Ns});
+void Record::fingerprint(const char *Key, uint64_t Fp) {
+  char Buf[24];
+  std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, Fp);
+  str(Key, Buf);
 }
 
 void Record::rule(std::string_view Name, uint64_t Fires, uint64_t Ns,
@@ -236,7 +205,7 @@ std::string Record::serialize(const char *Kind, uint64_t Seq) const {
     switch (F.Which) {
     case Field::FStr:
       Out += '"';
-      appendEscaped(Out, F.S);
+      json::appendEscaped(Out, F.S);
       Out += '"';
       break;
     case Field::FNum:
@@ -262,7 +231,7 @@ std::string Record::serialize(const char *Kind, uint64_t Seq) const {
       if (I)
         Out += ',';
       Out += "{\"name\":\"";
-      appendEscaped(Out, Stages[I].Name);
+      json::appendEscaped(Out, Stages[I].Name);
       Out += "\",\"ns\":";
       std::snprintf(Buf, sizeof(Buf), "%" PRIu64, Stages[I].Ns);
       Out += Buf;
@@ -277,7 +246,7 @@ std::string Record::serialize(const char *Kind, uint64_t Seq) const {
         Out += ',';
       const RuleEntry &R = Rules[I];
       Out += "{\"rule\":\"";
-      appendEscaped(Out, R.Name);
+      json::appendEscaped(Out, R.Name);
       Out += '"';
       std::snprintf(Buf, sizeof(Buf), ",\"fires\":%" PRIu64, R.Fires);
       Out += Buf;
@@ -353,6 +322,33 @@ QueryScope::~QueryScope() {
   TS.ActiveKind = nullptr;
   if (enabled())
     writeLine(Line);
+}
+
+//===----------------------------------------------------------------------===//
+// Stages
+//===----------------------------------------------------------------------===//
+
+void Stage::start(const StageDef &D, unsigned On, bool AlwaysTimed) {
+  D.Runs.add();
+  Span = (On & telemetry::ViewTrace) && D.Span;
+  Rec = (On & telemetry::ViewLog) && D.Log ? active() : nullptr;
+  // Metrics alone need no clock unless a caller reads the duration.
+  if (!Span && !Rec && !Elapsed && !AlwaysTimed)
+    return; // Def stays null: nothing to do at the end
+  Def = &D;
+  StartNs = telemetry::nowNs();
+}
+
+void Stage::finish() {
+  uint64_t EndNs = telemetry::nowNs();
+  uint64_t Ns = EndNs - StartNs;
+  if (Span)
+    telemetry::detail::endSpan(Def->Span, StartNs, EndNs);
+  if (Rec)
+    Rec->Stages.push_back({Def->Log, Ns});
+  if (Elapsed)
+    *Elapsed = Ns;
+  Def = nullptr;
 }
 
 //===----------------------------------------------------------------------===//

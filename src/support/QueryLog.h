@@ -67,14 +67,8 @@
 
 namespace mba::querylog {
 
-namespace detail {
-extern std::atomic<bool> LogOn;
-} // namespace detail
-
 /// True when a sink (file or in-memory capture) is open. One relaxed load.
-inline bool enabled() {
-  return detail::LogOn.load(std::memory_order_relaxed);
-}
+inline bool enabled() { return telemetry::views() & telemetry::ViewLog; }
 
 /// Opens \p Path as the JSONL sink (truncating) and enables recording.
 /// Returns false (and stays disabled) if the file cannot be created.
@@ -110,9 +104,8 @@ public:
   void snum(const char *Key, int64_t V);
   void fnum(const char *Key, double V);
   void flag(const char *Key, bool V);
-
-  /// Appends one stage-timing entry: {"name": Name, "ns": Ns}.
-  void stage(std::string_view Name, uint64_t Ns);
+  /// A 64-bit fingerprint as 16 hex digits (too wide for a JSON number).
+  void fingerprint(const char *Key, uint64_t Fp);
 
   /// Accumulates one rule-attribution entry; repeated calls with the same
   /// \p Name sum into a single {"rule", "fires", "ns", "nodes_before",
@@ -124,6 +117,8 @@ public:
   std::string serialize(const char *Kind, uint64_t Seq) const;
 
 private:
+  friend class Stage; // the one writer of `Stages`
+
   struct Field {
     const char *Key;
     enum : uint8_t { FStr, FNum, FSNum, FFloat, FBool } Which;
@@ -134,7 +129,7 @@ private:
     bool B = false;
   };
   struct StageEntry {
-    std::string Name;
+    const char *Name;
     uint64_t Ns;
   };
   struct RuleEntry {
@@ -166,10 +161,6 @@ public:
   QueryScope(const QueryScope &) = delete;
   QueryScope &operator=(const QueryScope &) = delete;
 
-  /// The record this scope arms, or nullptr when it is inert/pass-through.
-  /// Most contributors should use querylog::active() instead.
-  Record *record() { return Armed ? &Rec : nullptr; }
-
 private:
   const char *Kind;
   bool Armed = false;       ///< outermost scope: owns + writes the record
@@ -178,24 +169,59 @@ private:
   Record Rec;
 };
 
-/// RAII stage timer: appends {"name": Name, "ns": elapsed} to the record
-/// that was active at construction. Inert (one relaxed load) when recording
-/// is off. \p Name must outlive the timer (string literals do).
-class StageTimer {
+/// True when rule attribution has an observer (metrics or an active
+/// record); sites gate the node counting around a rewrite step on it.
+inline bool attributing() {
+  return telemetry::metricsEnabled() || active() != nullptr;
+}
+
+//===----------------------------------------------------------------------===//
+// Stages
+//===----------------------------------------------------------------------===//
+
+/// One pipeline stage, declared once as a constant at its site: its span,
+/// its record `stages` entry and its run counter (each may be nullptr).
+/// Where a struct counts the runs, the def names no counter.
+struct StageDef {
+  const char *Span;
+  const char *Log;
+  telemetry::NamedCounter Runs{nullptr};
+};
+
+/// RAII scope of one run of a stage, its single instrumentation point: from
+/// one clock it emits the span, appends the `stages` entry to the record
+/// active at construction and bumps the run counter, each when its view is
+/// on. With every view off it costs one relaxed load. \p Elapsed receives
+/// the duration in ns when the clock was read — with any view on, or
+/// always with \p AlwaysTimed, for an always-on field such as
+/// SimplifyStats::Seconds.
+class Stage {
 public:
-  explicit StageTimer(const char *Name)
-      : Name(Name), R(active()), StartNs(R ? telemetry::nowNs() : 0) {}
-  ~StageTimer() {
-    if (R)
-      R->stage(Name, telemetry::nowNs() - StartNs);
+  explicit Stage(const StageDef &Def, uint64_t *Elapsed = nullptr,
+                 bool AlwaysTimed = false)
+      : Elapsed(Elapsed) {
+    if (unsigned On = telemetry::views(); On || AlwaysTimed)
+      start(Def, On, AlwaysTimed);
   }
-  StageTimer(const StageTimer &) = delete;
-  StageTimer &operator=(const StageTimer &) = delete;
+  ~Stage() { end(); }
+  Stage(const Stage &) = delete;
+  Stage &operator=(const Stage &) = delete;
+
+  /// Ends the stage before its scope does; later calls do nothing.
+  void end() {
+    if (Def)
+      finish();
+  }
 
 private:
-  const char *Name;
-  Record *R;
-  uint64_t StartNs;
+  void start(const StageDef &D, unsigned On, bool AlwaysTimed);
+  void finish();
+
+  const StageDef *Def = nullptr; ///< null: inert or already ended
+  Record *Rec = nullptr;
+  uint64_t *Elapsed;
+  uint64_t StartNs = 0;
+  bool Span = false;
 };
 
 //===----------------------------------------------------------------------===//
@@ -214,8 +240,7 @@ struct RuleStats {
 
 /// Adds one observation to \p Rule's process-wide totals and, when a query
 /// record is active, to its per-query attribution array. Callers gate on
-/// `telemetry::metricsEnabled() || querylog::active()` so the disabled
-/// pipeline never takes the registry mutex.
+/// attributing() so the disabled pipeline never takes the registry mutex.
 void noteRule(std::string_view Rule, uint64_t Fires, uint64_t Ns,
               uint64_t NodesBefore, uint64_t NodesAfter);
 

@@ -7,6 +7,7 @@
 #include "support/Telemetry.h"
 
 #include "support/BuildInfo.h"
+#include "support/Json.h"
 #include "support/ThreadSafety.h"
 
 #include <algorithm>
@@ -23,15 +24,13 @@
 using namespace mba;
 using namespace mba::telemetry;
 
-std::atomic<bool> mba::telemetry::detail::MetricsOn{false};
-std::atomic<bool> mba::telemetry::detail::TracingOn{false};
+std::atomic<unsigned> mba::telemetry::detail::Views{0};
 
-void mba::telemetry::setMetricsEnabled(bool On) {
-  detail::MetricsOn.store(On, std::memory_order_relaxed);
-}
-
-void mba::telemetry::setTracingEnabled(bool On) {
-  detail::TracingOn.store(On, std::memory_order_relaxed);
+void mba::telemetry::detail::setView(View V, bool On) {
+  if (On)
+    Views.fetch_or(V, std::memory_order_relaxed);
+  else
+    Views.fetch_and(~(unsigned)V, std::memory_order_relaxed);
 }
 
 unsigned mba::telemetry::threadStripe() {
@@ -377,8 +376,8 @@ ThreadBuf &threadBuf() {
 
 } // namespace
 
-void mba::telemetry::detail::endSpan(const char *Name, uint64_t StartNs) {
-  uint64_t EndNs = nowNs();
+void mba::telemetry::detail::endSpan(const char *Name, uint64_t StartNs,
+                                     uint64_t EndNs) {
   ThreadBuf &B = threadBuf();
   MutexLock Lock(B.Mu);
   if (B.Events.size() >= MaxEventsPerThread) {
@@ -460,48 +459,15 @@ void mba::telemetry::clearTrace() {
   }
 }
 
-namespace {
-
-/// JSON string escaping for names/labels (ASCII control chars, quote,
-/// backslash).
-std::string jsonEscape(std::string_view In) {
-  std::string Out;
-  for (char C : In) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if ((unsigned char)C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-} // namespace
-
 bool mba::telemetry::writeChromeTrace(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "w");
   if (!F)
     return false;
+  auto jsonEscape = [](std::string_view In) {
+    std::string Out;
+    json::appendEscaped(Out, In);
+    return Out;
+  };
   std::fprintf(F, "{\"traceEvents\":[\n");
   std::fprintf(F, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
                   "\"args\":{\"name\":\"mba-solver\"}}");

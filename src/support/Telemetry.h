@@ -37,8 +37,9 @@
 ///   static telemetry::Counter &C = telemetry::counter("simplify.calls");
 ///   C.add();
 ///
-///   // spans — RAII, nanosecond timestamps, per-thread trees
-///   { MBA_TRACE_SPAN("simplify.linear"); ...work...; }
+///   // spans — RAII, nanosecond timestamps, per-thread trees (a pipeline
+///   // stage uses querylog::Stage, which also feeds counter and log)
+///   { MBA_TRACE_SPAN("test.span"); ...work...; }
 ///
 ///   // export
 ///   telemetry::writeChromeTrace("trace.json");
@@ -63,22 +64,25 @@ namespace mba::telemetry {
 // Global enable switches
 //===----------------------------------------------------------------------===//
 
+/// The three views (tracing, metrics, the query log) as bits of one word,
+/// so an instrumentation point asks "is anything on?" with one load.
+enum View : unsigned { ViewTrace = 1, ViewMetrics = 2, ViewLog = 4 };
+
 namespace detail {
-extern std::atomic<bool> MetricsOn;
-extern std::atomic<bool> TracingOn;
+extern std::atomic<unsigned> Views;
+void setView(View V, bool On);
 } // namespace detail
 
+/// Which views are on (View bits). One relaxed load.
+inline unsigned views() { return detail::Views.load(std::memory_order_relaxed); }
+
 /// Metrics recording (counters/gauges/histograms). Off by default.
-inline bool metricsEnabled() {
-  return detail::MetricsOn.load(std::memory_order_relaxed);
-}
-void setMetricsEnabled(bool On);
+inline bool metricsEnabled() { return views() & ViewMetrics; }
+inline void setMetricsEnabled(bool On) { detail::setView(ViewMetrics, On); }
 
 /// Span tracing. Off by default.
-inline bool tracingEnabled() {
-  return detail::TracingOn.load(std::memory_order_relaxed);
-}
-void setTracingEnabled(bool On);
+inline bool tracingEnabled() { return views() & ViewTrace; }
+inline void setTracingEnabled(bool On) { detail::setView(ViewTrace, On); }
 
 //===----------------------------------------------------------------------===//
 // Metrics: counters, gauges, histograms
@@ -214,6 +218,39 @@ Counter &counter(std::string_view Name);
 Gauge &gauge(std::string_view Name);
 Histogram &histogram(std::string_view Name);
 
+/// A counter named by a string literal (or nullptr: none), registered on its
+/// first non-zero add() with metrics on. Constant-initialized: no static-init
+/// guard, and a counter that never counted stays out of the dump.
+class NamedCounter {
+public:
+  constexpr NamedCounter(const char *Name) : Name(Name) {}
+
+  void add(uint64_t N = 1) const {
+    if (N == 0 || !Name || !metricsEnabled())
+      return;
+    Counter *C = Resolved.load(std::memory_order_acquire);
+    if (!C) {
+      C = &counter(Name);
+      Resolved.store(C, std::memory_order_release);
+    }
+    C->add(N);
+  }
+
+private:
+  const char *Name;
+  mutable std::atomic<Counter *> Resolved{nullptr};
+};
+
+/// Adds Values[I] to Counters[I]: a struct that owns its counts publishes
+/// them once per query, job or function, staying the only count.
+template <size_t N>
+void publish(const NamedCounter (&Counters)[N], const uint64_t (&Values)[N]) {
+  if (!metricsEnabled())
+    return;
+  for (size_t I = 0; I != N; ++I)
+    Counters[I].add(Values[I]);
+}
+
 //===----------------------------------------------------------------------===//
 // Callback metric sources (CacheStats / PoolStats migration)
 //===----------------------------------------------------------------------===//
@@ -331,7 +368,7 @@ void clearTrace();
 bool writeChromeTrace(const std::string &Path);
 
 namespace detail {
-void endSpan(const char *Name, uint64_t StartNs);
+void endSpan(const char *Name, uint64_t StartNs, uint64_t EndNs);
 } // namespace detail
 
 /// RAII scope for one traced span. When tracing is disabled at entry the
@@ -343,7 +380,7 @@ public:
         StartNs(this->Name ? nowNs() : 0) {}
   ~SpanGuard() {
     if (Name)
-      detail::endSpan(Name, StartNs);
+      detail::endSpan(Name, StartNs, nowNs());
   }
   SpanGuard(const SpanGuard &) = delete;
   SpanGuard &operator=(const SpanGuard &) = delete;

@@ -6,10 +6,22 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/QueryLog.h"
+
 #include <algorithm>
 #include <cassert>
 
 using namespace mba;
+
+namespace {
+
+/// The scheduler counts PoolStats owns, published once per job. The
+/// registry counters outlive the pool, so a metrics dump written after the
+/// study still reports the totals.
+const telemetry::NamedCounter JobCounters[] = {"pool.steals",
+                                               "pool.idle_waits", "pool.tasks"};
+
+} // namespace
 
 ThreadPool::ThreadPool(unsigned Threads) {
   if (Threads == 0)
@@ -87,10 +99,6 @@ bool ThreadPool::grabIndex(unsigned Ordinal, size_t &Index) {
       Own.Hi = StolenHi;
     }
     Steals.fetch_add(1, std::memory_order_relaxed);
-    // The registry counter outlives this pool — a metrics dump written
-    // after the study (and its pool) still reports the totals.
-    static telemetry::Counter &StealsC = telemetry::counter("pool.steals");
-    StealsC.add();
     Index = StolenLo;
     return true;
   }
@@ -122,7 +130,8 @@ void ThreadPool::workerMain(unsigned Ordinal) {
       if (LocalError)
         continue; // drain without running more work after a failure
       try {
-        MBA_TRACE_SPAN("pool.task");
+        static const querylog::StageDef TaskStage{"pool.task", nullptr};
+        querylog::Stage Stage(TaskStage);
         (*Fn)(Index, Ordinal);
       } catch (...) {
         LocalError = std::current_exception();
@@ -130,14 +139,8 @@ void ThreadPool::workerMain(unsigned Ordinal) {
     }
 
     Tasks.fetch_add(LocalTasks, std::memory_order_relaxed);
-    static telemetry::Counter &TasksC = telemetry::counter("pool.tasks");
-    TasksC.add(LocalTasks);
-    if (LocalTasks == 0) {
+    if (LocalTasks == 0)
       IdleWaits.fetch_add(1, std::memory_order_relaxed);
-      static telemetry::Counter &IdleC =
-          telemetry::counter("pool.idle_waits");
-      IdleC.add();
-    }
     {
       MutexLock Lock(Mu);
       if (LocalError && !FirstError)
@@ -161,6 +164,7 @@ void ThreadPool::parallelFor(
     S.Lo = std::min(N, (size_t)I * Chunk);
     S.Hi = std::min(N, S.Lo + Chunk);
   }
+  PoolStats Before = stats();
   UniqueMutexLock Lock(Mu);
   assert(!Job && "parallelFor is not reentrant");
   Job = &Fn;
@@ -172,6 +176,10 @@ void ThreadPool::parallelFor(
   while (ActiveWorkers != 0)
     DoneCv.wait(Lock.native());
   Job = nullptr;
+  PoolStats After = stats();
+  telemetry::publish(JobCounters, {After.Steals - Before.Steals,
+                                   After.IdleWaits - Before.IdleWaits,
+                                   After.Tasks - Before.Tasks});
   // Move the error out before rethrowing: the throw unwinds Lock, and no
   // guarded field may be touched after that.
   std::exception_ptr Error = FirstError;

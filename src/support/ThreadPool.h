@@ -18,11 +18,10 @@
 ///    traffic is noise, and the simple scheme is easy to audit under TSAN;
 ///  * steal and idle-wait counters are exported (PoolStats) so the bench
 ///    harness can report scheduler health next to its timing tables; they
-///    are relaxed atomics (no torn reads under --jobs=N) and the pool
-///    mirrors them into the global telemetry counters pool.tasks /
-///    pool.steals / pool.idle_waits (support/Telemetry.h), which outlive
-///    the pool, so a metrics dump written after a study still covers the
-///    scheduler alongside the caches and pipeline counters;
+///    are relaxed atomics (no torn reads under --jobs=N) and the only
+///    count; each parallelFor() publishes its job's share to the telemetry
+///    counters pool.tasks / pool.steals / pool.idle_waits, which outlive
+///    the pool, so a metrics dump written after a study still has them;
 ///  * the callback receives (index, worker) — the worker ordinal lets
 ///    callers keep per-worker state (e.g. one expression Context per
 ///    worker, see ast/Context.h's threading rule) without sharing.
@@ -32,7 +31,6 @@
 #ifndef MBA_SUPPORT_THREADPOOL_H
 #define MBA_SUPPORT_THREADPOOL_H
 
-#include "support/Telemetry.h"
 #include "support/ThreadSafety.h"
 
 #include <atomic>
@@ -103,7 +101,7 @@ private:
   std::exception_ptr FirstError MBA_GUARDED_BY(Mu);
 
   // Scheduler counters: relaxed atomics, so concurrent workers never tear
-  // a read and stats() / the telemetry source need no lock.
+  // a read and stats() needs no lock.
   std::atomic<size_t> Steals{0};
   std::atomic<size_t> IdleWaits{0};
   std::atomic<size_t> Tasks{0};

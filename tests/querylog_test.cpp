@@ -7,15 +7,20 @@
 // Pins the query-log contracts: JSONL records parse back with the full
 // decision chain intact, concurrent writers produce line-atomic output,
 // scope nesting follows the pass-through/suppress rules, the disabled path
-// stays at one relaxed load, and the rule-attribution registry merges
-// observations correctly.
+// stays at one relaxed load, the rule-attribution registry merges
+// observations correctly, and each stage's span, counter and record entry
+// come from one instrumentation point, so the views agree.
 //
 //===----------------------------------------------------------------------===//
 
+#include "aig/AigBlaster.h"
+#include "aig/ExprAig.h"
 #include "ast/Context.h"
 #include "ast/Parser.h"
 #include "ast/Printer.h"
+#include "gen/Corpus.h"
 #include "mba/Simplifier.h"
+#include "mba/SimplifyCache.h"
 #include "solvers/Pipeline.h"
 #include "support/Json.h"
 #include "support/QueryLog.h"
@@ -24,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -55,8 +61,7 @@ TEST(QueryLog, DisabledByDefault) {
   EXPECT_EQ(querylog::active(), nullptr);
   {
     querylog::QueryScope Scope("check");
-    EXPECT_EQ(Scope.record(), nullptr) << "scope armed without a sink";
-    EXPECT_EQ(querylog::active(), nullptr);
+    EXPECT_EQ(querylog::active(), nullptr) << "scope armed without a sink";
   }
   EXPECT_EQ(querylog::recordsWritten(), 0u);
 }
@@ -282,14 +287,22 @@ TEST(QueryLog, DisabledActiveIsCheap) {
   // checkers rely on: with no sink open, active() is one relaxed load.
   // Bound it loosely — hundreds of ns per call would mean a lock or TLS
   // initialization snuck onto the disabled path.
+  // A Stage with every view off is the same one load, and counts nothing.
   ASSERT_FALSE(querylog::enabled());
+  ASSERT_EQ(telemetry::views(), 0u);
+  static const querylog::StageDef Def{"test.stage", "test-stage",
+                                      "test.disabled_stage_runs"};
   constexpr unsigned N = 200000;
   uint64_t Start = telemetry::nowNs();
-  for (unsigned I = 0; I != N; ++I)
+  for (unsigned I = 0; I != N; ++I) {
+    querylog::Stage S(Def);
     if (querylog::active())
       FAIL() << "active() returned a record with no sink open";
+  }
   uint64_t PerCall = (telemetry::nowNs() - Start) / N;
   EXPECT_LT(PerCall, 1000u) << "disabled query-log cost exploded";
+  for (const telemetry::MetricValue &M : telemetry::snapshotMetrics())
+    EXPECT_NE(M.Name, "test.disabled_stage_runs");
 }
 
 TEST(QueryLog, RuleAttributionMergesAndSnapshotSorts) {
@@ -334,6 +347,138 @@ TEST(QueryLog, LoggedSimplifyMatchesUnlogged) {
   std::vector<std::string> Lines = querylog::endCapture();
   EXPECT_EQ(Plain, Logged);
   EXPECT_EQ(Lines.size(), 1u);
+}
+
+TEST(QueryLog, ResultCacheHitRecordsOnlyConstantTimeFields) {
+  // A logged hit walks nothing: it carries the fingerprints, the cache
+  // disposition and the cache counts, but no field that needs a walk of
+  // the input or the output. The miss before it keeps the full record.
+  Context Ctx(64);
+  const Expr *E = parse(Ctx, "(a | b) + (a & b) - (a ^ b)");
+  SimplifyCache Cache(64);
+  SimplifyOptions Opts;
+  Opts.SharedCache = &Cache;
+  MBASolver Solver(Ctx, Opts);
+  querylog::beginCapture();
+  const Expr *First = Solver.simplify(E);
+  const Expr *Second = Solver.simplify(E);
+  std::vector<json::Value> Records = parseLines(querylog::endCapture());
+  EXPECT_EQ(First, Second);
+  ASSERT_EQ(Records.size(), 2u);
+
+  const json::Value &Miss = Records[0];
+  EXPECT_EQ(Miss.stringAt("result_cache"), "miss");
+  for (const char *Key : {"width", "nodes_in", "alt_in", "fp_in", "class",
+                          "nodes_out", "alt_out", "fp_out", "cache_hits",
+                          "cache_misses", "stages"})
+    EXPECT_NE(Miss.get(Key), nullptr) << "miss record lost " << Key;
+
+  const json::Value &Hit = Records[1];
+  EXPECT_EQ(Hit.stringAt("result_cache"), "hit");
+  EXPECT_EQ(Hit.numberAt("width"), 64);
+  EXPECT_EQ(Hit.stringAt("fp_in"), Miss.stringAt("fp_in"));
+  EXPECT_EQ(Hit.stringAt("fp_out"), Miss.stringAt("fp_out"));
+  EXPECT_EQ(Hit.numberAt("cache_hits"), 1);
+  EXPECT_EQ(Hit.numberAt("cache_misses"), 0);
+  for (const char *Key :
+       {"class", "nodes_in", "alt_in", "nodes_out", "alt_out", "stages"})
+    EXPECT_EQ(Hit.get(Key), nullptr) << "a hit record carries " << Key;
+}
+
+uint64_t counterValue(const char *Name) {
+  for (const telemetry::MetricValue &M : telemetry::snapshotMetrics())
+    if (M.Name == Name)
+      return M.Value;
+  return 0;
+}
+
+/// Counts the `stages` entries named \p Name across \p Records.
+size_t stageEntries(const std::vector<json::Value> &Records, const char *Name) {
+  size_t N = 0;
+  for (const json::Value &Rec : Records)
+    if (const json::Value *Stages = Rec.get("stages"))
+      for (const json::Value &S : Stages->elements())
+        N += S.stringAt("name") == Name;
+  return N;
+}
+
+TEST(QueryLog, StageCounterStructAndRecordAgree) {
+  // Every stage is instrumented in one place, and every event is counted
+  // once, in the struct that owns it: the registry counter, the owner's
+  // struct and the record's stage entries must report the same number.
+  telemetry::setMetricsEnabled(true);
+  Context Ctx(8);
+  CorpusOptions CO;
+  CO.LinearCount = CO.PolyCount = CO.NonPolyCount = 3;
+  CO.IncludeSeedIdentities = false;
+  std::vector<CorpusEntry> Corpus = generateCorpus(Ctx, CO);
+
+  // Simplify and stage 0 on: the Algorithm 1 paths and stage 0.
+  {
+    Pipeline P(Ctx, PipelineConfig());
+    std::map<std::string, uint64_t> Before;
+    for (const char *C : {"simplify.linear_runs", "simplify.poly_runs",
+                          "simplify.nonpoly_runs", "stage0.proved",
+                          "stage0.refuted", "stage0.fallthrough"})
+      Before[C] = counterValue(C);
+    querylog::beginCapture();
+    for (const CorpusEntry &E : Corpus)
+      P.check(P.simplify(E.Obfuscated), P.simplify(E.Ground));
+    std::vector<json::Value> Records = parseLines(querylog::endCapture());
+    auto Delta = [&](const char *C) { return counterValue(C) - Before[C]; };
+
+    SimplifyStats S = P.simplifyStats();
+    EXPECT_GT(S.LinearRuns + S.PolyRuns + S.NonPolyRuns, 0u);
+    EXPECT_EQ(Delta("simplify.linear_runs"), S.LinearRuns);
+    EXPECT_EQ(stageEntries(Records, "linear-signature"), S.LinearRuns);
+    EXPECT_EQ(Delta("simplify.poly_runs"), S.PolyRuns);
+    EXPECT_EQ(stageEntries(Records, "poly-normalize"), S.PolyRuns);
+    EXPECT_EQ(Delta("simplify.nonpoly_runs"), S.NonPolyRuns);
+    EXPECT_EQ(stageEntries(Records, "nonpoly-abstraction"), S.NonPolyRuns);
+
+    const StageZeroStats &Z = P.stageZeroStats();
+    EXPECT_EQ(Z.queries(), Corpus.size());
+    EXPECT_EQ(Delta("stage0.proved"), Z.Proved);
+    EXPECT_EQ(Delta("stage0.refuted"), Z.Refuted);
+    EXPECT_EQ(Delta("stage0.fallthrough"), Z.Fallthrough);
+    EXPECT_EQ(stageEntries(Records, "stage0"), Z.queries());
+    EXPECT_EQ(stageEntries(Records, "backend"), Z.Fallthrough);
+  }
+
+  // Raw queries on BlastBV+AIG: the per-query graph's AigStats are the
+  // only count of its nodes, published once per query. The timeout only
+  // bounds SAT; the graph is complete before SAT starts.
+  {
+    PipelineConfig Raw;
+    Raw.Simplify = false;
+    Raw.StageZero = false;
+    Raw.TimeoutSeconds = 0.2;
+    Pipeline P(Ctx, Raw);
+    for (const CorpusEntry &E : Corpus) {
+      uint64_t Nodes = counterValue("aig.nodes");
+      uint64_t Hits = counterValue("aig.strash_hits");
+      uint64_t Queries = counterValue("sat.aig.queries");
+      querylog::beginCapture();
+      P.check(E.Obfuscated, E.Ground);
+      std::vector<json::Value> Records = parseLines(querylog::endCapture());
+
+      // The checker's own protocol, replayed: both sides onto one graph at
+      // the BlastBV+AIG level, then the miter.
+      aig::Aig G(aig::AigLevel::Full);
+      aig::AigBlaster Blaster(G, Ctx.width(), aig::Encoding::Prefix);
+      aig::ExprAig Translator(Blaster);
+      auto WA = Translator.blast(E.Obfuscated);
+      auto WB = Translator.blast(E.Ground);
+      Blaster.disequalLit(WA, WB);
+
+      EXPECT_EQ(counterValue("sat.aig.queries") - Queries, 1u);
+      EXPECT_EQ(counterValue("aig.nodes") - Nodes, G.stats().AndNodes);
+      EXPECT_EQ(counterValue("aig.strash_hits") - Hits, G.stats().StrashHits);
+      ASSERT_EQ(Records.size(), 1u);
+      EXPECT_EQ(Records[0].numberAt("aig_nodes"), G.numNodes());
+    }
+  }
+  telemetry::setMetricsEnabled(false);
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 // protect runs unlocked (or the trace span records ~0ns).
 #include <mutex>
 
+#include "support/QueryLog.h"
 #include "support/ThreadSafety.h"
 #include "support/Telemetry.h"
 
@@ -18,4 +19,8 @@ void guardGoneImmediately(mba::support::Mutex &Mu, int &Counter) {
 
 void zeroLengthSpan() {
   mba::support::SpanGuard("simplify.total"); // EXPECT: mba-unnamed-raii
+}
+
+void zeroLengthStage(const mba::querylog::StageDef &Def) {
+  mba::querylog::Stage(Def); // EXPECT: mba-unnamed-raii
 }

@@ -370,8 +370,9 @@ public:
 
   void run(const SourceFile &SF, std::vector<Diagnostic> &Out) const override {
     static const std::set<std::string> RaiiTypes = {
-        "SpanGuard",   "MutexLock",   "UniqueMutexLock", "SourceHandle",
-        "lock_guard",  "unique_lock", "scoped_lock",     "shared_lock"};
+        "SpanGuard",   "Stage",       "MutexLock",   "UniqueMutexLock",
+        "SourceHandle", "lock_guard", "unique_lock", "scoped_lock",
+        "shared_lock"};
     const Tokens &T = SF.Tokens;
     for (size_t I = 0; I < T.size(); ++I) {
       // Only statement-initial positions: a preceding identifier would
